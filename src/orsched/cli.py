@@ -64,6 +64,7 @@ from orsched.predict import (
 from orsched.core import Schedule
 from orsched.solve import (
     InfeasibleInstanceError,
+    ScheduleFileError,
     SolveLimits,
     SolverError,
     objective_vector,
@@ -569,7 +570,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args._config = _load_config(getattr(args, "config", None))
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ScheduleFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleInstanceError as exc:

@@ -21,6 +21,7 @@ import csv
 import json
 import random
 import time
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -417,6 +418,7 @@ class _HeurState:
         self.sums = [0] * self.n_cells
         self.unassigned = [0, 0, 0, 0]
         self.em_used = 0
+        self.cell_regs: list[set[int]] = [set() for _ in range(self.n_cells)]
         for ri in range(len(model.regs)):
             self.unassigned[model.prio[ri] - 1] += 1
 
@@ -434,6 +436,7 @@ class _HeurState:
         self.sums[ci] += self.m.conf[ri]
         self.em_used += self.m.cells[ci].emergency
         self.unassigned[self.m.prio[ri] - 1] -= 1
+        self.cell_regs[ci].add(ri)
 
     def remove(self, ri: int) -> int:
         ci = self.choice[ri]
@@ -443,6 +446,7 @@ class _HeurState:
         self.sums[ci] -= self.m.conf[ri]
         self.em_used -= self.m.cells[ci].emergency
         self.unassigned[self.m.prio[ri] - 1] += 1
+        self.cell_regs[ci].remove(ri)
         return ci
 
     def active(self) -> tuple:
@@ -454,7 +458,61 @@ class _HeurState:
         return counts + (mx, mx - mn)
 
     def occupants(self, ci: int) -> list[int]:
-        return [ri for ri, c in enumerate(self.choice) if c == ci]
+        """Registrations in cell ``ci``, in ascending index order."""
+        return sorted(self.cell_regs[ci])
+
+
+class _ConfTiers:
+    """The confidence tiers (max, spread) of one search state, and whether a
+    move that changes the sums of one or two cells would lower them."""
+
+    def __init__(self, sums: list[int]):
+        order = sorted(range(len(sums)), key=sums.__getitem__)
+        self.sums = sums
+        # a move changes at most two cells, so among the three highest and the
+        # three lowest cells is the extreme of the cells it leaves alone
+        self.lowest, self.highest = order[:3], order[::-1][:3]
+        mx, mn = sums[order[-1]], sums[order[0]]
+        self.mx, self.mn, self.current = mx, mn, (mx, mx - mn)
+
+    def hot_cells(self) -> set[int]:
+        """Cells of which a relocate or swap must touch one to lower the tiers:
+        the only cell at the max and the only cell at the min, where unique.
+
+        A move lowers (max, spread) only if it touches every cell at the max
+        or every cell at the min: with an untouched cell at each, the max
+        cannot fall, and at an unchanged max the min cannot rise. Relocates
+        and swaps change two cells and keep their total, so touching two
+        cells at the max leaves one of them at it or above, and touching two
+        at the min leaves one at it or below.
+        """
+        hot: set[int] = set()
+        for value in (self.mx, self.mn):
+            at = [ci for ci, s in enumerate(self.sums) if s == value]
+            if len(at) == 1:
+                hot.update(at)
+        return hot
+
+    def improves_one(self, ci: int, delta: int) -> bool:
+        """Whether adding ``delta`` to cell ``ci``'s sum lowers the tiers."""
+        value = self.sums[ci] + delta
+        return self._improves(ci, value, ci, value)
+
+    def improves_shift(self, src: int, dst: int, amount: int) -> bool:
+        """Whether moving ``amount`` from cell ``src``'s sum to ``dst``'s lowers the tiers."""
+        return self._improves(src, self.sums[src] - amount, dst, self.sums[dst] + amount)
+
+    def _improves(self, a: int, va: int, b: int, vb: int) -> bool:
+        hi, lo = max(va, vb), min(va, vb)
+        for ci in self.highest:
+            if ci != a and ci != b:
+                hi = max(hi, self.sums[ci])
+                break
+        for ci in self.lowest:
+            if ci != a and ci != b:
+                lo = min(lo, self.sums[ci])
+                break
+        return (hi, hi - lo) < self.current
 
 
 class _Heuristic:
@@ -515,7 +573,7 @@ class _Heuristic:
             if cell.emergency and state.em_used > 0:
                 continue
             free = cell.capacity - state.loads[ci]
-            for occ in sorted(state.occupants(ci)):
+            for occ in state.occupants(ci):
                 if free + self.m.dur[occ] < dur:
                     continue
                 state.remove(occ)
@@ -566,93 +624,140 @@ class _Heuristic:
                 break
 
     def _improve_once(self, state: _HeurState) -> bool:
-        current = state.active()
-        n = len(self.m.regs)
-        unassigned = [ri for ri in range(n) if state.choice[ri] is None]
-        assigned = [ri for ri in range(n) if state.choice[ri] is not None]
+        """Apply the first improving move in scan order; False at a local optimum.
 
-        # insert an unassigned registration
+        Every probe of a pass starts from the same state, so each move is
+        judged from its delta against that state, never applied and undone.
+        """
+        m, choice, em_used = self.m, state.choice, state.em_used
+        dur, prio, conf, compat = m.dur, m.prio, m.conf, m.compat
+        em = [c.emergency for c in m.cells]
+        free = [c.capacity - load for c, load in zip(m.cells, state.loads)]
+        unassigned = [ri for ri in range(len(m.regs)) if choice[ri] is None]
+        by_cell = [state.occupants(ci) for ci in range(len(m.cells))]
+        tiers = _ConfTiers(state.sums) if self.conf_active and state.sums else None
+
+        # insert an unassigned registration; placing one lowers a count tier
         for ri in unassigned:
-            for ci in self.m.compat[ri]:
-                if state.can_place(ri, ci):
+            for ci in compat[ri]:
+                if free[ci] >= dur[ri] and (not em[ci] or em_used == 0):
                     state.place(ri, ci)
-                    if state.active() < current:
-                        return True
-                    state.remove(ri)
+                    return True
 
-        # insert enabled by relocating one blocking occupant
+        # insert enabled by moving one blocking occupant to the first other
+        # cell that takes it; the occupants that qualify do not depend on the
+        # newcomer, so each cell's list is built once per pass
+        def movers(ci: int) -> list[tuple[int, int]]:
+            found = []
+            left = em_used - em[ci]
+            for occ in by_cell[ci]:
+                for ci2 in compat[occ]:
+                    if ci2 != ci and free[ci2] >= dur[occ] and (not em[ci2] or left == 0):
+                        if not em[ci] or left + em[ci2] == 0:
+                            found.append((occ, ci2))
+                        break
+            return found
+
+        movable: dict[int, list[tuple[int, int]]] = {}
         for ri in unassigned:
-            dur = self.m.dur[ri]
-            for ci in self.m.compat[ri]:
-                cell = self.m.cells[ci]
-                free = cell.capacity - state.loads[ci]
-                if free >= dur:
+            for ci in compat[ri]:
+                need = dur[ri] - free[ci]
+                if need <= 0:
                     continue  # plain insert already failed on other grounds
-                for occ in sorted(state.occupants(ci)):
-                    if free + self.m.dur[occ] < dur:
-                        continue
-                    state.remove(occ)
-                    for ci2 in self.m.compat[occ]:
-                        if ci2 != ci and state.can_place(occ, ci2):
-                            state.place(occ, ci2)
-                            if state.can_place(ri, ci):
-                                state.place(ri, ci)
-                                if state.active() < current:
-                                    return True
-                                state.remove(ri)
-                            state.remove(occ)
-                            break
-                    state.place(occ, ci)
-
-        # replace an assigned registration by an unassigned one
-        for ri in unassigned:
-            for occ in assigned:
-                ci = state.choice[occ]
-                if ci not in self.m.compat_sets[ri]:
-                    continue
-                state.remove(occ)
-                if state.can_place(ri, ci):
-                    state.place(ri, ci)
-                    if state.active() < current:
+                if ci not in movable:
+                    movable[ci] = movers(ci)
+                for occ, ci2 in movable[ci]:
+                    if dur[occ] >= need:
+                        state.remove(occ)
+                        state.place(occ, ci2)
+                        state.place(ri, ci)
                         return True
-                    state.remove(ri)
-                state.place(occ, ci)
 
-        if not self.conf_active:
+        # replace an assigned registration by an unassigned one: a higher
+        # priority always improves, a lower one never does, and an equal one
+        # only through the confidence tiers; the first occupant in index order
+        # is taken, whichever cell holds it
+        for ri in unassigned:
+            pr, first = prio[ri], None
+            for ci in compat[ri]:
+                if em[ci] and em_used - em[ci] != 0:
+                    continue
+                need = dur[ri] - free[ci]
+                for occ in by_cell[ci]:
+                    if first is not None and occ > first:
+                        break
+                    if dur[occ] < need or prio[occ] < pr:
+                        continue
+                    if prio[occ] > pr or (
+                        tiers is not None and conf[occ] != conf[ri] and tiers.improves_one(ci, conf[ri] - conf[occ])
+                    ):
+                        first = occ
+                        break
+            if first is not None:
+                ci = state.remove(first)
+                state.place(ri, ci)
+                return True
+
+        if tiers is None:
             return False
+        hot = tiers.hot_cells()
+        if not hot:
+            return False
+        assigned = [ri for ri in range(len(m.regs)) if choice[ri] is not None]
 
         # relocate one assignment (confidence balancing only)
         for ri in assigned:
-            ci = state.choice[ri]
-            state.remove(ri)
-            for ci2 in self.m.compat[ri]:
-                if ci2 != ci and state.can_place(ri, ci2):
-                    state.place(ri, ci2)
-                    if state.active() < current:
-                        return True
+            c, ci = conf[ri], choice[ri]
+            if c == 0:
+                continue
+            from_hot = ci in hot
+            for ci2 in compat[ri]:
+                if (
+                    (from_hot or ci2 in hot)
+                    and ci2 != ci
+                    and free[ci2] >= dur[ri]
+                    and (not em[ci2] or em_used - em[ci] == 0)
+                    and tiers.improves_shift(ci, ci2, c)
+                ):
                     state.remove(ri)
-            state.place(ri, ci)
+                    state.place(ri, ci2)
+                    return True
 
-        # swap two assignments across cells (confidence balancing only)
-        for ai in range(len(assigned)):
-            for bi in range(ai + 1, len(assigned)):
-                ra, rb = assigned[ai], assigned[bi]
-                ca, cb = state.choice[ra], state.choice[rb]
-                if ca == cb:
+        # swap two assignments across cells (confidence balancing only); each
+        # registration sits in a cell of its own specialty, so the two cells
+        # must share one, and one of them must be hot
+        same_specialty: dict[str, list[int]] = {}
+        hot_specialty: dict[str, list[int]] = {}
+        for ri in assigned:
+            specialty = m.cells[choice[ri]].specialty
+            same_specialty.setdefault(specialty, []).append(ri)
+            if choice[ri] in hot:
+                hot_specialty.setdefault(specialty, []).append(ri)
+        for ra in assigned:
+            ca = choice[ra]
+            specialty = m.cells[ca].specialty
+            pool = same_specialty[specialty] if ca in hot else hot_specialty.get(specialty, [])
+            for k in range(bisect_right(pool, ra), len(pool)):
+                rb = pool[k]
+                cb = choice[rb]
+                delta = conf[rb] - conf[ra]
+                if ca == cb or delta == 0:
                     continue
-                if cb not in self.m.compat_sets[ra] or ca not in self.m.compat_sets[rb]:
+                if cb not in m.compat_sets[ra] or ca not in m.compat_sets[rb]:
                     continue
-                state.remove(ra)
-                state.remove(rb)
-                if state.can_place(ra, cb) and state.can_place(rb, ca):
-                    state.place(ra, cb)
-                    state.place(rb, ca)
-                    if state.active() < current:
-                        return True
+                left = em_used - em[ca] - em[cb]
+                if (
+                    free[cb] + dur[rb] >= dur[ra]
+                    and free[ca] + dur[ra] >= dur[rb]
+                    and (not em[cb] or left == 0)
+                    and (not em[ca] or left == 0)
+                    and tiers.improves_shift(cb, ca, delta)
+                ):
                     state.remove(ra)
                     state.remove(rb)
-                state.place(ra, ca)
-                state.place(rb, cb)
+                    state.place(ra, cb)
+                    state.place(rb, ca)
+                    return True
         return False
 
     # -- restart loop -----------------------------------------------------------
@@ -706,6 +811,28 @@ def solve_heuristic(
     """Anytime solver: greedy best-fit-decreasing construction followed by
     first-improvement local search with seeded restarts until the budget.
 
+    A local-search pass scans its neighbourhoods in this order and applies
+    the first move that lowers the active objective: insert an unassigned
+    registration; insert one after moving a blocking occupant to another
+    cell; replace an assigned registration by an unassigned one; and, with
+    the confidence objective only, relocate one assignment or swap two
+    across cells. Each move is judged from its delta against the state the
+    pass started from, not applied and undone: inserts always lower a count
+    tier, so the first feasible one wins; a replace improves when the
+    newcomer's priority is higher, never when it is lower, and at equal
+    priority only through the confidence tiers; relocates and swaps compare
+    the confidence tiers of the two cells they change with the rest.
+    Relocates and swaps are scanned only where they touch a hot cell, the
+    only cell at the maximum or the only cell at the minimum. Proof: a move
+    lowers (max, spread) only if it touches every cell at the maximum or
+    every cell at the minimum, because an untouched cell at each keeps the
+    maximum and, at an unchanged maximum, the minimum; and a move that
+    keeps the total of the two cells it touches leaves one of two cells at
+    the maximum (minimum) at or above (below) it. So when neither extreme
+    is unique, neither neighbourhood is scanned. Scan order and acceptance
+    are those of trying every move, so results at a fixed seed and
+    ``max_restarts`` are unchanged by the delta evaluation.
+
     Always returns a feasible schedule that is lexicographically at least as
     good as the canonical greedy construction. Reproducible for a fixed seed
     when ``max_restarts`` bounds the run (a purely time-bounded run is
@@ -757,14 +884,42 @@ def write_schedule_csv(schedule: Schedule, path: str | Path) -> None:
             writer.writerow([a.registration_id, a.priority, a.or_id, a.day, a.shift_id])
 
 
+class ScheduleFileError(Exception):
+    """A schedule file that cannot be read, with the file, row and field at
+    fault. Rows are numbered as lines of the file, the header being row 1."""
+
+    def __init__(self, path: str | Path, row: int, field: str, problem: str):
+        super().__init__(f"{path}: row {row}, field {field!r}: {problem}")
+        self.path = str(path)
+        self.row = row
+        self.field = field
+
+
 def read_schedule_csv(path: str | Path) -> tuple[Assignment, ...]:
+    """Read a file written by ``write_schedule_csv``; raises
+    ``ScheduleFileError`` at the first missing column or malformed value."""
+    assignments = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        assignments = tuple(
-            Assignment(row["registration_id"], int(row["priority"]), row["or_id"], int(row["day"]), row["shift_id"])
-            for row in reader
-        )
-    return assignments
+        for field in SCHEDULE_HEADER:
+            if field not in (reader.fieldnames or ()):
+                raise ScheduleFileError(path, 1, field, "column missing from the header")
+        for row in reader:
+            values = {}
+            for field in SCHEDULE_HEADER:
+                value = row[field]
+                if value is None:
+                    raise ScheduleFileError(path, reader.line_num, field, "value missing")
+                if field in ("priority", "day"):
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        raise ScheduleFileError(path, reader.line_num, field, f"{value!r} is not an integer") from None
+                values[field] = value
+            assignments.append(
+                Assignment(values["registration_id"], values["priority"], values["or_id"], values["day"], values["shift_id"])
+            )
+    return tuple(assignments)
 
 
 def write_objective_json(schedule: Schedule, proven_optimal: bool, wall_time_s: float, path: str | Path) -> None:

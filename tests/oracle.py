@@ -4,6 +4,9 @@ Enumerates every assignment function (registration -> cell or unassigned) as
 base-(cells+1) codes, filters the feasible ones with vectorized checks, and
 reads off the lexicographically minimal objective. Exponential on purpose;
 only for small instances.
+
+Also holds ``reference_improve_once``, the heuristic's local-search pass by
+trial and undo, against which the solver's delta-evaluated pass is checked.
 """
 
 from __future__ import annotations
@@ -131,3 +134,98 @@ def brute_force_optimal_patterns(instance: ProblemInstance, confidence_scale: in
 def schedule_pattern(schedule) -> frozenset:
     """Pattern representation of a solver schedule, comparable with oracle output."""
     return frozenset((a.registration_id, (a.or_id, a.day, a.shift_id)) for a in schedule.assignments)
+
+
+def reference_improve_once(model, state, confidence_active: bool) -> bool:
+    """The heuristic's local-search pass by trial and undo: every candidate
+    move is applied to ``state``, the objective is recomputed over all cells,
+    and the move is undone unless it improves. Accepts the first improving
+    move in scan order (insert, relocate-to-insert, replace, then relocate
+    and swap when the confidence tiers are active) and returns False when
+    none exists. Occupants are found by scanning every registration, so this
+    reference shares no incremental bookkeeping with the solver's pass."""
+    current = state.active()
+    n = len(model.regs)
+    unassigned = [ri for ri in range(n) if state.choice[ri] is None]
+    assigned = [ri for ri in range(n) if state.choice[ri] is not None]
+
+    def occupants(ci):
+        return [ri for ri, c in enumerate(state.choice) if c == ci]
+
+    for ri in unassigned:
+        for ci in model.compat[ri]:
+            if state.can_place(ri, ci):
+                state.place(ri, ci)
+                if state.active() < current:
+                    return True
+                state.remove(ri)
+
+    for ri in unassigned:
+        dur = model.dur[ri]
+        for ci in model.compat[ri]:
+            free = model.cells[ci].capacity - state.loads[ci]
+            if free >= dur:
+                continue
+            for occ in occupants(ci):
+                if free + model.dur[occ] < dur:
+                    continue
+                state.remove(occ)
+                for ci2 in model.compat[occ]:
+                    if ci2 != ci and state.can_place(occ, ci2):
+                        state.place(occ, ci2)
+                        if state.can_place(ri, ci):
+                            state.place(ri, ci)
+                            if state.active() < current:
+                                return True
+                            state.remove(ri)
+                        state.remove(occ)
+                        break
+                state.place(occ, ci)
+
+    for ri in unassigned:
+        for occ in assigned:
+            ci = state.choice[occ]
+            if ci not in model.compat_sets[ri]:
+                continue
+            state.remove(occ)
+            if state.can_place(ri, ci):
+                state.place(ri, ci)
+                if state.active() < current:
+                    return True
+                state.remove(ri)
+            state.place(occ, ci)
+
+    if not confidence_active:
+        return False
+
+    for ri in assigned:
+        ci = state.choice[ri]
+        state.remove(ri)
+        for ci2 in model.compat[ri]:
+            if ci2 != ci and state.can_place(ri, ci2):
+                state.place(ri, ci2)
+                if state.active() < current:
+                    return True
+                state.remove(ri)
+        state.place(ri, ci)
+
+    for ai in range(len(assigned)):
+        for bi in range(ai + 1, len(assigned)):
+            ra, rb = assigned[ai], assigned[bi]
+            ca, cb = state.choice[ra], state.choice[rb]
+            if ca == cb:
+                continue
+            if cb not in model.compat_sets[ra] or ca not in model.compat_sets[rb]:
+                continue
+            state.remove(ra)
+            state.remove(rb)
+            if state.can_place(ra, cb) and state.can_place(rb, ca):
+                state.place(ra, cb)
+                state.place(rb, ca)
+                if state.active() < current:
+                    return True
+                state.remove(ra)
+                state.remove(rb)
+            state.place(ra, ca)
+            state.place(rb, cb)
+    return False

@@ -180,6 +180,27 @@ def test_evaluate_replays_schedule_files(workspace, tmp_path):
     assert "VBA" in (tmp_path / "report.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "content, row, field",
+    [
+        ("registration_id,priority,or_id,day,shift_id\nr1,1,OR1,0,MAIN\nr2,x,OR1,0,MAIN\n", 3, "priority"),
+        ("registration_id,priority,or_id,day\nr1,1,OR1,0\n", 1, "shift_id"),
+    ],
+    ids=["bad_priority", "missing_shift_id"],
+)
+def test_evaluate_malformed_schedule_is_input_error(workspace, tmp_path, content, row, field):
+    bad = tmp_path / "schedule.csv"
+    bad.write_text(content)
+    r = run_cli(
+        "evaluate", *instance_flags(workspace),
+        "--schedule", f"vba={bad}", "-o", str(tmp_path / "out"),
+    )
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    assert str(bad) in r.stderr
+    assert f"row {row}" in r.stderr and repr(field) in r.stderr
+
+
 def test_evaluate_without_schedules_is_usage_error(workspace, tmp_path):
     r = run_cli("evaluate", *instance_flags(workspace), "-o", str(tmp_path))
     assert r.returncode == 2

@@ -1,5 +1,6 @@
 """Solver tests: feasibility, objective semantics, exact and heuristic search."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,13 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import instance, random_instance, reg, single_cell_instance
-from oracle import brute_force_best, schedule_pattern
+from oracle import brute_force_best, reference_improve_once, schedule_pattern
 
 from orsched.core import Assignment, ObjectiveVector, Schedule
 from orsched.solve import (
     IncompleteSearchError,
     InfeasibleInstanceError,
     SolveLimits,
+    _Heuristic,
+    _HeurState,
+    _Model,
     compare_lex,
     is_feasible,
     objective_vector,
@@ -357,6 +361,81 @@ def test_heuristic_threads_match_sequential():
         limits1 = SolveLimits(time_budget_s=5.0, max_restarts=6, seed=3, threads=1)
         limits4 = SolveLimits(time_budget_s=5.0, max_restarts=6, seed=3, threads=4)
         assert solve_heuristic(inst, limits1) == solve_heuristic(inst, limits4)
+
+
+def _replayed(model, choice, confidence_active):
+    """A fresh heuristic state with ``choice`` placed registration by registration."""
+    state = _HeurState(model, confidence_active)
+    for ri, ci in enumerate(choice):
+        if ci is not None:
+            state.place(ri, ci)
+    return state
+
+
+def _assert_state_matches_choice(model, state):
+    n_cells = len(model.cells)
+    loads, sums, cell_regs = [0] * n_cells, [0] * n_cells, [set() for _ in range(n_cells)]
+    unassigned, em_used = [0, 0, 0, 0], 0
+    for ri, ci in enumerate(state.choice):
+        if ci is None:
+            unassigned[model.prio[ri] - 1] += 1
+            continue
+        loads[ci] += model.dur[ri]
+        sums[ci] += model.conf[ri]
+        cell_regs[ci].add(ri)
+        em_used += model.cells[ci].emergency
+    assert state.loads == loads
+    assert state.sums == sums
+    assert state.unassigned == unassigned
+    assert state.em_used == em_used
+    assert state.cell_regs == cell_regs
+
+
+def _random_fill(model, confidence_active, rng):
+    """A state far from a local optimum that keeps the capacity, specialty
+    and emergency rules: registrations in random order, most of them placed
+    in a random cell that takes them."""
+    state = _HeurState(model, confidence_active)
+    order = list(range(len(model.regs)))
+    rng.shuffle(order)
+    for ri in order:
+        cells = [ci for ci in model.compat[ri] if state.can_place(ri, ci)]
+        if cells and rng.random() < 0.8:
+            state.place(ri, rng.choice(cells))
+    return state
+
+
+def test_local_search_moves_match_trial_and_undo_reference():
+    """From the same start, the delta-evaluated pass accepts the same move
+    sequence as the trial-and-undo reference, and its incremental state
+    always equals a recomputation from the assignment. Starts are greedy
+    states, as the solver uses, and random fills, which need many more moves."""
+    rng = random.Random(2024)
+    moves = 0
+    for case in range(320):
+        base = random_instance(rng, max_regs=rng.choice((8, 16, 28)), max_cells=rng.choice((3, 6, 8)))
+        emergency_or = base.mss[rng.randrange(len(base.mss))].or_id
+        for emergency in (None, emergency_or):
+            inst = dataclasses.replace(base, emergency_or_id=emergency)
+            model = _Model(inst, 1)
+            for confidence_active in (True, False):
+                heuristic = _Heuristic(model, H_FAST, confidence_active)
+                starts = [_random_fill(model, confidence_active, rng)]
+                try:
+                    starts.append(heuristic._greedy(random.Random(case) if case % 2 else None))
+                except InfeasibleInstanceError:
+                    pass
+                for state in starts:
+                    reference = _replayed(model, state.choice, confidence_active)
+                    while True:
+                        moved = heuristic._improve_once(state)
+                        assert moved == reference_improve_once(model, reference, confidence_active)
+                        assert state.choice == reference.choice
+                        _assert_state_matches_choice(model, state)
+                        if not moved:
+                            break
+                        moves += 1
+    assert moves >= 2000
 
 
 # -- file round trip ----------------------------------------------------------
