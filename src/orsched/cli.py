@@ -18,15 +18,15 @@ import sys
 import time
 from pathlib import Path
 
-from orsched.core import ProblemInstance
+from orsched.core import InputFileError, ObjectiveVector, ProblemInstance, Schedule
 from orsched.evaluate import (
     METHODS,
     DurationEstimates,
     EvaluateError,
     MethodReport,
-    apply_method_durations,
     evaluate_schedule,
     normalize_method,
+    solve_method,
     write_report_json,
     write_report_txt,
 )
@@ -61,15 +61,12 @@ from orsched.predict import (
     stratified_split,
     write_predictions_csv,
 )
-from orsched.core import Schedule
 from orsched.solve import (
     InfeasibleInstanceError,
-    ScheduleFileError,
     SolveLimits,
     SolverError,
-    objective_vector,
+    is_feasible,
     read_schedule_csv,
-    solve_auto,
     write_objective_json,
     write_schedule_csv,
 )
@@ -341,16 +338,13 @@ def _solve_and_write(
     prefer: str | None,
     schedule_path: Path,
     objective_path: Path,
-) -> Schedule:
-    method_instance = apply_method_durations(instance, method, estimates)
+) -> tuple[ProblemInstance, Schedule]:
     start = time.monotonic()
-    schedule, proven = solve_auto(
-        method_instance, limits, confidence_objective=(method == "Conf"), prefer=prefer
-    )
+    method_instance, schedule, proven = solve_method(instance, method, estimates, limits, prefer)
     wall = time.monotonic() - start
     write_schedule_csv(schedule, schedule_path)
     write_objective_json(schedule, proven, wall, objective_path)
-    return schedule
+    return method_instance, schedule
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -360,7 +354,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     estimates = _build_estimates(args, method, instance)
     out = _outdir(args)
     prefer = _merged(args, "solver")
-    schedule = _solve_and_write(
+    _, schedule = _solve_and_write(
         instance, method, estimates, _limits(args), prefer, out / "schedule.csv", out / "objective.json"
     )
     print(
@@ -395,19 +389,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     reports: list[MethodReport] = []
     for method, path in schedules.items():
-        assignments = read_schedule_csv(path)
-        schedule = Schedule(assignments, objective_vector(_bare_schedule(assignments), instance))
+        # the report reads only the assignments, so no objective is computed
+        schedule = Schedule(read_schedule_csv(path), ObjectiveVector(0, 0, 0, 0, 0, 0))
+        # capacity is judged by the replay: registrations.csv durations are
+        # not the ones the method planned with, and overbooking is what the
+        # report measures
+        for violation in is_feasible(schedule, instance):
+            if violation.code != "capacity_exceeded":
+                raise UsageError(f"{path}: {violation.code}: {violation.detail}")
         reports.append(evaluate_schedule(method, schedule, instance))
     write_report_json({hospital: reports}, out / "report.json")
     write_report_txt({hospital: reports}, out / "report.txt")
     print((out / "report.txt").read_text(encoding="utf-8"))
     return EXIT_OK
-
-
-def _bare_schedule(assignments) -> Schedule:
-    from orsched.core import ObjectiveVector
-
-    return Schedule(tuple(assignments), ObjectiveVector(0, 0, 0, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +410,6 @@ def _bare_schedule(assignments) -> Schedule:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     out = _outdir(args)
-    seed = int(_merged(args, "seed", 0))
     methods = _merged(args, "methods")
     if methods is None:
         methods = list(METHODS)
@@ -426,56 +419,25 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if not methods:
         raise UsageError("empty method list")
 
-    synth_args = argparse.Namespace(
-        _config=getattr(args, "_config", {}),
-        rows=_merged(args, "rows"),
-        seed=seed,
-        hospital=_merged(args, "hospital"),
-        noise=_merged(args, "noise"),
-        planning_days=_merged(args, "planning_days"),
-        fill_ratio=_merged(args, "fill_ratio"),
-        out=str(out),
-    )
-    cmd_synth(synth_args)
-
-    train_args = argparse.Namespace(
-        _config=getattr(args, "_config", {}),
-        records=str(out / "records.csv"),
-        seed=seed,
-        grid=_merged(args, "grid"),
-        out=str(out),
-    )
-    cmd_train(train_args)
-
-    instance = load_instance(
-        out / "registrations.csv",
-        out / "mss.csv",
-        out / "shifts.csv",
-        planning_days=_merged(args, "planning_days"),
-        emergency_or_id=_merged(args, "emergency_or"),
-    )
+    # each stage reads the files the stages before it wrote into ``out``
+    args.records, args.week, args.model = str(out / "records.csv"), str(out / "week.csv"), str(out / "model.json")
+    args.registrations, args.mss, args.shifts = str(out / "registrations.csv"), str(out / "mss.csv"), str(out / "shifts.csv")
+    cmd_synth(args)
+    cmd_train(args)
+    instance = _load_week_instance(args)
     limits = _limits(args)
     prefer = _merged(args, "solver")
-    base = argparse.Namespace(
-        _config=getattr(args, "_config", {}),
-        week=str(out / "week.csv"),
-        model=str(out / "model.json"),
-        records=None,
-        seed=seed,
-    )
     reports: list[MethodReport] = []
     for method in methods:
-        estimates = _build_estimates(base, method, instance)
-        schedule = _solve_and_write(
+        method_instance, schedule = _solve_and_write(
             instance,
             method,
-            estimates,
+            _build_estimates(args, method, instance),
             limits,
             prefer,
             out / f"schedule_{method.lower()}.csv",
             out / f"objective_{method.lower()}.json",
         )
-        method_instance = apply_method_durations(instance, method, estimates)
         reports.append(evaluate_schedule(method, schedule, method_instance))
 
     hospital = str(_merged(args, "hospital", "bordighera"))
@@ -570,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args._config = _load_config(getattr(args, "config", None))
         return args.func(args)
-    except (UsageError, ScheduleFileError) as exc:
+    except (UsageError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleInstanceError as exc:

@@ -8,6 +8,7 @@ construction time: malformed data is representable on purpose, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 PRIORITIES = (1, 2, 3, 4)
 
@@ -78,18 +79,6 @@ class ProblemInstance:
     planning_days: int
     emergency_or_id: str | None = None
 
-    def shift_capacity(self, shift_id: str) -> int:
-        for s in self.shifts:
-            if s.shift_id == shift_id:
-                return s.capacity_min
-        raise KeyError(shift_id)
-
-    def registration_by_id(self, reg_id: str) -> Registration:
-        for r in self.registrations:
-            if r.id == reg_id:
-                return r
-        raise KeyError(reg_id)
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -100,9 +89,6 @@ class Assignment:
     or_id: str
     day: int
     shift_id: str
-
-    def cell(self) -> tuple[str, int, str]:
-        return (self.or_id, self.day, self.shift_id)
 
 
 @dataclass(frozen=True)
@@ -138,10 +124,6 @@ class ObjectiveVector:
         t = self.as_tuple()
         return {"l6": t[0], "l5": t[1], "l4": t[2], "l3": t[3], "l2": t[4], "l1": t[5]}
 
-    @classmethod
-    def from_tuple(cls, t: tuple[int, ...]) -> "ObjectiveVector":
-        return cls(*t)
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -176,8 +158,13 @@ class ValidationReport:
     def __iter__(self):
         return iter(self.violations)
 
-    def __len__(self) -> int:
-        return len(self.violations)
+
+class InputFileError(Exception):
+    """An input file that cannot be read, with the file, row and field at
+    fault. Rows are numbered as lines of the file, the header being row 1."""
+
+    def __init__(self, path: str | Path, row: int, field: str, problem: str):
+        super().__init__(f"{path}: row {row}, field {field!r}: {problem}")
 
 
 def validate_instance(instance: ProblemInstance) -> ValidationReport:

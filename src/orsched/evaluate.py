@@ -215,6 +215,27 @@ def evaluate_schedule(method: str, schedule: Schedule, instance: ProblemInstance
     )
 
 
+def solve_method(
+    instance: ProblemInstance,
+    method: str,
+    estimates: DurationEstimates,
+    limits: SolveLimits = SolveLimits(),
+    solver: str | None = None,
+) -> tuple[ProblemInstance, Schedule, bool]:
+    """Solve the week with one method's durations: the instance it planned
+    with, its schedule, and whether that schedule is a proven optimum.
+    Confidence tiers enter the solver objective only for Conf."""
+    method = normalize_method(method)
+    method_instance = apply_method_durations(instance, method, estimates)
+    schedule, proven = solve_auto(
+        method_instance,
+        limits,
+        confidence_objective=(method == "Conf"),
+        prefer=solver,
+    )
+    return method_instance, schedule, proven
+
+
 def run_method_comparison(
     instance: ProblemInstance,
     estimates: DurationEstimates,
@@ -223,20 +244,12 @@ def run_method_comparison(
     solver: str | None = None,
 ) -> list[MethodReport]:
     """Solve the same week once per method and replay each schedule against
-    the actual durations. Confidence tiers enter the solver objective only
-    for Conf; every method gets identical limits."""
+    the actual durations. Every method gets identical limits."""
     if not methods:
         raise EvaluateError("empty method list")
     reports = []
-    for name in methods:
-        method = normalize_method(name)
-        method_instance = apply_method_durations(instance, method, estimates)
-        schedule, _ = solve_auto(
-            method_instance,
-            limits,
-            confidence_objective=(method == "Conf"),
-            prefer=solver,
-        )
+    for method in methods:
+        method_instance, schedule, _ = solve_method(instance, method, estimates, limits, solver)
         reports.append(evaluate_schedule(method, schedule, method_instance))
     return reports
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from orsched.core import (
     ConfidenceLevel,
+    InputFileError,
     MssSlot,
     ProblemInstance,
     Registration,
@@ -705,6 +706,8 @@ def write_records_csv(records: Iterable[SurgicalRecord], path: str | Path, colum
 
 
 def read_records_csv(path: str | Path, timestamp_pattern: str | None = None) -> list[SurgicalRecord]:
+    """Read a records file; raises ``InputFileError`` at the first timestamp
+    or integer that does not parse."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -713,7 +716,14 @@ def read_records_csv(path: str | Path, timestamp_pattern: str | None = None) -> 
             raise IngestError(f"{path}: empty records file") from None
         records = []
         for row in reader:
-            records.append({c: _parse_value(c, v, timestamp_pattern) for c, v in zip(header, row)})
+            record = {}
+            for column, text in zip(header, row):
+                try:
+                    record[column] = _parse_value(column, text, timestamp_pattern)
+                except ValueError:
+                    kind = "a timestamp" if column in TIMESTAMP_COLUMNS else "an integer"
+                    raise InputFileError(path, reader.line_num, column, f"{text!r} is not {kind}") from None
+            records.append(record)
     return records
 
 

@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 from orsched.core import (
     Assignment,
+    InputFileError,
     ObjectiveVector,
     ProblemInstance,
     Registration,
@@ -190,7 +191,6 @@ class _Model:
         report = validate_instance(instance)
         if not report.ok:
             raise ValueError(f"instance fails validation: {[v.code for v in report]}")
-        self.instance = instance
         capacity = {s.shift_id: s.capacity_min for s in instance.shifts}
         cells = [
             _Cell(
@@ -220,7 +220,9 @@ class _Model:
     def p1_ids(self) -> list[str]:
         return sorted(r.id for r in self.regs if r.priority == 1)
 
-    def build_schedule(self, choice: list[int | None]) -> Schedule:
+    def build_schedule(self, choice: list[int | None], objective: ObjectiveVector) -> Schedule:
+        """The schedule of ``choice``; ``objective`` is the one the search
+        state holding ``choice`` reported."""
         assignments = []
         for ri, ci in enumerate(choice):
             if ci is None:
@@ -228,22 +230,7 @@ class _Model:
             reg, key = self.regs[ri], self.cells[ci].key
             assignments.append(Assignment(reg.id, reg.priority, key.or_id, key.day, key.shift_id))
         assignments.sort(key=lambda a: (a.registration_id, a.day, a.or_id, a.shift_id))
-        sched = Schedule(tuple(assignments), ObjectiveVector(0, 0, 0, 0, 0, 0))
-        return Schedule(sched.assignments, self.objective(choice))
-
-    def objective(self, choice: list[int | None]) -> ObjectiveVector:
-        unassigned = [0, 0, 0, 0]
-        sums = [0] * len(self.cells)
-        for ri, ci in enumerate(choice):
-            if ci is None:
-                unassigned[self.prio[ri] - 1] += 1
-            else:
-                sums[ci] += self.conf[ri]
-        if sums:
-            mx, mn = max(sums), min(sums)
-        else:
-            mx = mn = 0
-        return ObjectiveVector(*unassigned, mx, mx - mn)
+        return Schedule(tuple(assignments), objective)
 
     def tie_key(self, choice: list[int | None]) -> tuple:
         items = []
@@ -254,161 +241,14 @@ class _Model:
         return tuple(sorted(items))
 
 
-# ---------------------------------------------------------------------------
-# exact branch and bound
-
-
-class _Abort(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
-class _ExactSearch:
-    """Depth-first branch and bound over per-registration choices.
-
-    Explores, for each registration in canonical order, every compatible cell
-    with room (and the unassigned option for priorities 2-4). Prunes a branch
-    only when its optimistic bound is strictly worse than the incumbent, so
-    all objective-equal optima are visited and the canonical tie-break
-    (smallest sorted assignment tuple sequence) is exact.
-    """
-
-    def __init__(self, model: _Model, limits: SolveLimits, confidence_active: bool):
-        self.m = model
-        self.limits = limits
-        self.conf_active = confidence_active
-        self.n = len(model.regs)
-        self.n_cells = len(model.cells)
-        self.loads = [0] * self.n_cells
-        self.sums = [0] * self.n_cells
-        self.unassigned = [0, 0, 0, 0]
-        self.em_used = 0
-        self.choice: list[int | None] = [None] * self.n
-        self.nodes = 0
-        self.deadline = time.monotonic() + limits.time_budget_s
-        self.best_choice: list[int | None] | None = None
-        self.best_active: tuple | None = None
-        self.best_key: tuple | None = None
-
-    def run(self) -> Schedule:
-        for ri in range(self.n):
-            if self.m.prio[ri] == 1 and not any(
-                self.m.dur[ri] <= self.m.cells[ci].capacity for ci in self.m.compat[ri]
-            ):
-                raise InfeasibleInstanceError(
-                    self.m.p1_ids(),
-                    f"priority-1 registration {self.m.regs[ri].id!r} fits no compatible cell",
-                )
-        start = time.monotonic()
-        try:
-            self._dfs(0)
-        except _Abort as abort:
-            incumbent = self.m.build_schedule(self.best_choice) if self.best_choice is not None else None
-            raise IncompleteSearchError(incumbent, time.monotonic() - start, abort.reason) from None
-        if self.best_choice is None:
-            raise InfeasibleInstanceError(self.m.p1_ids(), "no feasible schedule hosts every priority-1 registration")
-        return self.m.build_schedule(self.best_choice)
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.limits.node_limit is not None and self.nodes > self.limits.node_limit:
-            raise _Abort("node limit reached before optimality was proven")
-        if self.nodes % 512 == 0 and time.monotonic() > self.deadline:
-            raise _Abort("time budget exhausted before optimality was proven")
-
-    def _active(self, counts: tuple, mx: int, spread: int) -> tuple:
-        return counts + (mx, spread) if self.conf_active else counts
-
-    def _leaf(self) -> None:
-        counts = tuple(self.unassigned)
-        mx = max(self.sums) if self.sums else 0
-        spread = mx - min(self.sums) if self.sums else 0
-        active = self._active(counts, mx, spread)
-        if self.best_active is None or active < self.best_active:
-            self.best_active = active
-            self.best_choice = list(self.choice)
-            self.best_key = self.m.tie_key(self.choice)
-        elif active == self.best_active:
-            key = self.m.tie_key(self.choice)
-            if self.best_key is None or key < self.best_key:
-                self.best_choice = list(self.choice)
-                self.best_key = key
-
-    def _placeable(self, ri: int) -> bool:
-        dur = self.m.dur[ri]
-        for ci in self.m.compat[ri]:
-            cell = self.m.cells[ci]
-            if self.loads[ci] + dur <= cell.capacity and (not cell.emergency or self.em_used == 0):
-                return True
-        return False
-
-    def _dfs(self, i: int) -> None:
-        self._tick()
-        if i == self.n:
-            self._leaf()
-            return
-
-        # optimistic bound: decided contributions plus registrations that can
-        # no longer fit anywhere in this subtree
-        forced = [0, 0, 0, 0]
-        for j in range(i, self.n):
-            if not self._placeable(j):
-                if self.m.prio[j] == 1:
-                    return  # no feasible completion below this node
-                forced[self.m.prio[j] - 1] += 1
-        if self.best_active is not None:
-            counts_lb = tuple(u + f for u, f in zip(self.unassigned, forced))
-            mx = max(self.sums) if self.conf_active and self.sums else 0
-            bound = self._active(counts_lb, mx, 0)
-            if bound > self.best_active:
-                return
-
-        dur, prio = self.m.dur[i], self.m.prio[i]
-        conf = self.m.conf[i]
-        for ci in self.m.compat[i]:
-            cell = self.m.cells[ci]
-            if self.loads[ci] + dur > cell.capacity or (cell.emergency and self.em_used > 0):
-                continue
-            self.choice[i] = ci
-            self.loads[ci] += dur
-            self.sums[ci] += conf
-            self.em_used += cell.emergency
-            self._dfs(i + 1)
-            self.em_used -= cell.emergency
-            self.sums[ci] -= conf
-            self.loads[ci] -= dur
-            self.choice[i] = None
-        if prio > 1:
-            self.unassigned[prio - 1] += 1
-            self._dfs(i + 1)
-            self.unassigned[prio - 1] -= 1
-
-
-def solve_exact(
-    instance: ProblemInstance,
-    limits: SolveLimits = SolveLimits(),
-    *,
-    confidence_objective: bool = True,
-    confidence_scale: int = 1,
-) -> Schedule:
-    """Find the lexicographically minimal feasible schedule, with proof.
-
-    Intended for small instances (roughly up to 15 registrations and a dozen
-    cells). Raises ``InfeasibleInstanceError`` when the priority-1 demand
-    cannot be hosted and ``IncompleteSearchError`` (incumbent attached) when
-    the time or node budget runs out first. Deterministic for a fixed
-    instance: ties are broken by the smallest sorted assignment tuple
-    sequence, so the result does not depend on registration order.
-    """
-    model = _Model(instance, confidence_scale)
-    return _ExactSearch(model, limits, confidence_objective).run()
-
-
-# ---------------------------------------------------------------------------
-# anytime heuristic: greedy best-fit-decreasing + first-improvement local search
-
-
 class _HeurState:
+    """The assignment of a search, kept with its per-cell loads and
+    confidence sums, unassigned counts per tier, emergency-OR use and cell
+    occupants. Both solvers search on it: the exact search places and
+    removes one registration per branch, the heuristic builds and improves
+    one state per restart. Every registration not placed counts as
+    unassigned."""
+
     def __init__(self, model: _Model, confidence_active: bool):
         self.m = model
         self.conf_active = confidence_active
@@ -449,17 +289,147 @@ class _HeurState:
         self.cell_regs[ci].remove(ri)
         return ci
 
-    def active(self) -> tuple:
-        counts = tuple(self.unassigned)
-        if not self.conf_active:
-            return counts
+    def objective(self) -> ObjectiveVector:
+        """All six tiers of the current assignment, whichever are active."""
         mx = max(self.sums) if self.sums else 0
         mn = min(self.sums) if self.sums else 0
-        return counts + (mx, mx - mn)
+        return ObjectiveVector(*self.unassigned, mx, mx - mn)
+
+    def active(self) -> tuple:
+        """The tiers the search minimizes: the counts, and the confidence
+        tiers when they are active."""
+        objective = self.objective().as_tuple()
+        return objective if self.conf_active else objective[:4]
 
     def occupants(self, ci: int) -> list[int]:
         """Registrations in cell ``ci``, in ascending index order."""
         return sorted(self.cell_regs[ci])
+
+
+# ---------------------------------------------------------------------------
+# exact branch and bound
+
+
+class _Abort(Exception):
+    def __init__(self, reason: str):
+        self.reason = reason
+
+
+class _ExactSearch:
+    """Depth-first branch and bound over per-registration choices.
+
+    Explores, for each registration in canonical order, every compatible cell
+    with room (and the unassigned option for priorities 2-4). Prunes a branch
+    only when its optimistic bound is strictly worse than the incumbent, so
+    all objective-equal optima are visited and the canonical tie-break
+    (smallest sorted assignment tuple sequence) is exact.
+    """
+
+    def __init__(self, model: _Model, limits: SolveLimits, confidence_active: bool):
+        self.m = model
+        self.limits = limits
+        self.conf_active = confidence_active
+        self.n = len(model.regs)
+        self.state = _HeurState(model, confidence_active)
+        self.nodes = 0
+        self.deadline = time.monotonic() + limits.time_budget_s
+        self.best_choice: list[int | None] | None = None
+        self.best_objective: ObjectiveVector | None = None
+        self.best_active: tuple | None = None
+        self.best_key: tuple | None = None
+
+    def run(self) -> Schedule:
+        for ri in range(self.n):
+            if self.m.prio[ri] == 1 and not any(
+                self.m.dur[ri] <= self.m.cells[ci].capacity for ci in self.m.compat[ri]
+            ):
+                raise InfeasibleInstanceError(
+                    self.m.p1_ids(),
+                    f"priority-1 registration {self.m.regs[ri].id!r} fits no compatible cell",
+                )
+        start = time.monotonic()
+        try:
+            self._dfs(0)
+        except _Abort as abort:
+            incumbent = None
+            if self.best_choice is not None:
+                incumbent = self.m.build_schedule(self.best_choice, self.best_objective)
+            raise IncompleteSearchError(incumbent, time.monotonic() - start, abort.reason) from None
+        if self.best_choice is None:
+            raise InfeasibleInstanceError(self.m.p1_ids(), "no feasible schedule hosts every priority-1 registration")
+        return self.m.build_schedule(self.best_choice, self.best_objective)
+
+    def _tick(self) -> None:
+        self.nodes += 1
+        if self.limits.node_limit is not None and self.nodes > self.limits.node_limit:
+            raise _Abort("node limit reached before optimality was proven")
+        if self.nodes % 512 == 0 and time.monotonic() > self.deadline:
+            raise _Abort("time budget exhausted before optimality was proven")
+
+    def _leaf(self) -> None:
+        state = self.state
+        active = state.active()
+        if self.best_active is not None and active > self.best_active:
+            return
+        key = self.m.tie_key(state.choice)
+        if active == self.best_active and key >= self.best_key:
+            return
+        self.best_active, self.best_key = active, key
+        self.best_choice, self.best_objective = list(state.choice), state.objective()
+
+    def _dfs(self, i: int) -> None:
+        self._tick()
+        if i == self.n:
+            self._leaf()
+            return
+        state, m = self.state, self.m
+
+        # optimistic bound: the state counts every registration not placed
+        # yet, so those that still fit somewhere in this subtree come off
+        counts = list(state.unassigned)
+        for j in range(i, self.n):
+            if any(state.can_place(j, ci) for ci in m.compat[j]):
+                counts[m.prio[j] - 1] -= 1
+            elif m.prio[j] == 1:
+                return  # no feasible completion below this node
+        if self.best_active is not None:
+            bound = tuple(counts)
+            if self.conf_active:
+                bound += (max(state.sums) if state.sums else 0, 0)
+            if bound > self.best_active:
+                return
+
+        for ci in m.compat[i]:
+            if state.can_place(i, ci):
+                state.place(i, ci)
+                self._dfs(i + 1)
+                state.remove(i)
+        if m.prio[i] > 1:
+            self._dfs(i + 1)
+
+
+def solve_exact(
+    instance: ProblemInstance,
+    limits: SolveLimits = SolveLimits(),
+    *,
+    confidence_objective: bool = True,
+    confidence_scale: int = 1,
+) -> Schedule:
+    """Find the lexicographically minimal feasible schedule, with proof.
+
+    Intended for small instances (roughly up to 15 registrations and a dozen
+    cells). Raises ``InfeasibleInstanceError`` when the priority-1 demand
+    cannot be hosted and ``IncompleteSearchError`` (incumbent attached) when
+    the time or node budget runs out first. Deterministic for a fixed
+    instance: ties are broken by the smallest sorted assignment tuple
+    sequence, so the result does not depend on registration order.
+    """
+    model = _Model(instance, confidence_scale)
+    return _ExactSearch(model, limits, confidence_objective).run()
+
+
+# ---------------------------------------------------------------------------
+# anytime heuristic: greedy best-fit-decreasing + first-improvement local search
 
 
 class _ConfTiers:
@@ -513,6 +483,10 @@ class _ConfTiers:
                 lo = min(lo, self.sums[ci])
                 break
         return (hi, hi - lo) < self.current
+
+
+# one restart's result: active tiers, tie-break key, assignment, objective
+_Restart = tuple[tuple, tuple, list[int | None], ObjectiveVector]
 
 
 class _Heuristic:
@@ -762,18 +736,18 @@ class _Heuristic:
 
     # -- restart loop -----------------------------------------------------------
 
-    def _one_restart(self, restart_index: int, seed: int) -> tuple[tuple, tuple, list[int | None]]:
+    def _one_restart(self, restart_index: int, seed: int) -> _Restart:
         rng = None if restart_index == 0 else random.Random(seed)
         state = self._greedy(rng)
         self._local_search(state)
-        return state.active(), self.m.tie_key(state.choice), list(state.choice)
+        return state.active(), self.m.tie_key(state.choice), list(state.choice), state.objective()
 
     def run(self) -> Schedule:
-        best: tuple[tuple, tuple, list[int | None]] | None = None
+        best: _Restart | None = None
         seed_rng = random.Random(self.limits.seed)
         max_restarts = self.limits.max_restarts
 
-        def consider(result: tuple[tuple, tuple, list[int | None]]) -> None:
+        def consider(result: _Restart) -> None:
             nonlocal best
             if best is None or (result[0], result[1]) < (best[0], best[1]):
                 best = result
@@ -781,7 +755,7 @@ class _Heuristic:
         consider(self._one_restart(0, 0))  # canonical greedy always runs
         assert best is not None
         if not any(best[0]):
-            return self.m.build_schedule(best[2])  # all-zero objective is unbeatable
+            return self.m.build_schedule(best[2], best[3])  # all-zero objective is unbeatable
 
         index = 1
         if self.limits.threads > 1:
@@ -798,7 +772,7 @@ class _Heuristic:
                 consider(self._one_restart(index, seed_rng.getrandbits(63)))
                 index += 1
 
-        return self.m.build_schedule(best[2])
+        return self.m.build_schedule(best[2], best[3])
 
 
 def solve_heuristic(
@@ -884,37 +858,26 @@ def write_schedule_csv(schedule: Schedule, path: str | Path) -> None:
             writer.writerow([a.registration_id, a.priority, a.or_id, a.day, a.shift_id])
 
 
-class ScheduleFileError(Exception):
-    """A schedule file that cannot be read, with the file, row and field at
-    fault. Rows are numbered as lines of the file, the header being row 1."""
-
-    def __init__(self, path: str | Path, row: int, field: str, problem: str):
-        super().__init__(f"{path}: row {row}, field {field!r}: {problem}")
-        self.path = str(path)
-        self.row = row
-        self.field = field
-
-
 def read_schedule_csv(path: str | Path) -> tuple[Assignment, ...]:
     """Read a file written by ``write_schedule_csv``; raises
-    ``ScheduleFileError`` at the first missing column or malformed value."""
+    ``InputFileError`` at the first missing column or malformed value."""
     assignments = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for field in SCHEDULE_HEADER:
             if field not in (reader.fieldnames or ()):
-                raise ScheduleFileError(path, 1, field, "column missing from the header")
+                raise InputFileError(path, 1, field, "column missing from the header")
         for row in reader:
             values = {}
             for field in SCHEDULE_HEADER:
                 value = row[field]
                 if value is None:
-                    raise ScheduleFileError(path, reader.line_num, field, "value missing")
+                    raise InputFileError(path, reader.line_num, field, "value missing")
                 if field in ("priority", "day"):
                     try:
                         value = int(value)
                     except ValueError:
-                        raise ScheduleFileError(path, reader.line_num, field, f"{value!r} is not an integer") from None
+                        raise InputFileError(path, reader.line_num, field, f"{value!r} is not an integer") from None
                 values[field] = value
             assignments.append(
                 Assignment(values["registration_id"], values["priority"], values["or_id"], values["day"], values["shift_id"])

@@ -1,5 +1,6 @@
 """Command-line interface tests, run through the real entry point."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -90,6 +91,19 @@ def test_train_noise_free_reaches_high_r2(tmp_path):
     assert r.returncode == 0, r.stderr
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["r2"] > 0.9
+
+
+def test_train_unparsable_timestamp_is_input_error(workspace, tmp_path):
+    with open(workspace / "records.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[2][rows[0].index("INGRESSOSALA")] = "not-a-time"
+    bad = tmp_path / "records.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    r = run_cli("train", "--records", str(bad), "--grid", "fast", "-o", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    assert str(bad) in r.stderr and "row 3" in r.stderr and "'INGRESSOSALA'" in r.stderr
 
 
 def test_train_missing_records_flag_is_usage_error(tmp_path):
@@ -201,6 +215,46 @@ def test_evaluate_malformed_schedule_is_input_error(workspace, tmp_path, content
     assert f"row {row}" in r.stderr and repr(field) in r.stderr
 
 
+def _tiny_week(tmp_path):
+    """Two cells of 360 minutes, one GEN and one ORT, and three registrations."""
+    (tmp_path / "registrations.csv").write_text(
+        "id,priority,specialty,duration_min,actual_duration_min,confidence\n"
+        "a,1,GEN,300,300,\nb,2,GEN,300,300,\nc,2,ORT,100,100,\n"
+    )
+    (tmp_path / "mss.csv").write_text("or_id,specialty,shift_id,day\nOR1,GEN,MAIN,0\nOR2,ORT,MAIN,0\n")
+    (tmp_path / "shifts.csv").write_text("shift_id,capacity_min\nMAIN,360\n")
+    return instance_flags(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "rows, code",
+    [
+        (["a,1,OR1,0,MAIN", "c,2,OR1,0,MAIN"], "specialty_mismatch"),
+        (["a,1,OR1,0,MAIN", "nope,2,OR1,0,MAIN"], "unknown_registration"),
+    ],
+    ids=["wrong_specialty", "unknown_id"],
+)
+def test_evaluate_infeasible_schedule_is_input_error(tmp_path, rows, code):
+    flags = _tiny_week(tmp_path)
+    bad = tmp_path / "schedule.csv"
+    bad.write_text("registration_id,priority,or_id,day,shift_id\n" + "\n".join(rows) + "\n")
+    r = run_cli("evaluate", *flags, "--schedule", f"pred={bad}", "-o", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    assert str(bad) in r.stderr and code in r.stderr
+
+
+def test_evaluate_replays_overbooked_schedule(tmp_path):
+    """A cell over capacity is what the report measures, not an input error."""
+    flags = _tiny_week(tmp_path)
+    over = tmp_path / "schedule.csv"
+    over.write_text("registration_id,priority,or_id,day,shift_id\na,1,OR1,0,MAIN\nb,2,OR1,0,MAIN\n")
+    r = run_cli("evaluate", *flags, "--schedule", f"pred={over}", "-o", str(tmp_path / "out"))
+    assert r.returncode == 0, r.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report[0]["overbooked"] == 1 and report[0]["occ_max"] > 100
+
+
 def test_evaluate_without_schedules_is_usage_error(workspace, tmp_path):
     r = run_cli("evaluate", *instance_flags(workspace), "-o", str(tmp_path))
     assert r.returncode == 2
@@ -224,6 +278,26 @@ def test_pipeline_end_to_end(tmp_path):
     lines = (tmp_path / "report.txt").read_text().splitlines()
     assert lines[0] == "== bordighera =="
     assert len([l for l in lines if l and not l.startswith("==") and "method" not in l]) == 3
+
+
+def test_pipeline_is_deterministic(tmp_path):
+    """Two runs at one seed and a restart cap write the same schedules,
+    objectives (but for the wall time) and report."""
+    for run in ("a", "b"):
+        r = run_cli(
+            "pipeline", "--rows", "500", "--grid", "fast", "--methods", "vba,conf,pred",
+            "--max-restarts", "2", "-o", str(tmp_path / run),
+        )
+        assert r.returncode == 0, r.stderr
+    a, b = tmp_path / "a", tmp_path / "b"
+    for method in ("vba", "conf", "pred"):
+        name = f"schedule_{method}.csv"
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        objectives = [json.loads((d / f"objective_{method}.json").read_text()) for d in (a, b)]
+        for objective in objectives:
+            del objective["wall_time_s"]
+        assert objectives[0] == objectives[1], method
+    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
 def test_pipeline_empty_methods_is_usage_error(tmp_path):

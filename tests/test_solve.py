@@ -248,6 +248,36 @@ def test_schedule_objective_is_self_consistent():
         assert objective_vector(s, inst) == s.objective
 
 
+def test_every_returned_objective_matches_recomputation():
+    """Each solver reports the objective of the schedule it returns: exact
+    and heuristic, with the confidence tiers active or not (when inactive,
+    the tie-break alone decides their values), and the incumbent of an
+    exact search cut short by its node limit."""
+    rng = random.Random(77)
+    kinds = {"exact": 0, "heuristic": 0, "incumbent": 0}
+    for case in range(300):
+        inst = random_instance(rng, max_regs=8, max_cells=4, p1_weight=0.1)
+        cut = SolveLimits(time_budget_s=10.0, node_limit=len(inst.registrations) + 1 + case % 30)
+        for confidence in (True, False):
+            results = []
+            for kind, run in (
+                ("exact", lambda: solve_exact(inst, FAST, confidence_objective=confidence)),
+                ("heuristic", lambda: solve_heuristic(inst, H_FAST, confidence_objective=confidence)),
+                ("exact", lambda: solve_exact(inst, cut, confidence_objective=confidence)),
+            ):
+                try:
+                    results.append((kind, run()))
+                except IncompleteSearchError as err:
+                    if err.incumbent is not None:
+                        results.append(("incumbent", err.incumbent))
+                except InfeasibleInstanceError:
+                    pass
+            for kind, s in results:
+                assert objective_vector(s, inst) == s.objective, (case, kind, confidence)
+                kinds[kind] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
 def test_adding_assignable_p2_never_improves_optimum():
     # holds for confidence-free instances; an added registration can otherwise
     # still balance the confidence spread
