@@ -4,10 +4,11 @@
 Runs the pipeline for one hospital week at a fixed ``--seed`` and
 ``--max-restarts`` in a temporary directory, then prints one
 ``<sha256>  <file>`` line for every ``schedule_*.csv``, every
-``objective_*.json`` with its ``wall_time_s`` dropped, and ``report.json``.
-Two versions of the code whose digests match wrote byte-identical outputs,
-so a change that must not alter results can be checked by running this
-before and after it.
+``objective_*.json`` with its ``wall_time_s`` dropped, and ``report.json``,
+then for the training outputs ``model.json``, ``metrics.json`` and
+``predictions.csv``. Two versions of the code whose digests match wrote byte-identical outputs,
+so a change to the solvers or to training that must not alter results can
+be checked by running this before and after it.
 
 The model is trained with the ``fast`` grid preset. The solver time limit
 is far above what the bounded restarts need, so no solve stops at its
@@ -34,7 +35,7 @@ TIME_LIMIT_S = "3600"
 
 
 def digests(out: Path) -> list[tuple[str, str]]:
-    """(sha256, file name) of the schedules, then the objectives, then the report."""
+    """(sha256, file name) of the schedules, the objectives, the report, then the training outputs."""
     rows = []
     for path in sorted(out.glob("schedule_*.csv")):
         rows.append((hashlib.sha256(path.read_bytes()).hexdigest(), path.name))
@@ -43,8 +44,8 @@ def digests(out: Path) -> list[tuple[str, str]]:
         payload.pop("wall_time_s", None)
         canonical = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
         rows.append((hashlib.sha256(canonical).hexdigest(), path.name))
-    report = out / "report.json"
-    rows.append((hashlib.sha256(report.read_bytes()).hexdigest(), report.name))
+    for name in ("report.json", "model.json", "metrics.json", "predictions.csv"):
+        rows.append((hashlib.sha256((out / name).read_bytes()).hexdigest(), name))
     return rows
 
 

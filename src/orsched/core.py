@@ -1,4 +1,5 @@
-"""Domain types shared across the toolkit, plus structural instance validation.
+"""Domain types shared across the toolkit, plus structural instance validation
+and the CSV row reader that every input file goes through.
 
 All types are immutable value objects. Invariants are *not* enforced at
 construction time: malformed data is representable on purpose, and
@@ -7,8 +8,10 @@ construction time: malformed data is representable on purpose, and
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Iterator, Sequence
 
 PRIORITIES = (1, 2, 3, 4)
 
@@ -165,6 +168,36 @@ class InputFileError(Exception):
 
     def __init__(self, path: str | Path, row: int, field: str, problem: str):
         super().__init__(f"{path}: row {row}, field {field!r}: {problem}")
+
+
+def read_csv_rows(
+    path: str | Path, columns: Sequence[str], integers: Sequence[str], optional: Sequence[str] = ()
+) -> Iterator[dict[str, Any]]:
+    """Rows of a CSV file as dicts of ``columns``, with the ``integers``
+    parsed. A column in ``optional`` may be absent or empty and then reads
+    None. Raises ``InputFileError`` at the first missing column, missing
+    value or malformed integer."""
+    kinds = [(column, column in optional, column in integers) for column in columns]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for column, is_optional, _ in kinds:
+            if not is_optional and column not in (reader.fieldnames or ()):
+                raise InputFileError(path, 1, column, "column missing from the header")
+        for row in reader:
+            values: dict[str, Any] = {}
+            for column, is_optional, is_integer in kinds:
+                value = row.get(column)
+                if is_optional and not value:
+                    value = None
+                elif value is None:
+                    raise InputFileError(path, reader.line_num, column, "value missing")
+                elif is_integer:
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        raise InputFileError(path, reader.line_num, column, f"{value!r} is not an integer") from None
+                values[column] = value
+            yield values
 
 
 def validate_instance(instance: ProblemInstance) -> ValidationReport:

@@ -25,6 +25,7 @@ from orsched.core import (
     Registration,
     Shift,
     ValidationReport,
+    read_csv_rows,
     validate_instance,
 )
 
@@ -748,58 +749,48 @@ def write_registrations_csv(registrations: Iterable[Registration], path: str | P
 
 
 def read_registrations_csv(path: str | Path) -> list[Registration]:
+    """Read a file written by ``write_registrations_csv``; raises
+    ``InputFileError`` at the first missing column or malformed value."""
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                out.append(
-                    Registration(
-                        id=row["id"],
-                        priority=int(row["priority"]),
-                        specialty=row["specialty"],
-                        duration_min=int(row["duration_min"]),
-                        actual_duration_min=int(row["actual_duration_min"]) if row.get("actual_duration_min") else None,
-                        confidence=ConfidenceLevel(int(row["confidence"])) if row.get("confidence") else None,
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                raise IngestError(f"{path}: bad registration row {row!r}: {exc}") from exc
+    integers = ("priority", "duration_min", "actual_duration_min", "confidence")
+    for row in read_csv_rows(path, REGISTRATION_HEADER, integers, optional=("actual_duration_min", "confidence")):
+        confidence = row.pop("confidence")
+        out.append(Registration(**row, confidence=None if confidence is None else ConfidenceLevel(confidence)))
     return out
+
+
+MSS_HEADER = ["or_id", "specialty", "shift_id", "day"]
 
 
 def write_mss_csv(slots: Iterable[MssSlot], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["or_id", "specialty", "shift_id", "day"])
+        writer.writerow(MSS_HEADER)
         for s in slots:
             writer.writerow([s.or_id, s.specialty, s.shift_id, s.day])
 
 
 def read_mss_csv(path: str | Path) -> list[MssSlot]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            return [
-                MssSlot(row["or_id"], row["specialty"], row["shift_id"], int(row["day"]))
-                for row in csv.DictReader(fh)
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"{path}: bad MSS row: {exc}") from exc
+    """Read a file written by ``write_mss_csv``; raises ``InputFileError``
+    at the first missing column or malformed value."""
+    return [MssSlot(**row) for row in read_csv_rows(path, MSS_HEADER, ("day",))]
+
+
+SHIFT_HEADER = ["shift_id", "capacity_min"]
 
 
 def write_shifts_csv(shifts: Iterable[Shift], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["shift_id", "capacity_min"])
+        writer.writerow(SHIFT_HEADER)
         for s in shifts:
             writer.writerow([s.shift_id, s.capacity_min])
 
 
 def read_shifts_csv(path: str | Path) -> list[Shift]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            return [Shift(row["shift_id"], int(row["capacity_min"])) for row in csv.DictReader(fh)]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"{path}: bad shift row: {exc}") from exc
+    """Read a file written by ``write_shifts_csv``; raises ``InputFileError``
+    at the first missing column or malformed value."""
+    return [Shift(**row) for row in read_csv_rows(path, SHIFT_HEADER, ("capacity_min",))]
 
 
 def load_instance(

@@ -109,86 +109,154 @@ class FittedModel:
 # regression tree
 
 
-def _leaf(y: np.ndarray) -> dict:
-    return {"value": float(y.mean())}
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Feature-major copy of X, each column's stable ascending row order (int32),
+    and the rank codes of the rows in that order.
 
-
-def _best_split(X: np.ndarray, y: np.ndarray, criterion: str, min_leaf: int):
-    """Best (feature, threshold) over all features at once, or None.
-
-    Split quality uses prefix sums over per-feature sorted targets:
-    ``squared_error`` ranks by the drop in total squared error, while
-    ``friedman_mse`` ranks by n_l*n_r/n * (mean_l - mean_r)^2.
+    A code counts the strict value increases before its position, so two
+    rows of any subset are separated by a threshold exactly when their codes
+    differ. NaN sorts last and gets code -1: ``code[k+1] > code[k]`` is then
+    never true at or after a NaN, just as ``x[k+1] > x[k]`` is not.
     """
-    n, d = X.shape
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
+    xs = np.take_along_axis(XT, order, axis=1)
+    codes = np.zeros(order.shape, dtype=np.int32)
+    np.cumsum(xs[:, 1:] > xs[:, :-1], axis=1, dtype=np.int32, out=codes[:, 1:])
+    codes[np.isnan(xs)] = -1
+    return XT, order, codes
+
+
+def _best_split(order: np.ndarray, codes: np.ndarray, y: np.ndarray, abs_max: float, criterion: str, min_leaf: int):
+    """Best (row of ``order``, sorted position) to split a node after, or None.
+
+    ``order`` holds, per considered feature, the node's rows in stable
+    ascending value order, and ``codes`` their rank codes; ``abs_max`` is the
+    node's largest absolute target. Split quality uses prefix sums over the
+    sorted targets and is scored only where the sorted value changes:
+    ``squared_error`` ranks by the drop in total squared error, while
+    ``friedman_mse`` ranks by n_l*n_r/n * (mean_l - mean_r)^2. Ties go to
+    the lowest position, then the first feature.
+    """
+    d, n = order.shape
     if n < 2 * min_leaf:
         return None
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    csum = np.cumsum(ys, axis=0)
-    total = csum[-1]
+    csum = np.cumsum(np.take(y, order), axis=1)
+    total = csum[:, -1]
 
-    nl = np.arange(1, n, dtype=float)[:, None]
-    nr = n - nl
-    sum_l = csum[:-1]
-    sum_r = total[None, :] - sum_l
-    valid = xs[1:] > xs[:-1]
-    valid &= (nl >= min_leaf) & (nr >= min_leaf)
-    if not valid.any():
+    valid = codes[:, 1:] > codes[:, :-1]
+    valid[:, : min_leaf - 1] = False
+    valid[:, n - min_leaf :] = False
+    pos, feat = np.divmod(np.flatnonzero(valid.T), d)  # position-major, then feature
+    if not len(pos):
         return None
 
+    nl = pos + 1.0
+    nr = n - nl
+    sum_l = csum[feat, pos]
+    sum_r = total[feat] - sum_l
     if criterion == "friedman_mse":
         gain = (nl * nr / n) * (sum_l / nl - sum_r / nr) ** 2
         floor = 0.0
     else:
         gain = sum_l**2 / nl + sum_r**2 / nr
-        floor = float(total[0] ** 2 / n) if d else 0.0  # parent score; any real split must beat it
-    gain = np.where(valid, gain, -np.inf)
-    flat = int(np.argmax(gain))
-    pos, feat = divmod(flat, d)
-    best = float(gain[pos, feat])
-    scale = max(1.0, float(np.abs(y).max()) ** 2)
-    if best <= floor + 1e-12 * scale:
+        floor = float(total[0] ** 2 / n)  # parent score; any real split must beat it
+    k = int(np.argmax(gain))
+    scale = max(1.0, abs_max**2)
+    if float(gain[k]) <= floor + 1e-12 * scale:
         return None
-    threshold = float((xs[pos, feat] + xs[pos + 1, feat]) / 2.0)
-    return feat, threshold
+    return int(feat[k]), int(pos[k])
 
 
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    depth: int,
-    params: dict[str, Any],
-    rng: np.random.Generator | None,
-    max_features: int | None,
-) -> dict:
-    max_depth = params["max_depth"]
-    if (
-        (max_depth is not None and depth >= max_depth)
-        or len(y) < params["min_samples_split"]
-        or float(y.min()) == float(y.max())
+class _TreeGrower:
+    """Grows one regression tree over all rows of X, depth-first, left first.
+
+    ``presorted`` is ``_presort(X)``, the one sort of X per column. Every
+    node carries its rows in index order plus, per column, its rows in
+    sorted order with their rank codes. A split partitions those lists with
+    one boolean mask, which keeps their order: a stable sort of a subset is
+    the parent's order filtered to it, so every node sums the same sorted
+    targets in the same order as a fresh sort would. Children at
+    ``max_depth``, too small to split or with a constant target become
+    leaves without their lists being built. When ``fitted`` is given, every
+    leaf also writes its value over its rows.
+
+    A class, not nested functions: a recursive closure is a reference cycle,
+    which keeps every tree's arrays alive until the cyclic collector runs.
+    """
+
+    def __init__(
+        self,
+        presorted: tuple[np.ndarray, np.ndarray, np.ndarray],
+        y: np.ndarray,
+        params: dict[str, Any],
+        rng: np.random.Generator | None = None,
+        max_features: int | None = None,
+        fitted: np.ndarray | None = None,
     ):
-        return _leaf(y)
+        self.XT, self.order, self.codes = presorted
+        self.y = y
+        self.max_depth = params["max_depth"]
+        self.min_split = params["min_samples_split"]
+        self.min_leaf = params["min_samples_leaf"]
+        self.criterion = params["criterion"]
+        self.rng = rng
+        self.d = self.XT.shape[0]
+        self.max_features = max_features if max_features is not None and max_features < self.d else None
+        self.fitted = fitted
+        self.side = np.zeros(len(y), dtype=bool)  # scratch: which of a node's rows go left
 
-    if max_features is not None and max_features < X.shape[1]:
-        assert rng is not None
-        feats = np.sort(rng.choice(X.shape[1], size=max_features, replace=False))
-        found = _best_split(X[:, feats], y, params["criterion"], params["min_samples_leaf"])
-        if found is not None:
-            found = (int(feats[found[0]]), found[1])
-    else:
-        found = _best_split(X, y, params["criterion"], params["min_samples_leaf"])
-    if found is None:
-        return _leaf(y)
-    feat, threshold = found
-    mask = X[:, feat] <= threshold
-    return {
-        "feature": int(feat),
-        "threshold": threshold,
-        "left": _grow_tree(X[mask], y[mask], depth + 1, params, rng, max_features),
-        "right": _grow_tree(X[~mask], y[~mask], depth + 1, params, rng, max_features),
-    }
+    def is_leaf(self, yn: np.ndarray, depth: int) -> bool:
+        return (
+            (self.max_depth is not None and depth >= self.max_depth)
+            or len(yn) < self.min_split
+            or float(yn.min()) == float(yn.max())
+        )
+
+    def leaf(self, rows: np.ndarray, yn: np.ndarray) -> dict:
+        value = float(yn.mean())
+        if self.fitted is not None:
+            self.fitted[rows] = value
+        return {"value": value}
+
+    def tree(self) -> dict:
+        rows = np.arange(len(self.y), dtype=np.int32)
+        if self.is_leaf(self.y, 0):
+            return self.leaf(rows, self.y)
+        return self.grow(rows, self.y, 0, self.order, self.codes)
+
+    def grow(self, rows: np.ndarray, yn: np.ndarray, depth: int, order: np.ndarray, codes: np.ndarray) -> dict:
+        abs_max = float(np.abs(yn).max())
+        if self.max_features is not None:
+            assert self.rng is not None
+            feats = np.sort(self.rng.choice(self.d, size=self.max_features, replace=False))
+            found = _best_split(order[feats], codes[feats], self.y, abs_max, self.criterion, self.min_leaf)
+            if found is not None:
+                found = (int(feats[found[0]]), found[1])
+        else:
+            found = _best_split(order, codes, self.y, abs_max, self.criterion, self.min_leaf)
+        if found is None:
+            return self.leaf(rows, yn)
+        feat, pos = found
+        column = self.XT[feat]
+        threshold = float((column[order[feat, pos]] + column[order[feat, pos + 1]]) / 2.0)
+        go_left = column[rows] <= threshold
+        node: dict[str, Any] = {"feature": feat, "threshold": threshold}
+        in_left = None
+        for key, keep in (("left", go_left), ("right", ~go_left)):
+            child_rows, child_y = rows[keep], yn[keep]
+            if self.is_leaf(child_y, depth + 1):
+                node[key] = self.leaf(child_rows, child_y)
+                continue
+            if in_left is None:  # ``side`` is shared: read it before a child writes it
+                self.side[rows] = go_left
+                in_left = np.take(self.side, order).ravel()
+            mask = in_left if key == "left" else ~in_left
+            shape = (self.d, len(child_rows))
+            child_order = order.ravel().compress(mask).reshape(shape)
+            child_codes = codes.ravel().compress(mask).reshape(shape)
+            node[key] = self.grow(child_rows, child_y, depth + 1, child_order, child_codes)
+        return node
 
 
 def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
@@ -229,7 +297,7 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int = 0) -> FittedM
     n, d = X.shape
 
     if spec.family == "tree":
-        root = _grow_tree(X, y, 0, params, None, None)
+        root = _TreeGrower(_presort(X), y, params).tree()
         structure: dict[str, Any] = {"n_features": d, "tree": root}
 
     elif spec.family == "forest":
@@ -239,18 +307,19 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int = 0) -> FittedM
         for ss in streams:
             rng = np.random.default_rng(ss)
             sample = rng.integers(0, n, size=n)
-            trees.append(_grow_tree(X[sample], y[sample], 0, params, rng, max_features))
+            trees.append(_TreeGrower(_presort(X[sample]), y[sample], params, rng, max_features).tree())
         structure = {"n_features": d, "trees": trees}
 
     elif spec.family == "boosted_trees":
         base = float(y.mean())
         current = np.full(n, base)
+        presorted = _presort(X)  # every stage splits the same rows
+        fitted = np.empty(n)
         trees = []
         for _ in range(params["n_estimators"]):
             residual = y - current
-            tree = _grow_tree(X, residual, 0, params, None, None)
-            current = current + params["learning_rate"] * _tree_predict(tree, X)
-            trees.append(tree)
+            trees.append(_TreeGrower(presorted, residual, params, fitted=fitted).tree())
+            current = current + params["learning_rate"] * fitted
         structure = {"n_features": d, "base": base, "trees": trees}
 
     else:  # knn

@@ -29,12 +29,12 @@ from typing import NamedTuple
 
 from orsched.core import (
     Assignment,
-    InputFileError,
     ObjectiveVector,
     ProblemInstance,
     Registration,
     Schedule,
     Violation,
+    read_csv_rows,
     validate_instance,
 )
 
@@ -861,28 +861,7 @@ def write_schedule_csv(schedule: Schedule, path: str | Path) -> None:
 def read_schedule_csv(path: str | Path) -> tuple[Assignment, ...]:
     """Read a file written by ``write_schedule_csv``; raises
     ``InputFileError`` at the first missing column or malformed value."""
-    assignments = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for field in SCHEDULE_HEADER:
-            if field not in (reader.fieldnames or ()):
-                raise InputFileError(path, 1, field, "column missing from the header")
-        for row in reader:
-            values = {}
-            for field in SCHEDULE_HEADER:
-                value = row[field]
-                if value is None:
-                    raise InputFileError(path, reader.line_num, field, "value missing")
-                if field in ("priority", "day"):
-                    try:
-                        value = int(value)
-                    except ValueError:
-                        raise InputFileError(path, reader.line_num, field, f"{value!r} is not an integer") from None
-                values[field] = value
-            assignments.append(
-                Assignment(values["registration_id"], values["priority"], values["or_id"], values["day"], values["shift_id"])
-            )
-    return tuple(assignments)
+    return tuple(Assignment(**row) for row in read_csv_rows(path, SCHEDULE_HEADER, ("priority", "day")))
 
 
 def write_objective_json(schedule: Schedule, proven_optimal: bool, wall_time_s: float, path: str | Path) -> None:

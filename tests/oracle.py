@@ -6,7 +6,9 @@ reads off the lexicographically minimal objective. Exponential on purpose;
 only for small instances.
 
 Also holds ``reference_improve_once``, the heuristic's local-search pass by
-trial and undo, against which the solver's delta-evaluated pass is checked.
+trial and undo, against which the solver's delta-evaluated pass is checked,
+and ``reference_grow_tree``/``reference_fit``, tree growing with a full
+argsort at every node, against which the presorted grower is checked.
 """
 
 from __future__ import annotations
@@ -229,3 +231,103 @@ def reference_improve_once(model, state, confidence_active: bool) -> bool:
             state.place(ra, ca)
             state.place(rb, cb)
     return False
+
+
+def _reference_best_split(X: np.ndarray, y: np.ndarray, criterion: str, min_leaf: int):
+    """Best (feature, threshold) over all features at once, or None.
+
+    Sorts the node's rows afresh for every feature and scores every sorted
+    position; invalid positions score -inf, and the first maximum of the
+    position-major (position, feature) grid wins."""
+    n, d = X.shape
+    if n < 2 * min_leaf:
+        return None
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=0)
+    total = csum[-1]
+
+    nl = np.arange(1, n, dtype=float)[:, None]
+    nr = n - nl
+    sum_l = csum[:-1]
+    sum_r = total[None, :] - sum_l
+    valid = xs[1:] > xs[:-1]
+    valid &= (nl >= min_leaf) & (nr >= min_leaf)
+    if not valid.any():
+        return None
+
+    if criterion == "friedman_mse":
+        gain = (nl * nr / n) * (sum_l / nl - sum_r / nr) ** 2
+        floor = 0.0
+    else:
+        gain = sum_l**2 / nl + sum_r**2 / nr
+        floor = float(total[0] ** 2 / n) if d else 0.0
+    gain = np.where(valid, gain, -np.inf)
+    flat = int(np.argmax(gain))
+    pos, feat = divmod(flat, d)
+    best = float(gain[pos, feat])
+    scale = max(1.0, float(np.abs(y).max()) ** 2)
+    if best <= floor + 1e-12 * scale:
+        return None
+    threshold = float((xs[pos, feat] + xs[pos + 1, feat]) / 2.0)
+    return feat, threshold
+
+
+def reference_grow_tree(X, y, depth, params, rng=None, max_features=None) -> dict:
+    """One regression tree grown by re-sorting the node's rows at every split."""
+    max_depth = params["max_depth"]
+    if (
+        (max_depth is not None and depth >= max_depth)
+        or len(y) < params["min_samples_split"]
+        or float(y.min()) == float(y.max())
+    ):
+        return {"value": float(y.mean())}
+
+    if max_features is not None and max_features < X.shape[1]:
+        feats = np.sort(rng.choice(X.shape[1], size=max_features, replace=False))
+        found = _reference_best_split(X[:, feats], y, params["criterion"], params["min_samples_leaf"])
+        if found is not None:
+            found = (int(feats[found[0]]), found[1])
+    else:
+        found = _reference_best_split(X, y, params["criterion"], params["min_samples_leaf"])
+    if found is None:
+        return {"value": float(y.mean())}
+    feat, threshold = found
+    mask = X[:, feat] <= threshold
+    return {
+        "feature": int(feat),
+        "threshold": threshold,
+        "left": reference_grow_tree(X[mask], y[mask], depth + 1, params, rng, max_features),
+        "right": reference_grow_tree(X[~mask], y[~mask], depth + 1, params, rng, max_features),
+    }
+
+
+def reference_fit(family: str, params: dict, X: np.ndarray, y: np.ndarray, seed: int = 0) -> dict:
+    """The fitted ``structure`` of a tree, forest or boosted ensemble, grown by
+    ``reference_grow_tree`` with the same bootstraps, feature draws and
+    residual updates as ``regressors.fit``; boosting predicts each new tree
+    on the training rows by walking it from the root."""
+    from orsched.regressors import _resolve_max_features, _tree_predict
+
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, d = X.shape
+    if family == "tree":
+        return {"n_features": d, "tree": reference_grow_tree(X, y, 0, params)}
+    if family == "forest":
+        max_features = _resolve_max_features(params["max_features"], d)
+        trees = []
+        for ss in np.random.SeedSequence(seed).spawn(params["n_estimators"]):
+            rng = np.random.default_rng(ss)
+            sample = rng.integers(0, n, size=n)
+            trees.append(reference_grow_tree(X[sample], y[sample], 0, params, rng, max_features))
+        return {"n_features": d, "trees": trees}
+    base = float(y.mean())
+    current = np.full(n, base)
+    trees = []
+    for _ in range(params["n_estimators"]):
+        tree = reference_grow_tree(X, y - current, 0, params)
+        current = current + params["learning_rate"] * _tree_predict(tree, X)
+        trees.append(tree)
+    return {"n_features": d, "base": base, "trees": trees}

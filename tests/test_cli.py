@@ -215,6 +215,31 @@ def test_evaluate_malformed_schedule_is_input_error(workspace, tmp_path, content
     assert f"row {row}" in r.stderr and repr(field) in r.stderr
 
 
+@pytest.mark.parametrize(
+    "name, content, row, field",
+    [
+        (
+            "registrations.csv",
+            "id,priority,specialty,duration_min,actual_duration_min,confidence\na,1,GEN,300,300,\nb,x,GEN,300,300,\n",
+            3,
+            "priority",
+        ),
+        ("shifts.csv", "shift_id,capacity_min\nMAIN,abc\n", 2, "capacity_min"),
+        ("mss.csv", "or_id,specialty,shift_id,day\nOR1,GEN,MAIN,0\nOR2,ORT,MAIN,mon\n", 3, "day"),
+    ],
+    ids=["registration_priority", "shift_capacity", "mss_day"],
+)
+def test_schedule_malformed_instance_file_is_input_error(tmp_path, name, content, row, field):
+    flags = _tiny_week(tmp_path)
+    bad = tmp_path / name
+    bad.write_text(content)
+    r = run_cli("schedule", "--method", "vba", *flags, "-o", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    assert str(bad) in r.stderr
+    assert f"row {row}" in r.stderr and repr(field) in r.stderr
+
+
 def _tiny_week(tmp_path):
     """Two cells of 360 minutes, one GEN and one ORT, and three registrations."""
     (tmp_path / "registrations.csv").write_text(

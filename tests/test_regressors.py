@@ -1,9 +1,12 @@
 """Regressor family tests: trees, forests, boosting, nearest neighbours."""
 
+import json
+
 import numpy as np
 import pytest
+from oracle import reference_fit
 
-from orsched.regressors import InvalidSpecError, ModelSpec, fit, predict
+from orsched.regressors import InvalidSpecError, ModelSpec, fit, predict, validate_spec
 
 
 def grid_xy(n=40, seed=0):
@@ -80,6 +83,47 @@ def test_feature_count_mismatch_is_error():
     model = fit(ModelSpec("tree"), X, y)
     with pytest.raises(ValueError, match="feature columns"):
         predict(model, X[:, :2])
+
+
+def _tied_dataset(rng, n):
+    """Columns with many ties: integer codes, rounded and raw continuous
+    values, and a constant; targets rounded so that gains tie too."""
+    columns = [
+        rng.integers(0, 4, n).astype(float),
+        np.round(rng.normal(size=n), 1),
+        np.full(n, 3.0),
+        rng.integers(0, 12, n).astype(float),
+        rng.normal(size=n),
+    ]
+    keep = rng.permutation(len(columns))[: rng.integers(1, len(columns) + 1)]
+    X = np.stack([columns[j] for j in keep], axis=1)
+    y = np.round(rng.normal(scale=10.0, size=n), int(rng.integers(0, 2)))
+    return X, y
+
+
+def test_presorted_growth_matches_per_node_argsort_reference():
+    # every family x criterion x min_samples_leaf 1-4 x max_depth x
+    # min_samples_split x max_features combination, each on several datasets
+    rng = np.random.default_rng(2024)
+    families = ("tree", "forest", "boosted_trees")
+    for case in range(360):
+        family = families[case % 3]
+        params = {
+            "criterion": ("squared_error", "friedman_mse")[case // 3 % 2],
+            "min_samples_leaf": 1 + case // 6 % 4,
+            "max_depth": (None, 0, 3)[case // 24 % 3],
+            "min_samples_split": (2, 5)[case // 72 % 2],
+        }
+        if family == "forest":
+            params.update(n_estimators=3, max_features=("sqrt", None)[case // 144 % 2])
+        elif family == "boosted_trees":
+            params.update(n_estimators=3, learning_rate=0.5)
+        n = int(rng.integers(1, 2 * params["min_samples_leaf"])) if case % 10 == 0 else int(rng.integers(8, 60))
+        X, y = _tied_dataset(rng, n)
+        spec = ModelSpec(family, params)
+        got = json.dumps(fit(spec, X, y, seed=case).structure)
+        want = json.dumps(reference_fit(family, validate_spec(spec), X, y, seed=case))
+        assert got == want, (case, family, params, n)
 
 
 # -- tree -------------------------------------------------------------------------
