@@ -6,13 +6,15 @@ Runs the pipeline for one hospital week at a fixed ``--seed`` and
 ``<sha256>  <file>`` line for every ``schedule_*.csv``, every
 ``objective_*.json`` with its ``wall_time_s`` dropped, and ``report.json``,
 then for the training outputs ``model.json``, ``metrics.json`` and
-``predictions.csv``. Two versions of the code whose digests match wrote byte-identical outputs,
+``predictions.csv``. Last comes ``model_best.json``: ``orsched train`` with
+the ``best`` grid preset (boosted 400 trees of depth 5) on the same history.
+Two versions of the code whose digests match wrote byte-identical outputs,
 so a change to the solvers or to training that must not alter results can
 be checked by running this before and after it.
 
-The model is trained with the ``fast`` grid preset. The solver time limit
-is far above what the bounded restarts need, so no solve stops at its
-deadline and the outputs do not depend on machine speed.
+The pipeline's model is trained with the ``fast`` grid preset. The solver
+time limit is far above what the bounded restarts need, so no solve stops at
+its deadline and the outputs do not depend on machine speed.
 
 Example:
     PYTHONPATH=src python scripts/digest_week.py --hospital imperia --seed 1 --max-restarts 4
@@ -31,6 +33,7 @@ from orsched.cli import main as cli_main
 from orsched.ingest import HOSPITAL_SHAPES
 
 GRID = "fast"
+BEST_GRID = "best"
 TIME_LIMIT_S = "3600"
 
 
@@ -66,11 +69,21 @@ def main() -> int:
             "--time-limit", TIME_LIMIT_S,
             "-o", tmp,
         ]
+        best = Path(tmp) / BEST_GRID
+        train_best = [
+            "train",
+            "--records", str(Path(tmp) / "records.csv"),
+            "--seed", str(args.seed),
+            "--grid", BEST_GRID,
+            "-o", str(best),
+        ]
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main(argv)
+            code = cli_main(argv) or cli_main(train_best)
         if code != 0:
             return code
-        for digest, name in digests(Path(tmp)):
+        rows = digests(Path(tmp))
+        rows.append((hashlib.sha256((best / "model.json").read_bytes()).hexdigest(), "model_best.json"))
+        for digest, name in rows:
             print(f"{digest}  {name}")
     return 0
 

@@ -269,13 +269,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_week_instance(args: argparse.Namespace) -> ProblemInstance:
-    return load_instance(
-        _require(args, "registrations", "--registrations"),
-        _require(args, "mss", "--mss"),
-        _require(args, "shifts", "--shifts"),
-        planning_days=_merged(args, "planning_days"),
-        emergency_or_id=_merged(args, "emergency_or"),
-    )
+    try:
+        return load_instance(
+            _require(args, "registrations", "--registrations"),
+            _require(args, "mss", "--mss"),
+            _require(args, "shifts", "--shifts"),
+            planning_days=_merged(args, "planning_days"),
+            emergency_or_id=_merged(args, "emergency_or"),
+        )
+    except IngestError as exc:  # the violations in no file: an --emergency-or absent from the MSS
+        raise UsageError(str(exc)) from None
 
 
 def _build_estimates(args: argparse.Namespace, method: str, instance: ProblemInstance) -> DurationEstimates:

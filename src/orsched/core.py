@@ -141,10 +141,12 @@ class Schedule:
 
 @dataclass(frozen=True)
 class Violation:
-    """One structural defect found in a problem instance."""
+    """One structural defect found in a problem instance, with the position
+    of the registration, shift or MSS cell at fault in its tuple."""
 
     code: str
     detail: str
+    index: int | None = None
 
 
 @dataclass
@@ -155,8 +157,8 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, code: str, detail: str) -> None:
-        self.violations.append(Violation(code, detail))
+    def add(self, code: str, detail: str, index: int | None = None) -> None:
+        self.violations.append(Violation(code, detail, index))
 
     def __iter__(self):
         return iter(self.violations)
@@ -210,41 +212,44 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     shift_ids = {s.shift_id for s in instance.shifts}
 
     seen_reg_ids: set[str] = set()
-    for reg in instance.registrations:
+    for i, reg in enumerate(instance.registrations):
         if reg.id in seen_reg_ids:
-            report.add("duplicate_registration_id", f"registration id {reg.id!r} repeats")
+            report.add("duplicate_registration_id", f"registration id {reg.id!r} repeats", i)
         seen_reg_ids.add(reg.id)
         if reg.priority not in PRIORITIES:
-            report.add("priority_out_of_range", f"registration {reg.id!r} priority {reg.priority}")
+            report.add("priority_out_of_range", f"registration {reg.id!r} priority {reg.priority}", i)
         if reg.duration_min < 1:
-            report.add("non_positive_duration", f"registration {reg.id!r} duration {reg.duration_min}")
+            report.add("non_positive_duration", f"registration {reg.id!r} duration {reg.duration_min}", i)
         if reg.actual_duration_min is not None and reg.actual_duration_min < 1:
             report.add(
                 "non_positive_actual_duration",
                 f"registration {reg.id!r} actual duration {reg.actual_duration_min}",
+                i,
             )
         if reg.confidence is not None and reg.confidence.level not in PRIORITIES:
             report.add(
                 "confidence_out_of_range",
                 f"registration {reg.id!r} confidence level {reg.confidence.level}",
+                i,
             )
 
-    for shift in instance.shifts:
+    for i, shift in enumerate(instance.shifts):
         if shift.capacity_min < 1:
-            report.add("non_positive_capacity", f"shift {shift.shift_id!r} capacity {shift.capacity_min}")
+            report.add("non_positive_capacity", f"shift {shift.shift_id!r} capacity {shift.capacity_min}", i)
 
     seen_cells: set[tuple[str, str, int]] = set()
-    for slot in instance.mss:
+    for i, slot in enumerate(instance.mss):
         key = (slot.or_id, slot.shift_id, slot.day)
         if key in seen_cells:
-            report.add("duplicate_mss_cell", f"cell (or={slot.or_id!r}, shift={slot.shift_id!r}, day={slot.day}) repeats")
+            report.add("duplicate_mss_cell", f"cell (or={slot.or_id!r}, shift={slot.shift_id!r}, day={slot.day}) repeats", i)
         seen_cells.add(key)
         if slot.shift_id not in shift_ids:
-            report.add("dangling_shift_id", f"MSS cell references unknown shift {slot.shift_id!r}")
+            report.add("dangling_shift_id", f"MSS cell references unknown shift {slot.shift_id!r}", i)
         if not (0 <= slot.day < instance.planning_days):
             report.add(
                 "day_out_of_range",
                 f"MSS cell day {slot.day} outside [0, {instance.planning_days})",
+                i,
             )
 
     if instance.emergency_or_id is not None:

@@ -7,6 +7,7 @@ problem-instance assembly from the scheduling input files.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import zlib
@@ -714,7 +715,7 @@ def read_records_csv(path: str | Path, timestamp_pattern: str | None = None) -> 
         try:
             header = next(reader)
         except StopIteration:
-            raise IngestError(f"{path}: empty records file") from None
+            raise InputFileError(path, 1, "header", "empty records file") from None
         records = []
         for row in reader:
             record = {}
@@ -793,6 +794,15 @@ def read_shifts_csv(path: str | Path) -> list[Shift]:
     return [Shift(**row) for row in read_csv_rows(path, SHIFT_HEADER, ("capacity_min",))]
 
 
+# the input (0 registrations, 1 MSS, 2 shifts) and field of each violation found in a file
+_VIOLATION_AT = {
+    "duplicate_registration_id": (0, "id"), "priority_out_of_range": (0, "priority"),
+    "non_positive_duration": (0, "duration_min"), "non_positive_actual_duration": (0, "actual_duration_min"),
+    "confidence_out_of_range": (0, "confidence"), "duplicate_mss_cell": (1, "or_id, shift_id, day"),
+    "dangling_shift_id": (1, "shift_id"), "day_out_of_range": (1, "day"), "non_positive_capacity": (2, "capacity_min"),
+}
+
+
 def load_instance(
     registrations_path: str | Path,
     mss_path: str | Path,
@@ -800,13 +810,25 @@ def load_instance(
     planning_days: int | None = None,
     emergency_or_id: str | None = None,
 ) -> ProblemInstance:
-    return build_instance(
-        read_registrations_csv(registrations_path),
-        read_mss_csv(mss_path),
-        read_shifts_csv(shifts_path),
-        planning_days=planning_days,
-        emergency_or_id=emergency_or_id,
-    )
+    """Read and validate an instance; a violation in a file raises ``InputFileError`` at its row."""
+    paths = (registrations_path, mss_path, shifts_path)
+    try:
+        return build_instance(
+            read_registrations_csv(registrations_path),
+            read_mss_csv(mss_path),
+            read_shifts_csv(shifts_path),
+            planning_days=planning_days,
+            emergency_or_id=emergency_or_id,
+        )
+    except IngestError as exc:
+        first = exc.report.violations[0]
+        if first.code not in _VIOLATION_AT:
+            raise
+        which, column = _VIOLATION_AT[first.code]
+        with open(paths[which], newline="", encoding="utf-8") as fh:  # find the row's line as the reader counts
+            reader = csv.DictReader(fh)
+            next(itertools.islice(reader, first.index, None))
+            raise InputFileError(paths[which], reader.line_num, column, f"{first.code}: {first.detail}") from None
 
 
 def write_preprocess_log(log: PreprocessLog, path: str | Path) -> None:

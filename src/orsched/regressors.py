@@ -109,48 +109,53 @@ class FittedModel:
 # regression tree
 
 
-def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Feature-major copy of X, each column's stable ascending row order (int32),
-    and the rank codes of the rows in that order.
+_ROW = 0xFFFFFFFF  # a packed entry's row id; its code is in the upper 32 bits
 
-    A code counts the strict value increases before its position, so two
-    rows of any subset are separated by a threshold exactly when their codes
-    differ. NaN sorts last and gets code -1: ``code[k+1] > code[k]`` is then
-    never true at or after a NaN, just as ``x[k+1] > x[k]`` is not.
-    """
+
+def _presort(X: np.ndarray, min_leaf: int):
+    """Feature-major copy of X, each column's rows packed as ``code << 32 |
+    row`` in stable ascending value order, and the root's ``_boundaries``. A
+    code counts the strict value increases before its position, -1 for NaN
+    (sorted last): rows are split by a threshold exactly when codes differ."""
     XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
+    order = np.argsort(XT, axis=1, kind="stable")
     xs = np.take_along_axis(XT, order, axis=1)
-    codes = np.zeros(order.shape, dtype=np.int32)
-    np.cumsum(xs[:, 1:] > xs[:, :-1], axis=1, dtype=np.int32, out=codes[:, 1:])
-    codes[np.isnan(xs)] = -1
-    return XT, order, codes
+    packed = np.zeros(order.shape, dtype=np.int64)
+    np.cumsum(xs[:, 1:] > xs[:, :-1], axis=1, out=packed[:, 1:])
+    packed[np.isnan(xs)] = -1
+    packed = (packed << 32) | order
+    return XT, packed, _boundaries(packed, X.shape[0], min_leaf)
 
 
-def _best_split(order: np.ndarray, codes: np.ndarray, y: np.ndarray, abs_max: float, criterion: str, min_leaf: int):
-    """Best (row of ``order``, sorted position) to split a node after, or None.
+def _boundaries(packed: np.ndarray, n_rows: int, min_leaf: int):
+    """(sorted position, feature) after which a node's value steps up with
+    ``min_leaf`` rows on each side, position-major. Within one code the
+    stable order raises the row id by less than ``n_rows``, a code increase
+    adds at least 2**32 - n_rows and a step into NaN is negative."""
+    valid = packed[:, 1:] - packed[:, :-1] > n_rows
+    if min_leaf > 1:
+        valid[:, : min_leaf - 1] = False
+        valid[:, packed.shape[1] - min_leaf :] = False
+    return np.divmod(np.flatnonzero(valid.T), packed.shape[0])
 
-    ``order`` holds, per considered feature, the node's rows in stable
-    ascending value order, and ``codes`` their rank codes; ``abs_max`` is the
-    node's largest absolute target. Split quality uses prefix sums over the
-    sorted targets and is scored only where the sorted value changes:
-    ``squared_error`` ranks by the drop in total squared error, while
-    ``friedman_mse`` ranks by n_l*n_r/n * (mean_l - mean_r)^2. Ties go to
-    the lowest position, then the first feature.
+
+def _best_split(bounds, packed: np.ndarray, y: np.ndarray, abs_max: float, criterion: str):
+    """Best (row of ``packed``, sorted position) to split a node after, or None.
+
+    ``packed`` holds, per considered feature, the node's rows in stable
+    ascending value order, ``bounds`` its ``_boundaries`` and ``abs_max``
+    its largest absolute target. Split quality uses prefix sums over the
+    sorted targets and is scored only at the boundaries: ``squared_error``
+    ranks by the drop in total squared error, while ``friedman_mse`` ranks
+    by n_l*n_r/n * (mean_l - mean_r)^2. Ties go to the lowest position, then
+    the first feature.
     """
-    d, n = order.shape
-    if n < 2 * min_leaf:
-        return None
-    csum = np.cumsum(np.take(y, order), axis=1)
-    total = csum[:, -1]
-
-    valid = codes[:, 1:] > codes[:, :-1]
-    valid[:, : min_leaf - 1] = False
-    valid[:, n - min_leaf :] = False
-    pos, feat = np.divmod(np.flatnonzero(valid.T), d)  # position-major, then feature
+    pos, feat = bounds
     if not len(pos):
         return None
-
+    n = packed.shape[1]
+    csum = np.cumsum(np.take(y, packed & _ROW), axis=1)
+    total = csum[:, -1]
     nl = pos + 1.0
     nr = n - nl
     sum_l = csum[feat, pos]
@@ -171,15 +176,16 @@ def _best_split(order: np.ndarray, codes: np.ndarray, y: np.ndarray, abs_max: fl
 class _TreeGrower:
     """Grows one regression tree over all rows of X, depth-first, left first.
 
-    ``presorted`` is ``_presort(X)``, the one sort of X per column. Every
-    node carries its rows in index order plus, per column, its rows in
-    sorted order with their rank codes. A split partitions those lists with
-    one boolean mask, which keeps their order: a stable sort of a subset is
-    the parent's order filtered to it, so every node sums the same sorted
-    targets in the same order as a fresh sort would. Children at
-    ``max_depth``, too small to split or with a constant target become
-    leaves without their lists being built. When ``fitted`` is given, every
-    leaf also writes its value over its rows.
+    ``presorted`` is ``_presort(X, min_samples_leaf)``, the one sort of X
+    per column. Every node carries its rows in index order plus, per column,
+    its packed list in sorted order. A split partitions those lists with one
+    boolean mask, which keeps their order: a stable sort of a subset is the
+    parent's order filtered to it, so every node sums the same sorted
+    targets in the same order as a fresh sort would. The root reads its
+    boundaries from ``presorted``, so boosting finds them once per fit.
+    Children at ``max_depth``, too small to split or with a constant target
+    become leaves without their lists being built. When ``fitted`` is
+    given, every leaf also writes its value over its rows.
 
     A class, not nested functions: a recursive closure is a reference cycle,
     which keeps every tree's arrays alive until the cyclic collector runs.
@@ -187,14 +193,14 @@ class _TreeGrower:
 
     def __init__(
         self,
-        presorted: tuple[np.ndarray, np.ndarray, np.ndarray],
+        presorted: tuple,
         y: np.ndarray,
         params: dict[str, Any],
         rng: np.random.Generator | None = None,
         max_features: int | None = None,
         fitted: np.ndarray | None = None,
     ):
-        self.XT, self.order, self.codes = presorted
+        self.XT, self.packed, self.root_bounds = presorted
         self.y = y
         self.max_depth = params["max_depth"]
         self.min_split = params["min_samples_split"]
@@ -206,71 +212,86 @@ class _TreeGrower:
         self.fitted = fitted
         self.side = np.zeros(len(y), dtype=bool)  # scratch: which of a node's rows go left
 
-    def is_leaf(self, yn: np.ndarray, depth: int) -> bool:
-        return (
-            (self.max_depth is not None and depth >= self.max_depth)
-            or len(yn) < self.min_split
-            or float(yn.min()) == float(yn.max())
-        )
+    def scale(self, yn: np.ndarray, depth: int) -> float | None:
+        """None when a node of targets ``yn`` is a leaf, else its largest |target|."""
+        if (self.max_depth is not None and depth >= self.max_depth) or len(yn) < self.min_split:
+            return None
+        lo, hi = float(yn.min()), float(yn.max())
+        return None if lo == hi else max(-lo, hi)
 
     def leaf(self, rows: np.ndarray, yn: np.ndarray) -> dict:
-        value = float(yn.mean())
+        # the bits of yn.mean(); a split between -inf and inf leaves the left side empty
+        value = float(np.add.reduce(yn)) / len(yn) if len(yn) else float(yn.mean())
         if self.fitted is not None:
             self.fitted[rows] = value
         return {"value": value}
 
     def tree(self) -> dict:
-        rows = np.arange(len(self.y), dtype=np.int32)
-        if self.is_leaf(self.y, 0):
-            return self.leaf(rows, self.y)
-        return self.grow(rows, self.y, 0, self.order, self.codes)
+        rows, abs_max = np.arange(len(self.y), dtype=np.int32), self.scale(self.y, 0)
+        return self.leaf(rows, self.y) if abs_max is None else self.grow(rows, self.y, abs_max, 0, self.packed)
 
-    def grow(self, rows: np.ndarray, yn: np.ndarray, depth: int, order: np.ndarray, codes: np.ndarray) -> dict:
-        abs_max = float(np.abs(yn).max())
+    def split(self, packed: np.ndarray, abs_max: float, depth: int) -> tuple[int, int] | None:
+        """(feature, sorted position) of a node's best split, or None."""
+        feats = None
         if self.max_features is not None:
-            assert self.rng is not None
             feats = np.sort(self.rng.choice(self.d, size=self.max_features, replace=False))
-            found = _best_split(order[feats], codes[feats], self.y, abs_max, self.criterion, self.min_leaf)
-            if found is not None:
-                found = (int(feats[found[0]]), found[1])
-        else:
-            found = _best_split(order, codes, self.y, abs_max, self.criterion, self.min_leaf)
+        if packed.shape[1] < 2 * self.min_leaf:
+            return None
+        search = packed if feats is None else packed[feats]
+        bounds = self.root_bounds if depth == 0 and feats is None else _boundaries(search, len(self.y), self.min_leaf)
+        found = _best_split(bounds, search, self.y, abs_max, self.criterion)
+        return found if found is None or feats is None else (int(feats[found[0]]), found[1])
+
+    def grow(self, rows: np.ndarray, yn: np.ndarray, abs_max: float, depth: int, packed: np.ndarray) -> dict:
+        found = self.split(packed, abs_max, depth)
         if found is None:
             return self.leaf(rows, yn)
         feat, pos = found
         column = self.XT[feat]
-        threshold = float((column[order[feat, pos]] + column[order[feat, pos + 1]]) / 2.0)
+        threshold = float((column[packed[feat, pos] & _ROW] + column[packed[feat, pos + 1] & _ROW]) / 2.0)
         go_left = column[rows] <= threshold
         node: dict[str, Any] = {"feature": feat, "threshold": threshold}
         in_left = None
         for key, keep in (("left", go_left), ("right", ~go_left)):
             child_rows, child_y = rows[keep], yn[keep]
-            if self.is_leaf(child_y, depth + 1):
+            child_max = self.scale(child_y, depth + 1)
+            if child_max is None:
                 node[key] = self.leaf(child_rows, child_y)
                 continue
             if in_left is None:  # ``side`` is shared: read it before a child writes it
                 self.side[rows] = go_left
-                in_left = np.take(self.side, order).ravel()
+                in_left = np.take(self.side, packed & _ROW).ravel()
             mask = in_left if key == "left" else ~in_left
-            shape = (self.d, len(child_rows))
-            child_order = order.ravel().compress(mask).reshape(shape)
-            child_codes = codes.ravel().compress(mask).reshape(shape)
-            node[key] = self.grow(child_rows, child_y, depth + 1, child_order, child_codes)
+            child = packed.ravel().compress(mask).reshape(self.d, len(child_rows))
+            node[key] = self.grow(child_rows, child_y, child_max, depth + 1, child)
         return node
 
 
-def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=float)
-    stack = [(node, np.arange(X.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if "value" in nd:
-            out[idx] = nd["value"]
-            continue
-        mask = X[idx, nd["feature"]] <= nd["threshold"]
-        stack.append((nd["left"], idx[mask]))
-        stack.append((nd["right"], idx[~mask]))
-    return out
+def _tree_values(trees: list[dict], X: np.ndarray):
+    """Each tree's predictions for the rows of X, in order. A block of trees
+    is laid out breadth-first in flat arrays, a leaf being its own children,
+    and walked one level per step for all rows; NaN goes right, as ever."""
+    m, d = X.shape
+    flat = np.ascontiguousarray(X).ravel()
+    offset = np.arange(m) * d
+    block = max(1, min(32, 8192 // max(m, 1)))  # trees walked at once, fewer for many rows
+    for start in range(0, len(trees), block):
+        roots = trees[start : start + block]
+        level, nodes, depth = roots, [], -1
+        while level:  # breadth-first over the whole block
+            nodes += level
+            level = [child for node in level if "value" not in node for child in (node["left"], node["right"])]
+            depth += 1
+        # the k-th inner node's children follow the roots at 2k and 2k + 1
+        inner = np.array(["value" not in node for node in nodes])
+        left = np.where(inner, len(roots) + 2 * (np.cumsum(inner) - inner), np.arange(len(nodes)))
+        right = left + inner
+        feature = np.array([node.get("feature", 0) for node in nodes])
+        threshold = np.array([node.get("threshold", 0.0) for node in nodes])
+        at = np.repeat(np.arange(len(roots)), m).reshape(len(roots), m)
+        for _ in range(depth):
+            at = np.where(flat.take(offset + feature.take(at)) <= threshold.take(at), left.take(at), right.take(at))
+        yield from np.array([node.get("value", 0.0) for node in nodes]).take(at)
 
 
 def _resolve_max_features(setting, d: int) -> int | None:
@@ -297,7 +318,7 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int = 0) -> FittedM
     n, d = X.shape
 
     if spec.family == "tree":
-        root = _TreeGrower(_presort(X), y, params).tree()
+        root = _TreeGrower(_presort(X, params["min_samples_leaf"]), y, params).tree()
         structure: dict[str, Any] = {"n_features": d, "tree": root}
 
     elif spec.family == "forest":
@@ -307,13 +328,13 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int = 0) -> FittedM
         for ss in streams:
             rng = np.random.default_rng(ss)
             sample = rng.integers(0, n, size=n)
-            trees.append(_TreeGrower(_presort(X[sample]), y[sample], params, rng, max_features).tree())
+            trees.append(_TreeGrower(_presort(X[sample], params["min_samples_leaf"]), y[sample], params, rng, max_features).tree())
         structure = {"n_features": d, "trees": trees}
 
     elif spec.family == "boosted_trees":
         base = float(y.mean())
         current = np.full(n, base)
-        presorted = _presort(X)  # every stage splits the same rows
+        presorted = _presort(X, params["min_samples_leaf"])  # every stage splits the same rows
         fitted = np.empty(n)
         trees = []
         for _ in range(params["n_estimators"]):
@@ -335,17 +356,16 @@ def predict(model: FittedModel, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {model.n_features} feature columns, got {X.shape}")
 
     if model.family == "tree":
-        return _tree_predict(model.structure["tree"], X)
+        return next(_tree_values([model.structure["tree"]], X))
 
     if model.family == "forest":
-        preds = np.stack([_tree_predict(t, X) for t in model.structure["trees"]])
-        return preds.mean(axis=0)
+        return np.stack(list(_tree_values(model.structure["trees"], X))).mean(axis=0)
 
     if model.family == "boosted_trees":
         out = np.full(X.shape[0], model.structure["base"], dtype=float)
         lr = model.hyperparameters["learning_rate"]
-        for tree in model.structure["trees"]:
-            out += lr * _tree_predict(tree, X)
+        for values in _tree_values(model.structure["trees"], X):
+            out += lr * values
         return out
 
     # knn

@@ -7,8 +7,10 @@ only for small instances.
 
 Also holds ``reference_improve_once``, the heuristic's local-search pass by
 trial and undo, against which the solver's delta-evaluated pass is checked,
-and ``reference_grow_tree``/``reference_fit``, tree growing with a full
-argsort at every node, against which the presorted grower is checked.
+``reference_grow_tree``/``reference_fit``, tree growing with a full
+argsort at every node, against which the presorted grower is checked, and
+``reference_predict``, one tree walked node by node, against which the
+blocked array prediction is checked.
 """
 
 from __future__ import annotations
@@ -303,12 +305,29 @@ def reference_grow_tree(X, y, depth, params, rng=None, max_features=None) -> dic
     }
 
 
+def reference_predict(node: dict, X: np.ndarray) -> np.ndarray:
+    """One tree's predictions for the rows of X, each subtree taking the
+    rows that reach it; a row goes left when its value is ``<=`` the
+    threshold."""
+    out = np.empty(X.shape[0], dtype=float)
+    stack = [(node, np.arange(X.shape[0]))]
+    while stack:
+        nd, idx = stack.pop()
+        if "value" in nd:
+            out[idx] = nd["value"]
+            continue
+        mask = X[idx, nd["feature"]] <= nd["threshold"]
+        stack.append((nd["left"], idx[mask]))
+        stack.append((nd["right"], idx[~mask]))
+    return out
+
+
 def reference_fit(family: str, params: dict, X: np.ndarray, y: np.ndarray, seed: int = 0) -> dict:
     """The fitted ``structure`` of a tree, forest or boosted ensemble, grown by
     ``reference_grow_tree`` with the same bootstraps, feature draws and
     residual updates as ``regressors.fit``; boosting predicts each new tree
     on the training rows by walking it from the root."""
-    from orsched.regressors import _resolve_max_features, _tree_predict
+    from orsched.regressors import _resolve_max_features
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -328,6 +347,6 @@ def reference_fit(family: str, params: dict, X: np.ndarray, y: np.ndarray, seed:
     trees = []
     for _ in range(params["n_estimators"]):
         tree = reference_grow_tree(X, y - current, 0, params)
-        current = current + params["learning_rate"] * _tree_predict(tree, X)
+        current = current + params["learning_rate"] * reference_predict(tree, X)
         trees.append(tree)
     return {"n_features": d, "base": base, "trees": trees}

@@ -106,6 +106,15 @@ def test_train_unparsable_timestamp_is_input_error(workspace, tmp_path):
     assert str(bad) in r.stderr and "row 3" in r.stderr and "'INGRESSOSALA'" in r.stderr
 
 
+def test_train_empty_records_file_is_input_error(tmp_path):
+    empty = tmp_path / "records.csv"
+    empty.write_text("")
+    r = run_cli("train", "--records", str(empty), "--grid", "fast", "-o", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    assert str(empty) in r.stderr and "row 1" in r.stderr
+
+
 def test_train_missing_records_flag_is_usage_error(tmp_path):
     r = run_cli("train", "-o", str(tmp_path))
     assert r.returncode == 2
@@ -226,8 +235,21 @@ def test_evaluate_malformed_schedule_is_input_error(workspace, tmp_path, content
         ),
         ("shifts.csv", "shift_id,capacity_min\nMAIN,abc\n", 2, "capacity_min"),
         ("mss.csv", "or_id,specialty,shift_id,day\nOR1,GEN,MAIN,0\nOR2,ORT,MAIN,mon\n", 3, "day"),
+        (
+            "registrations.csv",
+            "id,priority,specialty,duration_min,actual_duration_min,confidence\na,1,GEN,300,300,\n\nb,2,GEN,300,300,9\n",
+            4,
+            "confidence",
+        ),
+        (
+            "registrations.csv",
+            "id,priority,specialty,duration_min,actual_duration_min,confidence\na,1,GEN,300,300,\na,2,GEN,100,100,\n",
+            3,
+            "id",
+        ),
+        ("mss.csv", "or_id,specialty,shift_id,day\nOR1,GEN,MAIN,0\nOR2,ORT,NIGHT,0\n", 3, "shift_id"),
     ],
-    ids=["registration_priority", "shift_capacity", "mss_day"],
+    ids=["registration_priority", "shift_capacity", "mss_day", "confidence_9", "duplicate_id", "unknown_shift"],
 )
 def test_schedule_malformed_instance_file_is_input_error(tmp_path, name, content, row, field):
     flags = _tiny_week(tmp_path)
@@ -238,6 +260,13 @@ def test_schedule_malformed_instance_file_is_input_error(tmp_path, name, content
     assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
     assert str(bad) in r.stderr
     assert f"row {row}" in r.stderr and repr(field) in r.stderr
+
+
+def test_schedule_emergency_or_not_in_mss_is_usage_error(tmp_path):
+    flags = _tiny_week(tmp_path)
+    r = run_cli("schedule", "--method", "vba", *flags, "--emergency-or", "OR9", "-o", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "OR9" in r.stderr
 
 
 def _tiny_week(tmp_path):

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from oracle import reference_fit
+from oracle import reference_fit, reference_predict
 
 from orsched.regressors import InvalidSpecError, ModelSpec, fit, predict, validate_spec
 
@@ -126,6 +126,98 @@ def test_presorted_growth_matches_per_node_argsort_reference():
         assert got == want, (case, family, params, n)
 
 
+def _edge_dataset(rng, n):
+    """Columns of the values where sorting, rank codes and midpoints are
+    delicate: NaN, +-inf, +-0.0, adjacent floats, overflowing midpoints and
+    constants."""
+    up = np.nextafter(1.0, 2.0)
+    pool = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, up, np.nextafter(1.0, 0.0), 5e-324, -5e-324, 1.7e308, -1.7e308]
+    columns = [
+        rng.choice(pool, n),
+        rng.choice([0.0, -0.0, np.nan], n),
+        rng.choice([1.0, up, np.nextafter(up, 2.0)], n),
+        rng.choice([-np.inf, np.inf, 2.0], n),
+        rng.choice([1.7e308, 1e308, -1.7e308], n),
+        np.full(n, np.nan),
+        np.full(n, -0.0),
+        rng.integers(0, 3, n).astype(float),
+    ]
+    keep = rng.permutation(len(columns))[: rng.integers(1, len(columns) + 1)]
+    X = np.stack([columns[j] for j in keep], axis=1)
+    y = np.round(rng.normal(scale=10.0, size=n), int(rng.integers(0, 2)))
+    return X, y
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered", "ignore:overflow encountered")
+def test_packed_growth_matches_reference_on_edge_values():
+    # a midpoint between -inf and inf is NaN and one past the largest value
+    # can round up to it, so some splits send every row one way: max_depth
+    # stays bounded, as the reference would recurse without end
+    rng = np.random.default_rng(606)
+    families = ("tree", "forest", "boosted_trees")
+    for case in range(240):
+        family = families[case % 3]
+        params = {
+            "criterion": ("squared_error", "friedman_mse")[case // 3 % 2],
+            "min_samples_leaf": 1 + case // 6 % 3,
+            "max_depth": (0, 2, 5)[case // 18 % 3],
+        }
+        if family == "forest":
+            params.update(n_estimators=3, max_features=("sqrt", None)[case // 54 % 2])
+        elif family == "boosted_trees":
+            params.update(n_estimators=3, learning_rate=0.5)
+        X, y = _edge_dataset(rng, int(rng.integers(2, 50)))
+        spec = ModelSpec(family, params)
+        model = fit(spec, X, y, seed=case)
+        want = reference_fit(family, validate_spec(spec), X, y, seed=case)
+        assert json.dumps(model.structure) == json.dumps(want), (case, family, params)
+        assert predict(model, X).tobytes() == _reference_model_predict(model, X).tobytes(), (case, family, params)
+
+
+def _reference_model_predict(model, X):
+    """``predict`` by walking every tree node by node with ``reference_predict``."""
+    if model.family == "tree":
+        return reference_predict(model.structure["tree"], X)
+    if model.family == "forest":
+        return np.stack([reference_predict(t, X) for t in model.structure["trees"]]).mean(axis=0)
+    out = np.full(X.shape[0], model.structure["base"], dtype=float)
+    for tree in model.structure["trees"]:
+        out += model.hyperparameters["learning_rate"] * reference_predict(tree, X)
+    return out
+
+
+def _depth(node):
+    return 0 if "value" in node else 1 + max(_depth(node["left"]), _depth(node["right"]))
+
+
+def test_blocked_prediction_matches_reference_walk():
+    # ensembles wider than one block, root-leaf trees, zero boosting stages,
+    # blocks of trees of unequal depth; 0, 1 and many rows, with NaN and
+    # +-inf at predict time
+    rng = np.random.default_rng(31)
+    families = ("tree", "forest", "boosted_trees")
+    unequal_block = False
+    for case in range(90):
+        family = families[case % 3]
+        params = {"max_depth": (None, 0, 2, 5)[case // 3 % 4]}
+        if family == "forest":
+            params.update(n_estimators=(1, 7, 45)[case // 12 % 3], max_features=("sqrt", None)[case // 36 % 2])
+        elif family == "boosted_trees":
+            params.update(n_estimators=(0, 7, 45)[case // 12 % 3], learning_rate=0.3)
+        X, y = _tied_dataset(rng, int(rng.integers(2, 60)))
+        model = fit(ModelSpec(family, params), X, y, seed=case)
+        trees = model.structure.get("trees", [model.structure.get("tree")])
+        unequal_block |= len({_depth(t) for t in trees[:32]}) > 1
+        for m in (0, 1, int(rng.integers(2, 600))):
+            probe = X[rng.integers(0, len(X), m)]
+            special = rng.random(probe.shape) < 0.1
+            probe[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
+            got = predict(model, probe)
+            assert got.shape == (m,)
+            assert got.tobytes() == _reference_model_predict(model, probe).tobytes(), (case, family, params, m)
+    assert unequal_block
+
+
 # -- tree -------------------------------------------------------------------------
 
 
@@ -154,11 +246,9 @@ def test_friedman_criterion_still_finds_signal():
 
 
 def test_forest_prediction_is_mean_of_trees():
-    from orsched.regressors import _tree_predict
-
     X, y = grid_xy(60, seed=2)
     model = fit(ModelSpec("forest", {"n_estimators": 6}), X, y, seed=4)
-    stacked = np.stack([_tree_predict(t, X) for t in model.structure["trees"]])
+    stacked = np.stack([reference_predict(t, X) for t in model.structure["trees"]])
     assert np.allclose(predict(model, X), stacked.mean(axis=0))
 
 
