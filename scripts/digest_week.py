@@ -6,8 +6,10 @@ Runs the pipeline for one hospital week at a fixed ``--seed`` and
 ``<sha256>  <file>`` line for every ``schedule_*.csv``, every
 ``objective_*.json`` with its ``wall_time_s`` dropped, and ``report.json``,
 then for the training outputs ``model.json``, ``metrics.json`` and
-``predictions.csv``. Last comes ``model_best.json``: ``orsched train`` with
+``predictions.csv``. Then comes ``model_best.json``: ``orsched train`` with
 the ``best`` grid preset (boosted 400 trees of depth 5) on the same history.
+Last comes the pipeline's ``preprocess_log.json``, the rows and features
+each cleaning stage kept.
 Two versions of the code whose digests match wrote byte-identical outputs,
 so a change to the solvers or to training that must not alter results can
 be checked by running this before and after it.
@@ -83,6 +85,8 @@ def main() -> int:
             return code
         rows = digests(Path(tmp))
         rows.append((hashlib.sha256((best / "model.json").read_bytes()).hexdigest(), "model_best.json"))
+        log = Path(tmp) / "preprocess_log.json"
+        rows.append((hashlib.sha256(log.read_bytes()).hexdigest(), log.name))
         for digest, name in rows:
             print(f"{digest}  {name}")
     return 0

@@ -134,19 +134,6 @@ def _require(args: argparse.Namespace, key: str, flag: str) -> str:
     return str(value)
 
 
-def _check_hospitalizations(path: str | None) -> None:
-    """The prior-hospitalizations file is accepted and validated but feeds no
-    computation (the model does not track beds)."""
-    if path is None:
-        return
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            if next(csv.reader(fh), None) is None:
-                raise UsageError(f"hospitalizations file {path} is empty")
-    except OSError as exc:
-        raise UsageError(f"cannot read hospitalizations file {path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # synth
 
@@ -353,7 +340,6 @@ def _solve_and_write(
 def cmd_schedule(args: argparse.Namespace) -> int:
     method = normalize_method(str(_merged(args, "method", "vba")))
     instance = _load_week_instance(args)
-    _check_hospitalizations(_merged(args, "hospitalizations"))
     estimates = _build_estimates(args, method, instance)
     out = _outdir(args)
     prefer = _merged(args, "solver")
@@ -494,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--week", type=str, default=None, help="feature records for the operating list")
     p.add_argument("--model", type=str, default=None, help="trained model artifact")
     p.add_argument("--records", type=str, default=None, help="historical records (for Dep/Surg without --model)")
-    p.add_argument("--hospitalizations", type=str, default=None, help="prior-week stays; accepted, unused")
     p.add_argument("--solver", type=str, default=None, choices=["exact", "heuristic"], help="force a solver")
     p.add_argument("--max-restarts", dest="max_restarts", type=int, default=None)
     p.add_argument("--planning-days", dest="planning_days", type=int, default=None)

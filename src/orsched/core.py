@@ -172,23 +172,36 @@ class InputFileError(Exception):
         super().__init__(f"{path}: row {row}, field {field!r}: {problem}")
 
 
+def header_index(path: str | Path, header: Sequence[str]) -> dict[str, int]:
+    """Position of each column of a header; a repeated name raises
+    ``InputFileError`` at row 1."""
+    index: dict[str, int] = {}
+    for at, name in enumerate(header):
+        if index.setdefault(name, at) != at:
+            raise InputFileError(path, 1, name, "column repeats in the header")
+    return index
+
+
 def read_csv_rows(
     path: str | Path, columns: Sequence[str], integers: Sequence[str], optional: Sequence[str] = ()
 ) -> Iterator[dict[str, Any]]:
     """Rows of a CSV file as dicts of ``columns``, with the ``integers``
-    parsed. A column in ``optional`` may be absent or empty and then reads
-    None. Raises ``InputFileError`` at the first missing column, missing
-    value or malformed integer."""
-    kinds = [(column, column in optional, column in integers) for column in columns]
+    parsed; blank lines are skipped. A column in ``optional`` may be absent
+    or empty and then reads None. Raises ``InputFileError`` at a repeated or
+    missing column, or at the first missing value or malformed integer."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for column, is_optional, _ in kinds:
-            if not is_optional and column not in (reader.fieldnames or ()):
+        reader = csv.reader(fh)
+        index = header_index(path, next(reader, []))
+        for column in columns:
+            if column not in optional and column not in index:
                 raise InputFileError(path, 1, column, "column missing from the header")
+        kinds = [(column, index.get(column), column in optional, column in integers) for column in columns]
         for row in reader:
+            if not row:
+                continue
             values: dict[str, Any] = {}
-            for column, is_optional, is_integer in kinds:
-                value = row.get(column)
+            for column, at, is_optional, is_integer in kinds:
+                value = row[at] if at is not None and at < len(row) else None
                 if is_optional and not value:
                     value = None
                 elif value is None:

@@ -6,7 +6,7 @@ scheduling methods (VBA, Conf, Pred, Dep, Surg) on one instance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -68,15 +68,7 @@ class MethodReport:
     underbooked: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "occ_mean": self.occ_mean,
-            "occ_std": self.occ_std,
-            "occ_min": self.occ_min,
-            "occ_max": self.occ_max,
-            "overbooked": self.overbooked,
-            "underbooked": self.underbooked,
-        }
+        return asdict(self)
 
 
 def replay(schedule: Schedule, instance: ProblemInstance) -> OccupancyTable:

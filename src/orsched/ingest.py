@@ -11,8 +11,8 @@ import itertools
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from dataclasses import asdict, dataclass, field
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -26,6 +26,7 @@ from orsched.core import (
     Registration,
     Shift,
     ValidationReport,
+    header_index,
     read_csv_rows,
     validate_instance,
 )
@@ -121,19 +122,7 @@ class PreprocessLog:
         self.stages.append(StageLog(stage, rows_in, rows_out, features_in, features_out, note))
 
     def to_json_dict(self) -> dict:
-        return {
-            "stages": [
-                {
-                    "stage": s.stage,
-                    "rows_in": s.rows_in,
-                    "rows_out": s.rows_out,
-                    "features_in": s.features_in,
-                    "features_out": s.features_out,
-                    "note": s.note,
-                }
-                for s in self.stages
-            ]
-        }
+        return {"stages": [asdict(s) for s in self.stages]}
 
 
 @dataclass(frozen=True)
@@ -146,12 +135,6 @@ class PreprocessConfig:
 
 # ---------------------------------------------------------------------------
 # parsing primitives
-
-
-def parse_timestamp(text: str, pattern: str | None = None) -> datetime:
-    if pattern is not None:
-        return datetime.strptime(text, pattern)
-    return datetime.fromisoformat(text)
 
 
 def derive_duration(entry_ts: datetime, exit_ts: datetime) -> int | None:
@@ -230,7 +213,7 @@ def group_rare_diagnoses(dataset: CleanDataset, max_clusters: int = 3, seed: int
     Rows are clustered per department on standardized (duration, age); row
     count and every other column are untouched.
     """
-    records = [dict(r) for r in dataset.records]
+    records = list(dataset.records)  # a regrouped record is copied, the others are shared
     by_dept: dict[str, list[int]] = {}
     for i, rec in enumerate(records):
         by_dept.setdefault(str(rec.get("REPARTO")), []).append(i)
@@ -252,28 +235,50 @@ def group_rare_diagnoses(dataset: CleanDataset, max_clusters: int = 3, seed: int
         k = min(max_clusters, len(singles))
         labels = kmeans((feats - mean) / std, k, seed=seed ^ zlib.crc32(dept.encode()))
         for i, label in zip(singles, labels):
-            records[i]["DIAGNOSI1"] = f"RARE_{dept}_{label}"
+            records[i] = {**records[i], "DIAGNOSI1": f"RARE_{dept}_{label}"}
     return CleanDataset(records, list(dataset.kept_features))
+
+
+_EPOCH = datetime(1970, 1, 1)
+_UTC_EPOCH = _EPOCH.replace(tzinfo=timezone.utc)
+
+
+def _epoch_seconds(values: Sequence[datetime]) -> np.ndarray:
+    """Seconds since 1970-01-01 UTC, a naive datetime read as UTC whatever
+    the host's zone: ``calendar.timegm(v.utctimetuple()) + v.microsecond /
+    1e6``, which is ``v.timestamp()`` on a UTC host."""
+    deltas = [v - (_EPOCH if v.utcoffset() is None else _UTC_EPOCH) for v in values]
+    seconds = np.array([d.days * 86400 + d.seconds for d in deltas], dtype=float)
+    return seconds + np.array([d.microseconds for d in deltas], dtype=float) / 1e6
 
 
 def _numeric_encoding(records: list[SurgicalRecord], columns: Sequence[str]) -> np.ndarray:
     """Columns as floats: numbers pass through, timestamps become epoch
-    seconds, everything else gets ordinal codes by first appearance."""
+    seconds (``_epoch_seconds``), None becomes -1 and everything else gets
+    ordinal codes by first appearance. Each column is converted as a whole
+    by the types of its values; one that mixes kinds goes value by value."""
     matrix = np.zeros((len(records), len(columns)), dtype=float)
     for j, col in enumerate(columns):
-        codes: dict[Any, int] = {}
-        for i, rec in enumerate(records):
-            v = rec.get(col)
-            if isinstance(v, bool):
-                matrix[i, j] = float(v)
-            elif isinstance(v, (int, float)):
-                matrix[i, j] = float(v)
-            elif isinstance(v, datetime):
-                matrix[i, j] = v.timestamp()
-            elif v is None:
-                matrix[i, j] = -1.0
-            else:
-                matrix[i, j] = codes.setdefault(v, len(codes))
+        values = [rec.get(col) for rec in records]
+        kinds = set(map(type, values))
+        if kinds <= {int, float, bool}:
+            matrix[:, j] = values
+        elif kinds == {datetime}:
+            matrix[:, j] = _epoch_seconds(values)
+        elif kinds <= {str, type(None)}:
+            codes = {key: i for i, key in enumerate(key for key in dict.fromkeys(values) if key is not None)}
+            matrix[:, j] = [codes.get(v, -1) for v in values]
+        else:
+            codes = {}
+            for i, v in enumerate(values):
+                if isinstance(v, (int, float)):
+                    matrix[i, j] = float(v)
+                elif isinstance(v, datetime):
+                    matrix[i, j] = _epoch_seconds([v])[0]
+                elif v is None:
+                    matrix[i, j] = -1.0
+                else:
+                    matrix[i, j] = codes.setdefault(v, len(codes))
     return matrix
 
 
@@ -686,16 +691,6 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
-def _parse_value(column: str, text: str, timestamp_pattern: str | None = None):
-    if text == "":
-        return None
-    if column in TIMESTAMP_COLUMNS:
-        return parse_timestamp(text, timestamp_pattern)
-    if column in INTEGER_COLUMNS:
-        return int(text)
-    return text
-
-
 def write_records_csv(records: Iterable[SurgicalRecord], path: str | Path, columns: Sequence[str] | None = None) -> None:
     records = list(records)
     if columns is None:
@@ -708,24 +703,37 @@ def write_records_csv(records: Iterable[SurgicalRecord], path: str | Path, colum
 
 
 def read_records_csv(path: str | Path, timestamp_pattern: str | None = None) -> list[SurgicalRecord]:
-    """Read a records file; raises ``InputFileError`` at the first timestamp
-    or integer that does not parse."""
+    """Read a records file, one record per line after the header (a blank
+    line gives an empty record, a short row a record of its first columns).
+    Empty cells read None; timestamp and integer columns are parsed one
+    column at a time. Raises ``InputFileError`` at a repeated column or at
+    the first cell, in file order, that does not parse."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFileError(path, 1, "header", "empty records file") from None
-        records = []
+        header = next(reader, None)
+        if header is None:
+            raise InputFileError(path, 1, "header", "empty records file")
+        index = header_index(path, header)
+        records, lines = [], []
         for row in reader:
-            record = {}
-            for column, text in zip(header, row):
+            records.append(dict(zip(header, [text or None for text in row] if "" in row else row)))
+            lines.append(reader.line_num)
+    timestamp = datetime.fromisoformat if timestamp_pattern is None else lambda text: datetime.strptime(text, timestamp_pattern)
+    bad = []  # (record, column position) of each column's first cell that does not parse
+    for column in [c for c in header if c in TIMESTAMP_COLUMNS or c in INTEGER_COLUMNS]:
+        parse = timestamp if column in TIMESTAMP_COLUMNS else int
+        for i, record in enumerate(records):
+            text = record.get(column)
+            if text is not None:
                 try:
-                    record[column] = _parse_value(column, text, timestamp_pattern)
+                    record[column] = parse(text)
                 except ValueError:
-                    kind = "a timestamp" if column in TIMESTAMP_COLUMNS else "an integer"
-                    raise InputFileError(path, reader.line_num, column, f"{text!r} is not {kind}") from None
-            records.append(record)
+                    bad.append((i, index[column]))
+                    break
+    if bad:
+        i, at = min(bad)
+        kind = "a timestamp" if header[at] in TIMESTAMP_COLUMNS else "an integer"
+        raise InputFileError(path, lines[i], header[at], f"{records[i][header[at]]!r} is not {kind}")
     return records
 
 
@@ -826,8 +834,8 @@ def load_instance(
             raise
         which, column = _VIOLATION_AT[first.code]
         with open(paths[which], newline="", encoding="utf-8") as fh:  # find the row's line as the reader counts
-            reader = csv.DictReader(fh)
-            next(itertools.islice(reader, first.index, None))
+            reader = csv.reader(fh)
+            next(itertools.islice(filter(None, reader), first.index + 1, None))  # blank lines skipped, as read
             raise InputFileError(paths[which], reader.line_num, column, f"{first.code}: {first.detail}") from None
 
 

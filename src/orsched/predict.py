@@ -70,21 +70,16 @@ class FeatureEncoder:
         rows = np.zeros((len(records), len(self.feature_names)), dtype=float)
         j = 0
         for col in self.numeric_columns:
-            for i, rec in enumerate(records):
-                v = rec.get(col)
-                rows[i, j] = float(v) if isinstance(v, (int, float)) else 0.0
+            rows[:, j] = [float(v) if isinstance(v, (int, float)) else 0.0 for v in _column(records, col)]
             j += 1
         for col in self.timestamp_columns:
-            for i, rec in enumerate(records):
-                v = rec.get(col)
-                if isinstance(v, datetime):
-                    rows[i, j] = v.hour
-                    rows[i, j + 1] = v.weekday()
+            stamps = [v if isinstance(v, datetime) else None for v in _column(records, col)]
+            rows[:, j] = [0 if v is None else v.hour for v in stamps]
+            rows[:, j + 1] = [0 if v is None else v.weekday() for v in stamps]
             j += 2
         for col in self.categorical_columns:
             table = self.categories[col]
-            for i, rec in enumerate(records):
-                rows[i, j] = table.get(_category_key(rec.get(col)), UNSEEN_CATEGORY)
+            rows[:, j] = [table.get("" if v is None else str(v), UNSEEN_CATEGORY) for v in _column(records, col)]
             j += 1
         return rows
 
@@ -108,6 +103,11 @@ class FeatureEncoder:
 
 def _category_key(value: Any) -> str:
     return "" if value is None else str(value)
+
+
+def _column(records: Sequence[SurgicalRecord], column: str) -> list:
+    """Each record's value in ``column``, None where a record lacks it."""
+    return [rec.get(column) for rec in records]
 
 
 def encode_features(
@@ -139,10 +139,8 @@ def encode_features(
             encoder.categorical_columns.append(col)
 
     for col in encoder.categorical_columns:
-        table: dict[str, int] = {}
-        for rec in dataset.records:
-            table.setdefault(_category_key(rec.get(col)), len(table))
-        encoder.categories[col] = table
+        firsts = dict.fromkeys(["" if v is None else str(v) for v in _column(dataset.records, col)])
+        encoder.categories[col] = dict(zip(firsts, range(len(firsts))))
 
     return encoder.transform(dataset.records), y, encoder
 

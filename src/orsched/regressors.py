@@ -184,8 +184,9 @@ class _TreeGrower:
     targets in the same order as a fresh sort would. The root reads its
     boundaries from ``presorted``, so boosting finds them once per fit.
     Children at ``max_depth``, too small to split or with a constant target
-    become leaves without their lists being built. When ``fitted`` is
-    given, every leaf also writes its value over its rows.
+    become leaves without their lists being built, and a node whose split
+    sends every row one way is a leaf itself. When ``fitted`` is given,
+    every leaf also writes its value over its rows.
 
     A class, not nested functions: a recursive closure is a reference cycle,
     which keeps every tree's arrays alive until the cyclic collector runs.
@@ -220,8 +221,7 @@ class _TreeGrower:
         return None if lo == hi else max(-lo, hi)
 
     def leaf(self, rows: np.ndarray, yn: np.ndarray) -> dict:
-        # the bits of yn.mean(); a split between -inf and inf leaves the left side empty
-        value = float(np.add.reduce(yn)) / len(yn) if len(yn) else float(yn.mean())
+        value = float(np.add.reduce(yn)) / len(yn)  # the bits of yn.mean()
         if self.fitted is not None:
             self.fitted[rows] = value
         return {"value": value}
@@ -254,6 +254,8 @@ class _TreeGrower:
         in_left = None
         for key, keep in (("left", go_left), ("right", ~go_left)):
             child_rows, child_y = rows[keep], yn[keep]
+            if len(child_rows) in (0, len(rows)):  # a NaN or rounded-up midpoint splits no row off
+                return self.leaf(rows, yn)
             child_max = self.scale(child_y, depth + 1)
             if child_max is None:
                 node[key] = self.leaf(child_rows, child_y)

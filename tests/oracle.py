@@ -11,13 +11,24 @@ trial and undo, against which the solver's delta-evaluated pass is checked,
 argsort at every node, against which the presorted grower is checked, and
 ``reference_predict``, one tree walked node by node, against which the
 blocked array prediction is checked.
+
+The data path has references that go cell by cell:
+``reference_read_records_csv`` and ``reference_read_csv_rows`` (a
+``csv.DictReader``), against which the readers are checked, and
+``reference_numeric_encoding``, ``reference_transform`` and
+``reference_categories``, against which the column-at-a-time encoders are
+checked.
 """
 
 from __future__ import annotations
 
+import calendar
+import csv
+from datetime import datetime
+
 import numpy as np
 
-from orsched.core import ProblemInstance
+from orsched.core import InputFileError, ProblemInstance
 
 _CHUNK = 1 << 20
 
@@ -297,6 +308,8 @@ def reference_grow_tree(X, y, depth, params, rng=None, max_features=None) -> dic
         return {"value": float(y.mean())}
     feat, threshold = found
     mask = X[:, feat] <= threshold
+    if mask.all() or not mask.any():  # a NaN or rounded-up midpoint splits no row off
+        return {"value": float(y.mean())}
     return {
         "feature": int(feat),
         "threshold": threshold,
@@ -350,3 +363,127 @@ def reference_fit(family: str, params: dict, X: np.ndarray, y: np.ndarray, seed:
         current = current + params["learning_rate"] * reference_predict(tree, X)
         trees.append(tree)
     return {"n_features": d, "base": base, "trees": trees}
+
+
+def _reject_repeated_columns(path, header) -> None:
+    repeated = [name for k, name in enumerate(header) if name in header[:k]]
+    if repeated:
+        raise InputFileError(path, 1, repeated[0], "column repeats in the header")
+
+
+def reference_read_records_csv(path, timestamp_pattern=None) -> list[dict]:
+    """A records file parsed cell by cell in file order."""
+    from orsched.ingest import INTEGER_COLUMNS, TIMESTAMP_COLUMNS
+
+    def parse(column, text):
+        if text == "":
+            return None
+        if column in TIMESTAMP_COLUMNS:
+            if timestamp_pattern is not None:
+                return datetime.strptime(text, timestamp_pattern)
+            return datetime.fromisoformat(text)
+        if column in INTEGER_COLUMNS:
+            return int(text)
+        return text
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputFileError(path, 1, "header", "empty records file") from None
+        _reject_repeated_columns(path, header)
+        records = []
+        for row in reader:
+            record = {}
+            for column, text in zip(header, row):
+                try:
+                    record[column] = parse(column, text)
+                except ValueError:
+                    kind = "a timestamp" if column in TIMESTAMP_COLUMNS else "an integer"
+                    raise InputFileError(path, reader.line_num, column, f"{text!r} is not {kind}") from None
+            records.append(record)
+    return records
+
+
+def reference_read_csv_rows(path, columns, integers, optional=()) -> list[dict]:
+    """``core.read_csv_rows`` by ``csv.DictReader``, cell by cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        _reject_repeated_columns(path, reader.fieldnames or [])
+        for column in columns:
+            if column not in optional and column not in (reader.fieldnames or ()):
+                raise InputFileError(path, 1, column, "column missing from the header")
+        rows = []
+        for row in reader:
+            values = {}
+            for column in columns:
+                value = row.get(column)
+                if column in optional and not value:
+                    value = None
+                elif value is None:
+                    raise InputFileError(path, reader.line_num, column, "value missing")
+                elif column in integers:
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        raise InputFileError(path, reader.line_num, column, f"{value!r} is not an integer") from None
+                values[column] = value
+            rows.append(values)
+    return rows
+
+
+def reference_numeric_encoding(records, columns) -> np.ndarray:
+    """The correlation-pruning matrix value by value: numbers as floats,
+    datetimes as UTC epoch seconds (a naive one read as UTC), None as -1,
+    anything else by its first appearance in the column."""
+    matrix = np.zeros((len(records), len(columns)), dtype=float)
+    for j, col in enumerate(columns):
+        codes = {}
+        for i, rec in enumerate(records):
+            v = rec.get(col)
+            if isinstance(v, bool):
+                matrix[i, j] = float(v)
+            elif isinstance(v, (int, float)):
+                matrix[i, j] = float(v)
+            elif isinstance(v, datetime):
+                matrix[i, j] = calendar.timegm(v.utctimetuple()) + v.microsecond / 1e6
+            elif v is None:
+                matrix[i, j] = -1.0
+            else:
+                matrix[i, j] = codes.setdefault(v, len(codes))
+    return matrix
+
+
+def reference_transform(encoder, records) -> np.ndarray:
+    """``FeatureEncoder.transform`` one record and one column at a time."""
+    rows = np.zeros((len(records), len(encoder.feature_names)), dtype=float)
+    j = 0
+    for col in encoder.numeric_columns:
+        for i, rec in enumerate(records):
+            v = rec.get(col)
+            rows[i, j] = float(v) if isinstance(v, (int, float)) else 0.0
+        j += 1
+    for col in encoder.timestamp_columns:
+        for i, rec in enumerate(records):
+            v = rec.get(col)
+            if isinstance(v, datetime):
+                rows[i, j] = v.hour
+                rows[i, j + 1] = v.weekday()
+        j += 2
+    for col in encoder.categorical_columns:
+        table = encoder.categories[col]
+        for i, rec in enumerate(records):
+            v = rec.get(col)
+            rows[i, j] = table.get("" if v is None else str(v), -1)
+        j += 1
+    return rows
+
+
+def reference_categories(records, column) -> dict:
+    """A categorical column's codes, by first appearance of each value's key."""
+    table = {}
+    for rec in records:
+        v = rec.get(column)
+        table.setdefault("" if v is None else str(v), len(table))
+    return table

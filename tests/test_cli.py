@@ -262,6 +262,31 @@ def test_schedule_malformed_instance_file_is_input_error(tmp_path, name, content
     assert f"row {row}" in r.stderr and repr(field) in r.stderr
 
 
+@pytest.mark.parametrize(
+    "name, content, field",
+    [
+        ("records.csv", "ETA,ETA,PROGRESSIVO\n7,8,P1\n", "ETA"),
+        (
+            "registrations.csv",
+            "id,priority,specialty,duration_min,actual_duration_min,confidence,priority\na,1,GEN,300,300,,2\n",
+            "priority",
+        ),
+    ],
+    ids=["records", "registrations"],
+)
+def test_repeated_header_column_is_input_error(tmp_path, name, content, field):
+    flags = _tiny_week(tmp_path)
+    bad = tmp_path / name
+    bad.write_text(content)
+    if name == "records.csv":
+        r = run_cli("train", "--records", str(bad), "--grid", "fast", "-o", str(tmp_path / "out"))
+    else:
+        r = run_cli("schedule", "--method", "vba", *flags, "-o", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    assert str(bad) in r.stderr and "row 1" in r.stderr and repr(field) in r.stderr
+
+
 def test_schedule_emergency_or_not_in_mss_is_usage_error(tmp_path):
     flags = _tiny_week(tmp_path)
     r = run_cli("schedule", "--method", "vba", *flags, "--emergency-or", "OR9", "-o", str(tmp_path / "out"))

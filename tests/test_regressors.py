@@ -310,3 +310,25 @@ def test_distance_weighting_pulls_toward_closer_point():
     assert pred < 50.0  # uniform weighting would say exactly 50
     uniform = fit(ModelSpec("knn", {"n_neighbors": 2, "weights": "uniform"}), X, y)
     assert predict(uniform, np.array([[1.0]]))[0] == pytest.approx(50.0)
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        [[-np.inf], [np.inf], [np.inf], [-np.inf]],  # the midpoint of -inf and inf is NaN
+        [[1.0 + 2.0**-52], [1.0 + 2.0**-51], [1.0 + 2.0**-51], [1.0 + 2.0**-52]],  # it rounds up to the larger value
+    ],
+    ids=["nan_midpoint", "rounded_midpoint"],
+)
+@pytest.mark.parametrize("family", ["tree", "forest", "boosted_trees"])
+def test_split_that_sends_every_row_one_way_makes_a_leaf(family, X):
+    # at unbounded depth such a split once recursed until RecursionError
+    params = {} if family == "tree" else {"max_depth": None, "n_estimators": 3}
+    spec = ModelSpec(family, params)
+    X, y = np.array(X), np.array([1.0, 2.0, 3.0, 5.0])
+    with np.errstate(invalid="ignore"):
+        model = fit(spec, X, y, seed=4)
+        want = reference_fit(family, validate_spec(spec), X, y, seed=4)
+    assert json.dumps(model.structure) == json.dumps(want)
+    trees = [model.structure["tree"]] if family == "tree" else model.structure["trees"]
+    assert all(_depth(tree) <= 1 for tree in trees)
