@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the four duration-regressor families on one synthetic dataset.
 
-Each family runs with its reference hyperparameter configuration on an
-identical preprocessing pipeline and stratified 80/20 split, next to the two
-historical-mean baselines. Prints held-out MAE / RMSE / R^2 per model.
+Each family runs with its reference hyperparameter configuration (the
+``--grid full`` preset of ``orsched train``) on an identical preprocessing
+pipeline and stratified 80/20 split, next to the two historical-mean
+baselines. Prints held-out MAE / RMSE / R^2 per model.
 
 Example:
     python scripts/compare_models.py --rows 5000 --seed 0
@@ -12,9 +13,9 @@ Example:
 import argparse
 import time
 
+from orsched.cli import GRID_PRESETS
 from orsched.ingest import PreprocessConfig, SyntheticConfig, generate_synthetic_dataset, preprocess
 from orsched.predict import (
-    ModelSpec,
     baseline_mean_estimator,
     encode_features,
     fit,
@@ -22,13 +23,6 @@ from orsched.predict import (
     regression_metrics,
     stratified_split,
 )
-
-CONFIGS = [
-    ModelSpec("tree", {"max_depth": 50, "min_samples_split": 2, "criterion": "friedman_mse"}),
-    ModelSpec("forest", {"n_estimators": 10, "max_depth": None, "min_samples_split": 5}),
-    ModelSpec("boosted_trees", {"n_estimators": 400, "learning_rate": 0.1, "max_depth": 5}),
-    ModelSpec("knn", {"n_neighbors": 5, "weights": "distance"}),
-]
 
 
 def main() -> None:
@@ -48,7 +42,7 @@ def main() -> None:
     )
 
     print(f"{'model':<16}{'MAE (min)':>10}{'RMSE (min)':>12}{'R2':>8}{'fit (s)':>9}")
-    for spec in CONFIGS:
+    for spec in GRID_PRESETS["full"]:
         start = time.monotonic()
         model = fit(spec, X[train], y[train], seed=args.seed)
         elapsed = time.monotonic() - start

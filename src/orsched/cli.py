@@ -12,13 +12,13 @@ Exit codes: 0 success, 2 usage or input validation, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
 from pathlib import Path
+from typing import Sequence
 
-from orsched.core import InputFileError, ObjectiveVector, ProblemInstance, Schedule
+from orsched.core import InputFileError, ObjectiveVector, ProblemInstance, Schedule, write_csv_rows
 from orsched.evaluate import (
     METHODS,
     DurationEstimates,
@@ -121,7 +121,6 @@ def _outdir(args: argparse.Namespace) -> Path:
 def _limits(args: argparse.Namespace) -> SolveLimits:
     return SolveLimits(
         time_budget_s=float(_merged(args, "time_limit", 60.0)),
-        threads=int(_merged(args, "threads", 1)),
         seed=int(_merged(args, "seed", 0)),
         max_restarts=_merged(args, "max_restarts"),
     )
@@ -162,11 +161,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     write_registrations_csv(registrations, out / "registrations.csv")
     write_mss_csv(mss, out / "mss.csv")
     write_shifts_csv(shifts, out / "shifts.csv")
-    hosp_rows = generate_hospitalizations(seed)
-    with open(out / "hospitalizations.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["patient_id", "admission", "discharge"])
-        writer.writeheader()
-        writer.writerows(hosp_rows)
+    columns = ["patient_id", "admission", "discharge"]
+    stays = ([stay[c] for c in columns] for stay in generate_hospitalizations(seed))
+    write_csv_rows(out / "hospitalizations.csv", columns, stays)
     print(f"wrote {rows} historical rows, {len(registrations)} registrations to {out}")
     return EXIT_OK
 
@@ -268,55 +265,53 @@ def _load_week_instance(args: argparse.Namespace) -> ProblemInstance:
         raise UsageError(str(exc)) from None
 
 
-def _build_estimates(args: argparse.Namespace, method: str, instance: ProblemInstance) -> DurationEstimates:
-    if method == "VBA":
+def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance: ProblemInstance) -> DurationEstimates:
+    """The duration estimates ``methods`` plan with: ``--week`` is read and
+    ``--model`` loaded at most once, and only the maps the methods use are
+    built."""
+    needing = [m for m in methods if m != "VBA"]
+    if not needing:
         return DurationEstimates()
     week_path = _merged(args, "week")
     if week_path is None:
-        raise UsageError(f"method {method} needs --week with the operating list's feature records")
-    week_records = read_records_csv(week_path)
-    by_id = {str(r.get("PROGRESSIVO")): r for r in week_records}
-    missing = [r.id for r in instance.registrations if r.id not in by_id]
+        raise UsageError(f"method {needing[0]} needs --week with the operating list's feature records")
+    by_id = {str(r.get("PROGRESSIVO")): r for r in read_records_csv(week_path)}
+    regs = instance.registrations
+    missing = [r.id for r in regs if r.id not in by_id]
     if missing:
         raise UsageError(f"week records missing for registrations: {', '.join(missing[:5])}")
 
+    predictive = [m for m in needing if m in ("Pred", "Conf")]
+    means = [m for m in needing if m in ("Dep", "Surg")]
+    model_path = _merged(args, "model")
+    if predictive and model_path is None:
+        raise UsageError(f"method {predictive[0]} needs --model with a trained artifact")
+    loaded = load_model(model_path) if model_path is not None else None
     predicted = department = procedure = None
-    if method in ("Pred", "Conf"):
-        model_path = _merged(args, "model")
-        if model_path is None:
-            raise UsageError(f"method {method} needs --model with a trained artifact")
-        model, encoder, _ = load_model(model_path)
-        rows = [by_id[r.id] for r in instance.registrations]
-        yhat = predict(model, encoder.transform(rows))
-        predicted = {r.id: float(p) for r, p in zip(instance.registrations, yhat)}
-        if method == "Conf":
-            lacking = [r.id for r in instance.registrations if r.actual_duration_min is None]
+    if predictive:
+        model, encoder, _ = loaded
+        yhat = predict(model, encoder.transform([by_id[r.id] for r in regs]))
+        predicted = {r.id: float(p) for r, p in zip(regs, yhat)}
+        if "Conf" in predictive:
+            lacking = [r.id for r in regs if r.actual_duration_min is None]
             if lacking:
-                raise UsageError(
-                    "Conf derives confidence from actual durations, missing for: " + ", ".join(lacking[:5])
-                )
-    else:  # Dep / Surg
-        model_path = _merged(args, "model")
+                raise UsageError("Conf derives confidence from actual durations, missing for: " + ", ".join(lacking[:5]))
+    if means:
         records_path = _merged(args, "records")
-        if model_path is not None:
-            _, _, baselines = load_model(model_path)
+        if loaded is not None:
+            baselines = loaded[2]
             if not baselines:
                 raise UsageError("model artifact carries no baselines; pass --records instead")
         elif records_path is not None:
-            clean, _ = preprocess(read_records_csv(records_path), PreprocessConfig(seed=int(_merged(args, "seed", 0))))
-            baselines = {
-                "department": baseline_mean_estimator(clean.records, "department"),
-                "procedure_type": baseline_mean_estimator(clean.records, "procedure_type"),
-            }
+            records = read_records_csv(records_path)
+            clean, _ = preprocess(records, PreprocessConfig(seed=int(_merged(args, "seed", 0))))
+            baselines = {key: baseline_mean_estimator(clean.records, key) for key in ("department", "procedure_type")}
         else:
-            raise UsageError(f"method {method} needs --model or --records for the historical means")
-        key = "department" if method == "Dep" else "procedure_type"
-        estimator = baselines[key]
-        estimates = {r.id: estimator.estimate_record(by_id[r.id]) for r in instance.registrations}
-        if method == "Dep":
-            department = estimates
-        else:
-            procedure = estimates
+            raise UsageError(f"method {means[0]} needs --model or --records for the historical means")
+        if "Dep" in means:
+            department = {r.id: baselines["department"].estimate_record(by_id[r.id]) for r in regs}
+        if "Surg" in means:
+            procedure = {r.id: baselines["procedure_type"].estimate_record(by_id[r.id]) for r in regs}
     return DurationEstimates(predicted=predicted, department_mean=department, procedure_mean=procedure)
 
 
@@ -340,7 +335,7 @@ def _solve_and_write(
 def cmd_schedule(args: argparse.Namespace) -> int:
     method = normalize_method(str(_merged(args, "method", "vba")))
     instance = _load_week_instance(args)
-    estimates = _build_estimates(args, method, instance)
+    estimates = _build_estimates(args, [method], instance)
     out = _outdir(args)
     prefer = _merged(args, "solver")
     _, schedule = _solve_and_write(
@@ -414,6 +409,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     cmd_synth(args)
     cmd_train(args)
     instance = _load_week_instance(args)
+    estimates = _build_estimates(args, methods, instance)
     limits = _limits(args)
     prefer = _merged(args, "solver")
     reports: list[MethodReport] = []
@@ -421,7 +417,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         method_instance, schedule = _solve_and_write(
             instance,
             method,
-            _build_estimates(args, method, instance),
+            estimates,
             limits,
             prefer,
             out / f"schedule_{method.lower()}.csv",
@@ -444,10 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orsched", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="master random seed (default 0)")
-        p.add_argument("--threads", type=int, default=None, help="solver worker threads")
-        p.add_argument("--time-limit", dest="time_limit", type=float, default=None, help="solver budget in seconds (default 60)")
+    def common(p: argparse.ArgumentParser, seed: bool = True, time_limit: bool = False) -> None:
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="master random seed (default 0)")
+        if time_limit:
+            p.add_argument("--time-limit", dest="time_limit", type=float, default=None, help="solver budget in seconds (default 60)")
         p.add_argument("--config", type=str, default=None, help="JSON config file; flags win over config keys")
         p.add_argument("-o", "--out", type=str, default=None, help="output directory (default .)")
 
@@ -472,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("schedule", help="compute one weekly schedule")
-    common(p)
+    common(p, time_limit=True)
     p.add_argument("--method", type=str, default=None, help="vba, conf, pred, dep or surg")
     p.add_argument("--registrations", type=str, default=None)
     p.add_argument("--mss", type=str, default=None)
@@ -487,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("evaluate", help="replay schedules into a comparison report")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--registrations", type=str, default=None)
     p.add_argument("--mss", type=str, default=None)
     p.add_argument("--shifts", type=str, default=None)
@@ -498,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="synth + train + schedule + evaluate in one run")
-    common(p)
+    common(p, time_limit=True)
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--hospital", type=str, default=None, choices=sorted(HOSPITAL_SHAPES))
     p.add_argument("--noise", type=float, default=None)

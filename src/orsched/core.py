@@ -1,5 +1,6 @@
-"""Domain types shared across the toolkit, plus structural instance validation
-and the CSV row reader that every input file goes through.
+"""Domain types shared across the toolkit, plus structural instance validation,
+the CSV row reader that every input file goes through and the CSV writer that
+every output table goes through.
 
 All types are immutable value objects. Invariants are *not* enforced at
 construction time: malformed data is representable on purpose, and
@@ -11,24 +12,17 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 PRIORITIES = (1, 2, 3, 4)
-
-#: Confidence levels attached to duration predictions.
-#: 1 = High, 2 = Moderate, 3 = Low, 4 = Very Low.
-CONFIDENCE_NAMES = {1: "High", 2: "Moderate", 3: "Low", 4: "Very Low"}
 
 
 @dataclass(frozen=True)
 class ConfidenceLevel:
-    """Discrete reliability bucket of a duration prediction (1=High .. 4=Very Low)."""
+    """Discrete reliability bucket of a duration prediction (1=High,
+    2=Moderate, 3=Low, 4=Very Low)."""
 
     level: int
-
-    @property
-    def name(self) -> str:
-        return CONFIDENCE_NAMES.get(self.level, f"level-{self.level}")
 
 
 @dataclass(frozen=True)
@@ -213,6 +207,15 @@ def read_csv_rows(
                         raise InputFileError(path, reader.line_num, column, f"{value!r} is not an integer") from None
                 values[column] = value
             yield values
+
+
+def write_csv_rows(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[Any]]) -> None:
+    """Write ``header`` and then ``rows`` as a UTF-8 CSV file; None writes
+    an empty cell and any other value its ``str``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def validate_instance(instance: ProblemInstance) -> ValidationReport:

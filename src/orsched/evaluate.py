@@ -158,21 +158,21 @@ def _estimate_for(method: str, reg: Registration, estimates: DurationEstimates) 
 def apply_method_durations(
     instance: ProblemInstance, method: str, estimates: DurationEstimates
 ) -> ProblemInstance:
-    """The instance the given method actually solves: planned durations set
-    per method, and prediction confidence attached whenever it is computable
-    (model prediction plus known actual), so every report can state the
-    confidence tiers even though only Conf optimizes them."""
+    """The instance the given method actually solves, with its planned
+    durations: actual ones for VBA, model predictions for Conf and Pred,
+    historical means for Dep and Surg. Conf and Pred, which plan with
+    predictions, get each prediction's confidence level from its APE
+    against the actual duration, known only in hindsight (a registration
+    without an actual keeps its own confidence). VBA, Dep and Surg keep the
+    registration's own confidence, None when it has none."""
     method = normalize_method(method)
     registrations = []
     for reg in instance.registrations:
-        duration = max(1, round(_estimate_for(method, reg, estimates)))
+        estimate = _estimate_for(method, reg, estimates)
+        duration = max(1, round(estimate))
         confidence: ConfidenceLevel | None = reg.confidence
-        if (
-            estimates.predicted is not None
-            and reg.id in estimates.predicted
-            and reg.actual_duration_min is not None
-        ):
-            confidence = confidence_level(ape(reg.actual_duration_min, estimates.predicted[reg.id]))
+        if method in ("Conf", "Pred") and reg.actual_duration_min is not None:
+            confidence = confidence_level(ape(reg.actual_duration_min, estimate))
         registrations.append(
             Registration(
                 id=reg.id,

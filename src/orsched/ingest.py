@@ -29,6 +29,7 @@ from orsched.core import (
     header_index,
     read_csv_rows,
     validate_instance,
+    write_csv_rows,
 )
 
 # Raw export schema. One row per surgical intervention.
@@ -683,28 +684,17 @@ def build_instance(
 # CSV formats
 
 
-def _format_value(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, datetime):
-        return value.isoformat(sep=" ")
-    return str(value)
-
-
 def write_records_csv(records: Iterable[SurgicalRecord], path: str | Path, columns: Sequence[str] | None = None) -> None:
+    """Write records as CSV: timestamps in ISO 8601 with a space, None as an empty cell."""
     records = list(records)
     if columns is None:
         columns = list(records[0].keys()) if records else list(RECORD_COLUMNS)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([_format_value(rec.get(c)) for c in columns])
+    write_csv_rows(path, columns, ([rec.get(c) for c in columns] for rec in records))
 
 
-def read_records_csv(path: str | Path, timestamp_pattern: str | None = None) -> list[SurgicalRecord]:
-    """Read a records file, one record per line after the header (a blank
-    line gives an empty record, a short row a record of its first columns).
+def read_records_csv(path: str | Path) -> list[SurgicalRecord]:
+    """Read a records file, one record per line after the header (blank
+    lines are skipped, a short row gives a record of its first columns).
     Empty cells read None; timestamp and integer columns are parsed one
     column at a time. Raises ``InputFileError`` at a repeated column or at
     the first cell, in file order, that does not parse."""
@@ -715,13 +705,12 @@ def read_records_csv(path: str | Path, timestamp_pattern: str | None = None) -> 
             raise InputFileError(path, 1, "header", "empty records file")
         index = header_index(path, header)
         records, lines = [], []
-        for row in reader:
+        for row in filter(None, reader):
             records.append(dict(zip(header, [text or None for text in row] if "" in row else row)))
             lines.append(reader.line_num)
-    timestamp = datetime.fromisoformat if timestamp_pattern is None else lambda text: datetime.strptime(text, timestamp_pattern)
     bad = []  # (record, column position) of each column's first cell that does not parse
     for column in [c for c in header if c in TIMESTAMP_COLUMNS or c in INTEGER_COLUMNS]:
-        parse = timestamp if column in TIMESTAMP_COLUMNS else int
+        parse = datetime.fromisoformat if column in TIMESTAMP_COLUMNS else int
         for i, record in enumerate(records):
             text = record.get(column)
             if text is not None:
@@ -741,20 +730,11 @@ REGISTRATION_HEADER = ["id", "priority", "specialty", "duration_min", "actual_du
 
 
 def write_registrations_csv(registrations: Iterable[Registration], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGISTRATION_HEADER)
-        for r in registrations:
-            writer.writerow(
-                [
-                    r.id,
-                    r.priority,
-                    r.specialty,
-                    r.duration_min,
-                    "" if r.actual_duration_min is None else r.actual_duration_min,
-                    "" if r.confidence is None else r.confidence.level,
-                ]
-            )
+    rows = (
+        [r.id, r.priority, r.specialty, r.duration_min, r.actual_duration_min, None if r.confidence is None else r.confidence.level]
+        for r in registrations
+    )
+    write_csv_rows(path, REGISTRATION_HEADER, rows)
 
 
 def read_registrations_csv(path: str | Path) -> list[Registration]:
@@ -772,11 +752,7 @@ MSS_HEADER = ["or_id", "specialty", "shift_id", "day"]
 
 
 def write_mss_csv(slots: Iterable[MssSlot], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MSS_HEADER)
-        for s in slots:
-            writer.writerow([s.or_id, s.specialty, s.shift_id, s.day])
+    write_csv_rows(path, MSS_HEADER, ([s.or_id, s.specialty, s.shift_id, s.day] for s in slots))
 
 
 def read_mss_csv(path: str | Path) -> list[MssSlot]:
@@ -789,11 +765,7 @@ SHIFT_HEADER = ["shift_id", "capacity_min"]
 
 
 def write_shifts_csv(shifts: Iterable[Shift], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SHIFT_HEADER)
-        for s in shifts:
-            writer.writerow([s.shift_id, s.capacity_min])
+    write_csv_rows(path, SHIFT_HEADER, ([s.shift_id, s.capacity_min] for s in shifts))
 
 
 def read_shifts_csv(path: str | Path) -> list[Shift]:

@@ -5,7 +5,6 @@ confidence levels, historical-mean baselines, and the model artifact format.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -14,7 +13,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from orsched.core import ConfidenceLevel
+from orsched.core import ConfidenceLevel, write_csv_rows
 from orsched.ingest import CleanDataset, SurgicalRecord
 from orsched.regressors import FittedModel, ModelSpec, fit, predict  # noqa: F401  (re-exported)
 
@@ -368,9 +367,8 @@ def write_predictions_csv(
     path: str | Path,
 ) -> None:
     """Per-sample prediction file: id, actual, predicted, APE, confidence."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "y", "yhat", "ape", "confidence"])
-        for rid, actual, pred in zip(ids, y, yhat):
-            err = ape(float(actual), float(pred))
-            writer.writerow([rid, actual, f"{pred:.3f}", f"{err:.3f}", confidence_level(err).level])
+    rows = []
+    for rid, actual, pred in zip(ids, y, yhat):
+        err = ape(float(actual), float(pred))
+        rows.append([rid, actual, f"{pred:.3f}", f"{err:.3f}", confidence_level(err).level])
+    write_csv_rows(path, ["id", "y", "yhat", "ape", "confidence"], rows)

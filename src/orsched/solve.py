@@ -17,12 +17,10 @@ the confidence aggregates, empty cells with sum 0.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 import time
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -36,6 +34,7 @@ from orsched.core import (
     Violation,
     read_csv_rows,
     validate_instance,
+    write_csv_rows,
 )
 
 
@@ -58,7 +57,6 @@ class SolveLimits:
 
     time_budget_s: float = 60.0
     node_limit: int | None = None
-    threads: int = 1
     seed: int = 0
     max_restarts: int | None = None
 
@@ -743,35 +741,16 @@ class _Heuristic:
         return state.active(), self.m.tie_key(state.choice), list(state.choice), state.objective()
 
     def run(self) -> Schedule:
-        best: _Restart | None = None
-        seed_rng = random.Random(self.limits.seed)
-        max_restarts = self.limits.max_restarts
-
-        def consider(result: _Restart) -> None:
-            nonlocal best
-            if best is None or (result[0], result[1]) < (best[0], best[1]):
-                best = result
-
-        consider(self._one_restart(0, 0))  # canonical greedy always runs
-        assert best is not None
-        if not any(best[0]):
-            return self.m.build_schedule(best[2], best[3])  # all-zero objective is unbeatable
-
-        index = 1
-        if self.limits.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.limits.threads) as pool:
-                while (max_restarts is None or index < max_restarts) and time.monotonic() < self.deadline:
-                    batch = []
-                    while len(batch) < self.limits.threads and (max_restarts is None or index < max_restarts):
-                        batch.append((index, seed_rng.getrandbits(63)))
-                        index += 1
-                    for fut in [pool.submit(self._one_restart, i, s) for i, s in batch]:
-                        consider(fut.result())
-        else:
+        best = self._one_restart(0, 0)  # canonical greedy always runs
+        if any(best[0]):  # an all-zero objective is unbeatable
+            seed_rng = random.Random(self.limits.seed)
+            max_restarts = self.limits.max_restarts
+            index = 1
             while (max_restarts is None or index < max_restarts) and time.monotonic() < self.deadline:
-                consider(self._one_restart(index, seed_rng.getrandbits(63)))
+                result = self._one_restart(index, seed_rng.getrandbits(63))
+                if (result[0], result[1]) < (best[0], best[1]):
+                    best = result
                 index += 1
-
         return self.m.build_schedule(best[2], best[3])
 
 
@@ -851,11 +830,8 @@ SCHEDULE_HEADER = ["registration_id", "priority", "or_id", "day", "shift_id"]
 
 
 def write_schedule_csv(schedule: Schedule, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCHEDULE_HEADER)
-        for a in schedule.assignments:
-            writer.writerow([a.registration_id, a.priority, a.or_id, a.day, a.shift_id])
+    rows = ([a.registration_id, a.priority, a.or_id, a.day, a.shift_id] for a in schedule.assignments)
+    write_csv_rows(path, SCHEDULE_HEADER, rows)
 
 
 def read_schedule_csv(path: str | Path) -> tuple[Assignment, ...]:

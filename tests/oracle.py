@@ -371,7 +371,7 @@ def _reject_repeated_columns(path, header) -> None:
         raise InputFileError(path, 1, repeated[0], "column repeats in the header")
 
 
-def reference_read_records_csv(path, timestamp_pattern=None) -> list[dict]:
+def reference_read_records_csv(path) -> list[dict]:
     """A records file parsed cell by cell in file order."""
     from orsched.ingest import INTEGER_COLUMNS, TIMESTAMP_COLUMNS
 
@@ -379,8 +379,6 @@ def reference_read_records_csv(path, timestamp_pattern=None) -> list[dict]:
         if text == "":
             return None
         if column in TIMESTAMP_COLUMNS:
-            if timestamp_pattern is not None:
-                return datetime.strptime(text, timestamp_pattern)
             return datetime.fromisoformat(text)
         if column in INTEGER_COLUMNS:
             return int(text)
@@ -395,6 +393,8 @@ def reference_read_records_csv(path, timestamp_pattern=None) -> list[dict]:
         _reject_repeated_columns(path, header)
         records = []
         for row in reader:
+            if not row:
+                continue  # a blank line
             record = {}
             for column, text in zip(header, row):
                 try:

@@ -1,11 +1,15 @@
 """Command-line interface tests, run through the real entry point."""
 
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+import orsched.cli
 
 
 def run_cli(*argv, cwd=None):
@@ -113,6 +117,16 @@ def test_train_empty_records_file_is_input_error(tmp_path):
     assert r.returncode == 2
     assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
     assert str(empty) in r.stderr and "row 1" in r.stderr
+
+
+def test_train_skips_blank_records_line(workspace, tmp_path):
+    """A blank line right after the header is skipped, not read as an empty
+    record whose missing columns would stop preprocessing."""
+    header, rest = (workspace / "records.csv").read_text(encoding="utf-8").split("\n", 1)
+    records = tmp_path / "records.csv"
+    records.write_text(f"{header}\n\n{rest}", encoding="utf-8")
+    r = run_cli("train", "--records", str(records), "--grid", "fast", "-o", str(tmp_path / "out"))
+    assert r.returncode == 0, r.stderr
 
 
 def test_train_missing_records_flag_is_usage_error(tmp_path):
@@ -377,6 +391,55 @@ def test_pipeline_is_deterministic(tmp_path):
             del objective["wall_time_s"]
         assert objectives[0] == objectives[1], method
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def counted_pipeline(tmp_path_factory):
+    """One in-process pipeline run over the five methods, and how often it
+    read a records file and loaded a model."""
+    out = tmp_path_factory.mktemp("pipeline")
+    calls = {"read_records_csv": 0, "load_model": 0}
+
+    def counting(name):
+        original = getattr(orsched.cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        for name in calls:
+            patch.setattr(orsched.cli, name, counting(name))
+        argv = ["pipeline", "--rows", "500", "--seed", "4", "--grid", "fast", "--max-restarts", "2", "-o", str(out)]
+        assert orsched.cli.main(argv) == 0
+    return out, calls
+
+
+def test_pipeline_reads_each_input_once(counted_pipeline):
+    """records.csv for training and week.csv for every method's estimates,
+    each read once, and the model it trained loaded once."""
+    _, calls = counted_pipeline
+    assert calls == {"read_records_csv": 2, "load_model": 1}
+
+
+@pytest.mark.parametrize("method", ["vba", "conf", "pred", "dep", "surg"])
+def test_schedule_matches_pipeline(counted_pipeline, method, tmp_path):
+    """`schedule` on the pipeline's own inputs, at its seed and restart cap,
+    writes the pipeline's schedule and objective (but for the wall time)."""
+    out, _ = counted_pipeline
+    argv = [
+        "schedule", "--method", method, *instance_flags(out), "--week", str(out / "week.csv"),
+        "--model", str(out / "model.json"), "--seed", "4", "--max-restarts", "2", "-o", str(tmp_path),
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert orsched.cli.main(argv) == 0
+    assert (tmp_path / "schedule.csv").read_bytes() == (out / f"schedule_{method}.csv").read_bytes()
+    objectives = [json.loads(path.read_text()) for path in (tmp_path / "objective.json", out / f"objective_{method}.json")]
+    for objective in objectives:
+        del objective["wall_time_s"]
+    assert objectives[0] == objectives[1]
 
 
 def test_pipeline_empty_methods_is_usage_error(tmp_path):

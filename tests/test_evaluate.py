@@ -1,6 +1,7 @@
 """Replay, occupancy statistics, and method-comparison tests."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import instance, reg, single_cell_instance
 
-from orsched.core import Assignment, ObjectiveVector, Schedule
+from orsched.core import Assignment, ConfidenceLevel, ObjectiveVector, Schedule
 from orsched.evaluate import (
     CellOccupancy,
     DurationEstimates,
@@ -159,6 +160,18 @@ def test_pred_uses_predictions_and_attaches_confidence():
     for r in pred_inst.registrations:
         assert r.duration_min == max(1, round(est.predicted[r.id]))
         assert r.confidence is not None
+
+
+def test_methods_without_predictions_keep_own_confidence():
+    """Only Conf and Pred plan with predictions, so only they get the
+    predictions' confidence; VBA, Dep and Surg keep the registration's."""
+    base = week_instance()
+    regs = tuple(replace(r, confidence=ConfidenceLevel(3) if i % 2 else None) for i, r in enumerate(base.registrations))
+    inst = replace(base, registrations=regs)
+    est = full_estimates(inst, jitter=20)
+    for method in ("VBA", "Dep", "Surg"):
+        method_inst = apply_method_durations(inst, method, est)
+        assert [r.confidence for r in method_inst.registrations] == [r.confidence for r in regs], method
 
 
 def test_vba_replay_never_overbooks():

@@ -384,15 +384,6 @@ def test_heuristic_deterministic_with_bounded_restarts():
     assert a == b
 
 
-def test_heuristic_threads_match_sequential():
-    rng = random.Random(29)
-    for _ in range(5):
-        inst = random_instance(rng, max_regs=8, max_cells=4, p1_weight=0.0)
-        limits1 = SolveLimits(time_budget_s=5.0, max_restarts=6, seed=3, threads=1)
-        limits4 = SolveLimits(time_budget_s=5.0, max_restarts=6, seed=3, threads=4)
-        assert solve_heuristic(inst, limits1) == solve_heuristic(inst, limits4)
-
-
 def _replayed(model, choice, confidence_active):
     """A fresh heuristic state with ``choice`` placed registration by registration."""
     state = _HeurState(model, confidence_active)
