@@ -61,6 +61,7 @@ from orsched.predict import (
     stratified_split,
     write_predictions_csv,
 )
+from orsched.regressors import InvalidSpecError, validate_spec
 from orsched.solve import (
     InfeasibleInstanceError,
     SolveLimits,
@@ -92,7 +93,11 @@ GRID_PRESETS: dict[str, list[ModelSpec]] = {
 }
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, command: argparse.ArgumentParser) -> dict:
+    """The config file's settings for ``command``: each key must be one of its
+    options' ``dest`` (as ``time_limit`` for ``--time-limit``), and each
+    value, or each item of a list, is converted by that option's type and
+    checked against its choices, as the flag's text would be."""
     if path is None:
         return {}
     try:
@@ -101,7 +106,36 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must hold a JSON object")
-    return data
+    options = {a.dest: a for a in command._actions if a.option_strings and a.dest not in ("help", "config")}
+    settings = {}
+    for key, value in data.items():
+        if key not in options:
+            raise UsageError(f"config {path}: unknown key {key!r} for {command.prog}; known keys: {', '.join(sorted(options))}")
+        option = options[key]
+        try:
+            if value is None:
+                settings[key] = None
+            elif isinstance(value, list):
+                settings[key] = [_config_value(option, item) for item in value]
+            else:
+                settings[key] = _config_value(option, value)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config {path}: key {key!r}: {exc}") from None
+    return settings
+
+
+def _config_value(option: argparse.Action, value):
+    """``value`` as the option would parse its text."""
+    if isinstance(value, (dict, list, bool)):
+        raise ValueError(f"expected a {getattr(option.type, '__name__', 'str')} value, got {json.dumps(value)}")
+    text = str(value)
+    try:
+        parsed = option.type(text) if option.type is not None else text
+    except ValueError:
+        raise ValueError(f"invalid {option.type.__name__} value {value!r}") from None
+    if option.choices is not None and parsed not in option.choices:
+        raise ValueError(f"invalid choice {parsed!r}; choose from {', '.join(map(str, option.choices))}")
+    return parsed
 
 
 def _merged(args: argparse.Namespace, key: str, default=None):
@@ -189,18 +223,36 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _resolve_grid(args: argparse.Namespace) -> list[ModelSpec]:
+    """The preset ``--grid`` names, or the specs of a JSON grid file: a list
+    of ``{"family": ..., "hyperparameters": {...}}``, each entry validated."""
     name = str(_merged(args, "grid", "best"))
     if name in GRID_PRESETS:
         return GRID_PRESETS[name]
     try:
         entries = json.loads(Path(name).read_text(encoding="utf-8"))
-        return [ModelSpec(e["family"], e.get("hyperparameters", {})) for e in entries]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"--grid must be a preset ({sorted(GRID_PRESETS)}) or a JSON grid file: {exc}") from exc
+    if not isinstance(entries, list) or not entries:
+        raise UsageError(f"grid file {name} must hold a non-empty JSON list of model entries")
+    specs = []
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise UsageError(f"grid file {name}: entry {index} must be a JSON object")
+        stray = sorted(set(entry) - {"family", "hyperparameters"})
+        if stray:
+            raise UsageError(f"grid file {name}: entry {index}, field {stray[0]!r}: unknown field")
+        spec = ModelSpec(entry.get("family"), entry.get("hyperparameters", {}))
+        try:
+            validate_spec(spec)
+        except InvalidSpecError as exc:
+            raise UsageError(f"grid file {name}: entry {index}, field {exc.field!r}: {exc}") from None
+        specs.append(spec)
+    return specs
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     records_path = _require(args, "records", "--records")
+    grid = _resolve_grid(args)
     seed = int(_merged(args, "seed", 0))
     out = _outdir(args)
     records = read_records_csv(records_path)
@@ -210,7 +262,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     X, y, encoder = encode_features(clean)
     train_idx, test_idx = stratified_split(X, y, test_fraction=0.2, n_bins=10, seed=seed)
 
-    grid = _resolve_grid(args)
     if len(grid) == 1:
         best = grid[0]
         cv_results = []
@@ -455,18 +506,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=None, help="duration noise sigma (default 0.25)")
     p.add_argument("--planning-days", dest="planning_days", type=int, default=None)
     p.add_argument("--fill-ratio", dest="fill_ratio", type=float, default=None)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, command_parser=p)
 
     p = sub.add_parser("preprocess", help="clean a historical records file")
     common(p)
     p.add_argument("--records", type=str, default=None, help="records.csv path")
-    p.set_defaults(func=cmd_preprocess)
+    p.set_defaults(func=cmd_preprocess, command_parser=p)
 
     p = sub.add_parser("train", help="train and select a duration model")
     common(p)
     p.add_argument("--records", type=str, default=None, help="records.csv path")
     p.add_argument("--grid", type=str, default=None, help="grid preset (best/fast/full) or JSON grid file")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, command_parser=p)
 
     p = sub.add_parser("schedule", help="compute one weekly schedule")
     common(p, time_limit=True)
@@ -481,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-restarts", dest="max_restarts", type=int, default=None)
     p.add_argument("--planning-days", dest="planning_days", type=int, default=None)
     p.add_argument("--emergency-or", dest="emergency_or", type=str, default=None)
-    p.set_defaults(func=cmd_schedule)
+    p.set_defaults(func=cmd_schedule, command_parser=p)
 
     p = sub.add_parser("evaluate", help="replay schedules into a comparison report")
     common(p, seed=False)
@@ -492,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hospital", type=str, default=None, help="grouping label for the report")
     p.add_argument("--planning-days", dest="planning_days", type=int, default=None)
     p.add_argument("--emergency-or", dest="emergency_or", type=str, default=None)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, command_parser=p)
 
     p = sub.add_parser("pipeline", help="synth + train + schedule + evaluate in one run")
     common(p, time_limit=True)
@@ -506,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--planning-days", dest="planning_days", type=int, default=None)
     p.add_argument("--fill-ratio", dest="fill_ratio", type=float, default=None)
     p.add_argument("--emergency-or", dest="emergency_or", type=str, default=None)
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_pipeline, command_parser=p)
 
     return parser
 
@@ -515,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config = _load_config(getattr(args, "config", None))
+        args._config = _load_config(getattr(args, "config", None), args.command_parser)
         return args.func(args)
     except (UsageError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -347,7 +347,8 @@ def save_model(
         "encoder": encoder.to_json_dict(),
         "baselines": {b.key: b.to_json_dict() for b in baselines},
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    # a fresh acyclic tree: skipping the encoder's cycle check writes the same bytes
+    Path(path).write_text(json.dumps(payload, check_circular=False), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> tuple[FittedModel, FeatureEncoder, dict[str, BaselineEstimator]]:

@@ -10,6 +10,7 @@ round-trips without pickling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -42,7 +43,12 @@ _CRITERIA = ("squared_error", "friedman_mse")
 
 
 class InvalidSpecError(ValueError):
-    pass
+    """A spec that cannot be fitted; ``field`` names the offending entry
+    ("family" or a hyperparameter)."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -58,37 +64,44 @@ class ModelSpec:
         return params
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check(params: dict[str, Any], name: str, ok: bool, requirement: str) -> None:
+    if not ok:
+        raise InvalidSpecError(f"{name} must be {requirement}, got {params[name]!r}", name)
+
+
 def validate_spec(spec: ModelSpec) -> dict[str, Any]:
-    """Resolve defaults and reject unknown names or out-of-range values."""
-    if spec.family not in FAMILIES:
-        raise InvalidSpecError(f"unknown family {spec.family!r}")
-    allowed = set(_DEFAULTS[spec.family])
-    unknown = set(spec.hyperparameters) - allowed
+    """Resolve defaults and reject unknown names, values of the wrong type and
+    out-of-range values."""
+    if not isinstance(spec.family, str) or spec.family not in FAMILIES:
+        raise InvalidSpecError(f"unknown family {spec.family!r}; choose from {list(FAMILIES)}", "family")
+    if not isinstance(spec.hyperparameters, Mapping):
+        raise InvalidSpecError(f"hyperparameters must be a mapping, got {spec.hyperparameters!r}", "hyperparameters")
+    unknown = sorted(set(spec.hyperparameters) - set(_DEFAULTS[spec.family]), key=str)
     if unknown:
-        raise InvalidSpecError(f"{spec.family}: unknown hyperparameters {sorted(unknown)}")
+        raise InvalidSpecError(f"{spec.family}: unknown hyperparameters {unknown}", str(unknown[0]))
     params = spec.resolved()
-    depth = params.get("max_depth")
-    if depth is not None and depth < 0:
-        raise InvalidSpecError("max_depth must be None or >= 0")
+    if "max_depth" in params:
+        depth = params["max_depth"]
+        _check(params, "max_depth", depth is None or (_is_int(depth) and depth >= 0), "None or an integer >= 0")
     if spec.family in ("tree", "forest", "boosted_trees"):
-        if params["min_samples_split"] < 2:
-            raise InvalidSpecError("min_samples_split must be >= 2")
-        if params["min_samples_leaf"] < 1:
-            raise InvalidSpecError("min_samples_leaf must be >= 1")
-        if params["criterion"] not in _CRITERIA:
-            raise InvalidSpecError(f"criterion must be one of {_CRITERIA}")
-    if spec.family == "forest" and params["n_estimators"] < 1:
-        raise InvalidSpecError("forest needs n_estimators >= 1")
+        _check(params, "min_samples_split", _is_int(params["min_samples_split"]) and params["min_samples_split"] >= 2, "an integer >= 2")
+        _check(params, "min_samples_leaf", _is_int(params["min_samples_leaf"]) and params["min_samples_leaf"] >= 1, "an integer >= 1")
+        _check(params, "criterion", params["criterion"] in _CRITERIA, f"one of {_CRITERIA}")
+    if spec.family == "forest":
+        _check(params, "n_estimators", _is_int(params["n_estimators"]) and params["n_estimators"] >= 1, "an integer >= 1")
+        setting = params["max_features"]
+        _check(params, "max_features", setting is None or setting == "sqrt" or (_is_int(setting) and setting >= 1), "None, 'sqrt' or an integer >= 1")
     if spec.family == "boosted_trees":
-        if params["n_estimators"] < 0:
-            raise InvalidSpecError("boosted_trees needs n_estimators >= 0")
-        if params["learning_rate"] <= 0:
-            raise InvalidSpecError("learning_rate must be positive")
+        _check(params, "n_estimators", _is_int(params["n_estimators"]) and params["n_estimators"] >= 0, "an integer >= 0")
+        rate = params["learning_rate"]
+        _check(params, "learning_rate", isinstance(rate, numbers.Real) and not isinstance(rate, bool) and 0 < rate < math.inf, "a positive finite number")
     if spec.family == "knn":
-        if params["n_neighbors"] < 1:
-            raise InvalidSpecError("knn needs n_neighbors >= 1")
-        if params["weights"] not in ("uniform", "distance"):
-            raise InvalidSpecError("knn weights must be 'uniform' or 'distance'")
+        _check(params, "n_neighbors", _is_int(params["n_neighbors"]) and params["n_neighbors"] >= 1, "an integer >= 1")
+        _check(params, "weights", params["weights"] in ("uniform", "distance"), "'uniform' or 'distance'")
     return params
 
 
@@ -113,18 +126,18 @@ _ROW = 0xFFFFFFFF  # a packed entry's row id; its code is in the upper 32 bits
 
 
 def _presort(X: np.ndarray, min_leaf: int):
-    """Feature-major copy of X, each column's rows packed as ``code << 32 |
-    row`` in stable ascending value order, and the root's ``_boundaries``. A
-    code counts the strict value increases before its position, -1 for NaN
-    (sorted last): rows are split by a threshold exactly when codes differ."""
-    XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1, kind="stable")
-    xs = np.take_along_axis(XT, order, axis=1)
+    """X itself, each of its columns' rows packed as ``code << 32 | row`` in
+    stable ascending value order (feature-major), and the root's
+    ``_boundaries``. A code counts the strict value increases before its
+    position, -1 for NaN (sorted last): rows are split by a threshold
+    exactly when codes differ."""
+    order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
     packed = np.zeros(order.shape, dtype=np.int64)
     np.cumsum(xs[:, 1:] > xs[:, :-1], axis=1, out=packed[:, 1:])
     packed[np.isnan(xs)] = -1
     packed = (packed << 32) | order
-    return XT, packed, _boundaries(packed, X.shape[0], min_leaf)
+    return X, packed, _boundaries(packed, X.shape[0], min_leaf)
 
 
 def _boundaries(packed: np.ndarray, n_rows: int, min_leaf: int):
@@ -136,57 +149,61 @@ def _boundaries(packed: np.ndarray, n_rows: int, min_leaf: int):
     if min_leaf > 1:
         valid[:, : min_leaf - 1] = False
         valid[:, packed.shape[1] - min_leaf :] = False
-    return np.divmod(np.flatnonzero(valid.T), packed.shape[0])
+    if packed.shape[1] <= 128:  # numpy's 2-D nonzero is the cheaper call on small nodes only
+        return valid.T.nonzero()
+    return np.divmod(valid.T.ravel().nonzero()[0], packed.shape[0])
 
 
-def _best_split(bounds, packed: np.ndarray, y: np.ndarray, abs_max: float, criterion: str):
-    """Best (row of ``packed``, sorted position) to split a node after, or None.
+def _best_split(bounds, ids: np.ndarray, y: np.ndarray, abs_max: float, criterion: str):
+    """Best (row of ``ids``, sorted position) to split a node after, or None.
 
-    ``packed`` holds, per considered feature, the node's rows in stable
-    ascending value order, ``bounds`` its ``_boundaries`` and ``abs_max``
-    its largest absolute target. Split quality uses prefix sums over the
-    sorted targets and is scored only at the boundaries: ``squared_error``
-    ranks by the drop in total squared error, while ``friedman_mse`` ranks
-    by n_l*n_r/n * (mean_l - mean_r)^2. Ties go to the lowest position, then
-    the first feature.
+    ``ids`` holds, per considered feature, the node's row ids in stable
+    ascending value order, ``bounds`` its ``_boundaries`` (at least one) and
+    ``abs_max`` its largest absolute target. Split quality uses prefix sums
+    over the sorted targets and is scored only at the boundaries:
+    ``squared_error`` ranks by the drop in total squared error, while
+    ``friedman_mse`` ranks by n_l*n_r/n * (mean_l - mean_r)^2. Ties go to
+    the lowest position, then the first feature.
     """
     pos, feat = bounds
-    if not len(pos):
-        return None
-    n = packed.shape[1]
-    csum = np.cumsum(np.take(y, packed & _ROW), axis=1)
+    n = ids.shape[1]
+    csum = y.take(ids)
+    csum.cumsum(axis=1, out=csum)
     total = csum[:, -1]
-    nl = pos + 1.0
-    nr = n - nl
     sum_l = csum[feat, pos]
     sum_r = total[feat] - sum_l
+    # squared_error's parent score: any real split must beat it
+    floor = 0.0 if criterion == "friedman_mse" else float(total[0] ** 2 / n)
+    del csum, total  # the caller's row ids stay alive, so free the prefix sums first
+    nl = pos + 1.0
+    nr = n - nl
     if criterion == "friedman_mse":
         gain = (nl * nr / n) * (sum_l / nl - sum_r / nr) ** 2
-        floor = 0.0
     else:
         gain = sum_l**2 / nl + sum_r**2 / nr
-        floor = float(total[0] ** 2 / n)  # parent score; any real split must beat it
-    k = int(np.argmax(gain))
+    k = gain.argmax()
     scale = max(1.0, abs_max**2)
-    if float(gain[k]) <= floor + 1e-12 * scale:
+    if gain.item(k) <= floor + 1e-12 * scale:
         return None
-    return int(feat[k]), int(pos[k])
+    return feat.item(k), pos.item(k)
 
 
 class _TreeGrower:
     """Grows one regression tree over all rows of X, depth-first, left first.
 
     ``presorted`` is ``_presort(X, min_samples_leaf)``, the one sort of X
-    per column. Every node carries its rows in index order plus, per column,
-    its packed list in sorted order. A split partitions those lists with one
-    boolean mask, which keeps their order: a stable sort of a subset is the
-    parent's order filtered to it, so every node sums the same sorted
+    per column. Every node carries its rows and targets in index order plus,
+    per column, its packed list in sorted order. It reads the row ids out of
+    that list once, for both the target gather and the partition, and drops
+    them before its subtrees grow. A split partitions the packed lists with
+    one boolean mask, which keeps their order: a stable sort of a subset is
+    the parent's order filtered to it, so every node sums the same sorted
     targets in the same order as a fresh sort would. The root reads its
     boundaries from ``presorted``, so boosting finds them once per fit.
     Children at ``max_depth``, too small to split or with a constant target
     become leaves without their lists being built, and a node whose split
-    sends every row one way is a leaf itself. When ``fitted`` is given,
-    every leaf also writes its value over its rows.
+    sends every row one way is a leaf itself. When ``fitted`` is given, the
+    leaves' rows and values are kept and written over it once per tree.
 
     A class, not nested functions: a recursive closure is a reference cycle,
     which keeps every tree's arrays alive until the cyclic collector runs.
@@ -201,71 +218,76 @@ class _TreeGrower:
         max_features: int | None = None,
         fitted: np.ndarray | None = None,
     ):
-        self.XT, self.packed, self.root_bounds = presorted
+        self.X, self.packed, self.root_bounds = presorted
         self.y = y
         self.max_depth = params["max_depth"]
         self.min_split = params["min_samples_split"]
         self.min_leaf = params["min_samples_leaf"]
         self.criterion = params["criterion"]
         self.rng = rng
-        self.d = self.XT.shape[0]
+        self.d = self.X.shape[1]
         self.max_features = max_features if max_features is not None and max_features < self.d else None
         self.fitted = fitted
+        self.leaves: list[tuple[np.ndarray, float]] = []  # (rows, value), kept for ``fitted``
         self.side = np.zeros(len(y), dtype=bool)  # scratch: which of a node's rows go left
 
     def scale(self, yn: np.ndarray, depth: int) -> float | None:
         """None when a node of targets ``yn`` is a leaf, else its largest |target|."""
         if (self.max_depth is not None and depth >= self.max_depth) or len(yn) < self.min_split:
             return None
-        lo, hi = float(yn.min()), float(yn.max())
+        lo, hi = float(np.minimum.reduce(yn)), float(np.maximum.reduce(yn))
         return None if lo == hi else max(-lo, hi)
 
     def leaf(self, rows: np.ndarray, yn: np.ndarray) -> dict:
         value = float(np.add.reduce(yn)) / len(yn)  # the bits of yn.mean()
         if self.fitted is not None:
-            self.fitted[rows] = value
+            self.leaves.append((rows, value))
         return {"value": value}
 
     def tree(self) -> dict:
-        rows, abs_max = np.arange(len(self.y), dtype=np.int32), self.scale(self.y, 0)
-        return self.leaf(rows, self.y) if abs_max is None else self.grow(rows, self.y, abs_max, 0, self.packed)
+        rows, abs_max = np.arange(len(self.y)), self.scale(self.y, 0)
+        root = self.leaf(rows, self.y) if abs_max is None else self.grow(rows, self.y, abs_max, 0, self.packed)
+        if self.fitted is not None:  # the leaves partition the rows
+            rows, values = zip(*self.leaves)
+            self.fitted[np.concatenate(rows)] = np.repeat(values, [len(r) for r in rows])
+        return root
 
-    def split(self, packed: np.ndarray, abs_max: float, depth: int) -> tuple[int, int] | None:
-        """(feature, sorted position) of a node's best split, or None."""
+    def grow(self, rows: np.ndarray, yn: np.ndarray, abs_max: float, depth: int, packed: np.ndarray) -> dict:
         feats = None
         if self.max_features is not None:
             feats = np.sort(self.rng.choice(self.d, size=self.max_features, replace=False))
         if packed.shape[1] < 2 * self.min_leaf:
-            return None
+            return self.leaf(rows, yn)
         search = packed if feats is None else packed[feats]
         bounds = self.root_bounds if depth == 0 and feats is None else _boundaries(search, len(self.y), self.min_leaf)
-        found = _best_split(bounds, search, self.y, abs_max, self.criterion)
-        return found if found is None or feats is None else (int(feats[found[0]]), found[1])
-
-    def grow(self, rows: np.ndarray, yn: np.ndarray, abs_max: float, depth: int, packed: np.ndarray) -> dict:
-        found = self.split(packed, abs_max, depth)
+        if not len(bounds[0]):
+            return self.leaf(rows, yn)
+        ids = packed & _ROW  # not before: beside the boundary search's int64 steps it would raise the peak
+        found = _best_split(bounds, ids if feats is None else ids[feats], self.y, abs_max, self.criterion)
+        del search, bounds  # a frame keeps no more than it must while its subtrees grow
         if found is None:
             return self.leaf(rows, yn)
-        feat, pos = found
-        column = self.XT[feat]
-        threshold = float((column[packed[feat, pos] & _ROW] + column[packed[feat, pos + 1] & _ROW]) / 2.0)
+        feat, pos = found if feats is None else (int(feats[found[0]]), found[1])
+        column = self.X[:, feat]
+        threshold = (column.item(ids.item(feat, pos)) + column.item(ids.item(feat, pos + 1))) / 2.0
         go_left = column[rows] <= threshold
         node: dict[str, Any] = {"feature": feat, "threshold": threshold}
         in_left = None
         for key, keep in (("left", go_left), ("right", ~go_left)):
-            child_rows, child_y = rows[keep], yn[keep]
+            child_rows = rows.compress(keep)
             if len(child_rows) in (0, len(rows)):  # a NaN or rounded-up midpoint splits no row off
                 return self.leaf(rows, yn)
+            child_y = yn.compress(keep)
             child_max = self.scale(child_y, depth + 1)
             if child_max is None:
                 node[key] = self.leaf(child_rows, child_y)
                 continue
             if in_left is None:  # ``side`` is shared: read it before a child writes it
                 self.side[rows] = go_left
-                in_left = np.take(self.side, packed & _ROW).ravel()
-            mask = in_left if key == "left" else ~in_left
-            child = packed.ravel().compress(mask).reshape(self.d, len(child_rows))
-            node[key] = self.grow(child_rows, child_y, child_max, depth + 1, child)
+                in_left = self.side.take(ids).ravel()
+                del ids
+            child = packed.ravel().compress(in_left if key == "left" else ~in_left)
+            node[key] = self.grow(child_rows, child_y, child_max, depth + 1, child.reshape(self.d, len(child_rows)))
         return node
 
 

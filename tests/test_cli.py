@@ -460,3 +460,49 @@ def test_config_file_supplies_defaults(workspace, tmp_path):
     r = run_cli("schedule", "--config", str(config), "-o", str(tmp_path))
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "schedule.csv").exists()
+
+
+def test_config_unknown_key_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tyop": 1, "threads": 4}))
+    assert orsched.cli.main(["synth", "--rows", "50", "--config", str(config), "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(config) in err and "'tyop'" in err
+    assert not (tmp_path / "records.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("rows", "abc"), ("rows", 2.5), ("time_limit", "soon"), ("hospital", "nowhere"), ("seed", True)],
+    ids=["text_for_int", "float_for_int", "text_for_float", "not_a_choice", "bool_for_int"],
+)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    command = "schedule" if key == "time_limit" else "synth"
+    assert orsched.cli.main([command, "--config", str(config), "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(config) in err and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        ({"family": "xgb"}, "family"),
+        ({"hyperparameters": {"max_depth": 3}}, "family"),
+        ({"family": "tree", "hyperparameters": {"depth": 3}}, "depth"),
+        ({"family": "forest", "hyperparameters": {"max_features": "log2"}}, "max_features"),
+        ({"family": "boosted_trees", "hyperparameters": {"n_estimators": 2.5}}, "n_estimators"),
+        ({"family": "tree", "hyperparameters": {"max_depth": "3"}}, "max_depth"),
+        ({"family": "knn", "hyperparameters": {"n_neighbors": True}}, "n_neighbors"),
+        ({"family": "tree", "hyperparameters": [3]}, "hyperparameters"),
+    ],
+    ids=["unknown_family", "no_family", "unknown_name", "log2", "fractional_count", "text_depth", "bool_count", "list"],
+)
+def test_train_malformed_grid_entry_is_usage_error(workspace, tmp_path, capsys, entry, field):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"family": "tree", "hyperparameters": {"max_depth": 2}}, entry]))
+    argv = ["train", "--records", str(workspace / "records.csv"), "--grid", str(grid), "-o", str(tmp_path / "out")]
+    assert orsched.cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(grid) in err and "entry 1" in err and repr(field) in err

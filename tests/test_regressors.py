@@ -126,6 +126,30 @@ def test_presorted_growth_matches_per_node_argsort_reference():
         assert got == want, (case, family, params, n)
 
 
+def _bordighera_like(rng, n):
+    """Columns shaped like the bordighera training split: the same count of
+    distinct values per column, mostly binary and a few with 16 to 133,
+    some of them skewed; whole-minute durations, so sums and gains tie."""
+    counts = (91, 2, 2, 4, 2, 2, 2, 2, 2, 75, 133, 2, 16, 32, 2, 3, 3)
+    columns = []
+    for k in counts:
+        weights = rng.random(k) ** 3 + 0.01
+        columns.append(rng.choice(k, size=n, p=weights / weights.sum()).astype(float))
+    X = np.stack(columns, axis=1)
+    y = np.round(40 + 25 * X[:, 1] + 0.8 * X[:, 0] - 10 * X[:, 3] + 0.3 * X[:, 10] + rng.gamma(2.0, 12.0, n))
+    return X, y
+
+
+@pytest.mark.parametrize("n, min_leaf", [(400, 1), (800, 3)])
+def test_boosted_growth_matches_reference_at_benchmark_depth(n, min_leaf):
+    # the differential tests above stop at 3 stages and 60 rows; the week
+    # benchmark fits 400 stages of depth 5 on about 1,400 rows
+    X, y = _bordighera_like(np.random.default_rng(n + min_leaf), n)
+    spec = ModelSpec("boosted_trees", {"n_estimators": 60, "max_depth": 5, "min_samples_leaf": min_leaf})
+    got = json.dumps(fit(spec, X, y).structure)
+    assert got == json.dumps(reference_fit("boosted_trees", validate_spec(spec), X, y))
+
+
 def _edge_dataset(rng, n):
     """Columns of the values where sorting, rank codes and midpoints are
     delicate: NaN, +-inf, +-0.0, adjacent floats, overflowing midpoints and
