@@ -409,7 +409,10 @@ def _parse_schedule_specs(pairs: list[str]) -> dict[str, str]:
         if "=" not in pair:
             raise UsageError(f"--schedule expects method=path, got {pair!r}")
         method, path = pair.split("=", 1)
-        out[normalize_method(method)] = path
+        method = normalize_method(method)
+        if method in out:
+            raise UsageError(f"--schedule names method {method} twice: {out[method]} and {path}")
+        out[method] = path
     return out
 
 

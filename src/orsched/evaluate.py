@@ -139,20 +139,23 @@ class DurationEstimates:
     procedure_mean: Mapping[str, float] | None = None
 
 
-def _estimate_for(method: str, reg: Registration, estimates: DurationEstimates) -> float:
+def _estimates_for(method: str, registrations: Sequence[Registration], estimates: DurationEstimates) -> list[float]:
+    """The duration estimate ``method`` plans each registration with, in order."""
     if method == "VBA":
-        if reg.actual_duration_min is None:
-            raise EvaluateError(f"VBA needs the actual duration of {reg.id!r}")
-        return float(reg.actual_duration_min)
+        for reg in registrations:
+            if reg.actual_duration_min is None:
+                raise EvaluateError(f"VBA needs the actual duration of {reg.id!r}")
+        return [float(reg.actual_duration_min) for reg in registrations]
     source = {
         "Conf": estimates.predicted,
         "Pred": estimates.predicted,
         "Dep": estimates.department_mean,
         "Surg": estimates.procedure_mean,
     }[method]
-    if source is None or reg.id not in source:
-        raise EvaluateError(f"method {method} lacks a duration estimate for {reg.id!r}")
-    return float(source[reg.id])
+    for reg in registrations:
+        if source is None or reg.id not in source:
+            raise EvaluateError(f"method {method} lacks a duration estimate for {reg.id!r}")
+    return [float(source[reg.id]) for reg in registrations]
 
 
 def apply_method_durations(
@@ -166,22 +169,15 @@ def apply_method_durations(
     without an actual keeps its own confidence). VBA, Dep and Surg keep the
     registration's own confidence, None when it has none."""
     method = normalize_method(method)
+    with_ape = method in ("Conf", "Pred")
     registrations = []
-    for reg in instance.registrations:
-        estimate = _estimate_for(method, reg, estimates)
-        duration = max(1, round(estimate))
+    for reg, estimate in zip(instance.registrations, _estimates_for(method, instance.registrations, estimates)):
+        actual = reg.actual_duration_min
         confidence: ConfidenceLevel | None = reg.confidence
-        if method in ("Conf", "Pred") and reg.actual_duration_min is not None:
-            confidence = confidence_level(ape(reg.actual_duration_min, estimate))
+        if with_ape and actual is not None:
+            confidence = confidence_level(ape(actual, estimate))
         registrations.append(
-            Registration(
-                id=reg.id,
-                priority=reg.priority,
-                specialty=reg.specialty,
-                duration_min=duration,
-                actual_duration_min=reg.actual_duration_min,
-                confidence=confidence,
-            )
+            Registration(reg.id, reg.priority, reg.specialty, max(1, round(estimate)), actual, confidence)
         )
     return ProblemInstance(
         registrations=tuple(registrations),

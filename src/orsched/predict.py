@@ -267,16 +267,19 @@ def ape(y_true: float, y_pred: float) -> float:
     return abs(y_pred - y_true) / y_true * 100.0
 
 
+_LEVELS = tuple(ConfidenceLevel(level) for level in (1, 2, 3, 4))  # immutable, so shared
+
+
 def confidence_level(ape_percent: float) -> ConfidenceLevel:
     """Bucket a percentage error: <10 High, [10,25) Moderate, [25,50) Low,
     >=50 Very Low."""
     if ape_percent < 10.0:
-        return ConfidenceLevel(1)
+        return _LEVELS[0]
     if ape_percent < 25.0:
-        return ConfidenceLevel(2)
+        return _LEVELS[1]
     if ape_percent < 50.0:
-        return ConfidenceLevel(3)
-    return ConfidenceLevel(4)
+        return _LEVELS[2]
+    return _LEVELS[3]
 
 
 # ---------------------------------------------------------------------------

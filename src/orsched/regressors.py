@@ -182,7 +182,10 @@ def _best_split(bounds, ids: np.ndarray, y: np.ndarray, abs_max: float, criterio
     else:
         gain = sum_l**2 / nl + sum_r**2 / nr
     k = gain.argmax()
-    scale = max(1.0, abs_max**2)
+    try:
+        scale = max(1.0, abs_max**2)
+    except OverflowError:  # |target| above ~1.3e154: every gain is inf as well, so the node stays a leaf
+        scale = math.inf
     if gain.item(k) <= floor + 1e-12 * scale:
         return None
     return feat.item(k), pos.item(k)

@@ -22,6 +22,7 @@ import random
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -201,6 +202,8 @@ class _Model:
         ]
         cells.sort(key=lambda c: c.key)
         self.cells = cells
+        self.capacity = [c.capacity for c in cells]
+        self.emergency = [c.emergency for c in cells]
         # canonical search order: priorities first, then big rocks, then id
         self.regs: list[Registration] = sorted(
             instance.registrations, key=lambda r: (r.priority, -r.duration_min, r.id)
@@ -210,10 +213,14 @@ class _Model:
         self.conf = [
             (r.confidence.level * confidence_scale) if r.confidence is not None else 0 for r in self.regs
         ]
-        self.compat: list[list[int]] = [
-            [ci for ci, c in enumerate(cells) if c.specialty == r.specialty] for r in self.regs
-        ]
-        self.compat_sets = [set(cs) for cs in self.compat]
+        # the cells of each specialty, in index order; registrations of one
+        # specialty share its list and set, which nothing mutates
+        by_specialty: dict[str, list[int]] = {}
+        for ci, c in enumerate(cells):
+            by_specialty.setdefault(c.specialty, []).append(ci)
+        sets = {specialty: set(cs) for specialty, cs in by_specialty.items()}
+        self.compat: list[list[int]] = [by_specialty.get(r.specialty, []) for r in self.regs]
+        self.compat_sets: list[set[int]] = [sets.get(r.specialty, set()) for r in self.regs]
 
     def p1_ids(self) -> list[str]:
         return sorted(r.id for r in self.regs if r.priority == 1)
@@ -227,7 +234,9 @@ class _Model:
                 continue
             reg, key = self.regs[ri], self.cells[ci].key
             assignments.append(Assignment(reg.id, reg.priority, key.or_id, key.day, key.shift_id))
-        assignments.sort(key=lambda a: (a.registration_id, a.day, a.or_id, a.shift_id))
+        # ids are unique (the instance is validated), so they alone give the
+        # (registration_id, day, or_id, shift_id) order
+        assignments.sort(key=attrgetter("registration_id"))
         return Schedule(tuple(assignments), objective)
 
     def tie_key(self, choice: list[int | None]) -> tuple:
@@ -483,8 +492,8 @@ class _ConfTiers:
         return (hi, hi - lo) < self.current
 
 
-# one restart's result: active tiers, tie-break key, assignment, objective
-_Restart = tuple[tuple, tuple, list[int | None], ObjectiveVector]
+# one restart's result: active tiers, assignment, objective
+_Restart = tuple[tuple, list[int | None], ObjectiveVector]
 
 
 class _Heuristic:
@@ -519,12 +528,17 @@ class _Heuristic:
         return state
 
     def _best_fit(self, state: _HeurState, ri: int, rng: random.Random | None) -> bool:
+        # every cell of compat[ri] has ri's specialty, so ``can_place`` reduces
+        # to the capacity and emergency-OR checks, made inline
+        m, loads = self.m, state.loads
+        capacity, emergency, dur = m.capacity, m.emergency, m.dur[ri]
+        em_full = state.em_used != 0
         best_ci, best_slack = None, None
         candidates = []
-        for ci in self.m.compat[ri]:
-            if not state.can_place(ri, ci):
+        for ci in m.compat[ri]:
+            slack = capacity[ci] - loads[ci] - dur
+            if slack < 0 or (em_full and emergency[ci]):
                 continue
-            slack = self.m.cells[ci].capacity - state.loads[ci] - self.m.dur[ri]
             if best_slack is None or slack < best_slack:
                 best_slack, best_ci = slack, ci
                 candidates = [ci]
@@ -603,8 +617,8 @@ class _Heuristic:
         """
         m, choice, em_used = self.m, state.choice, state.em_used
         dur, prio, conf, compat = m.dur, m.prio, m.conf, m.compat
-        em = [c.emergency for c in m.cells]
-        free = [c.capacity - load for c, load in zip(m.cells, state.loads)]
+        em = m.emergency
+        free = [cap - load for cap, load in zip(m.capacity, state.loads)]
         unassigned = [ri for ri in range(len(m.regs)) if choice[ri] is None]
         by_cell = [state.occupants(ci) for ci in range(len(m.cells))]
         tiers = _ConfTiers(state.sums) if self.conf_active and state.sums else None
@@ -648,7 +662,10 @@ class _Heuristic:
         # replace an assigned registration by an unassigned one: a higher
         # priority always improves, a lower one never does, and an equal one
         # only through the confidence tiers; the first occupant in index order
-        # is taken, whichever cell holds it
+        # is taken, whichever cell holds it. The pass leaves the state as it
+        # is, so whether a (cell, confidence change) lowers the tiers is
+        # judged once per pass
+        improves: dict[tuple[int, int], bool] = {}
         for ri in unassigned:
             pr, first = prio[ri], None
             for ci in compat[ri]:
@@ -660,9 +677,16 @@ class _Heuristic:
                         break
                     if dur[occ] < need or prio[occ] < pr:
                         continue
-                    if prio[occ] > pr or (
-                        tiers is not None and conf[occ] != conf[ri] and tiers.improves_one(ci, conf[ri] - conf[occ])
-                    ):
+                    if prio[occ] > pr:
+                        first = occ
+                        break
+                    if tiers is None or conf[occ] == conf[ri]:
+                        continue
+                    move = (ci, conf[ri] - conf[occ])
+                    better = improves.get(move)
+                    if better is None:
+                        better = improves[move] = tiers.improves_one(*move)
+                    if better:
                         first = occ
                         break
             if first is not None:
@@ -738,20 +762,30 @@ class _Heuristic:
         rng = None if restart_index == 0 else random.Random(seed)
         state = self._greedy(rng)
         self._local_search(state)
-        return state.active(), self.m.tie_key(state.choice), list(state.choice), state.objective()
+        return state.active(), list(state.choice), state.objective()
 
     def run(self) -> Schedule:
+        """The first restart, in index order, with the least (active tiers,
+        tie key); a tie key is computed only for restarts whose active
+        tiers equal the incumbent's."""
         best = self._one_restart(0, 0)  # canonical greedy always runs
+        best_key = None  # the incumbent's tie key, once needed
         if any(best[0]):  # an all-zero objective is unbeatable
             seed_rng = random.Random(self.limits.seed)
             max_restarts = self.limits.max_restarts
             index = 1
             while (max_restarts is None or index < max_restarts) and time.monotonic() < self.deadline:
                 result = self._one_restart(index, seed_rng.getrandbits(63))
-                if (result[0], result[1]) < (best[0], best[1]):
-                    best = result
                 index += 1
-        return self.m.build_schedule(best[2], best[3])
+                if result[0] < best[0]:
+                    best, best_key = result, None
+                elif result[0] == best[0]:
+                    if best_key is None:
+                        best_key = self.m.tie_key(best[1])
+                    key = self.m.tie_key(result[1])
+                    if key < best_key:
+                        best, best_key = result, key
+        return self.m.build_schedule(best[1], best[2])
 
 
 def solve_heuristic(

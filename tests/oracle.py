@@ -7,6 +7,9 @@ only for small instances.
 
 Also holds ``reference_improve_once``, the heuristic's local-search pass by
 trial and undo, against which the solver's delta-evaluated pass is checked,
+``reference_greedy``, its greedy construction over ``can_place`` with every
+registration's cells found by a scan, against which the inline checks and
+the per-specialty cell lists are checked,
 ``reference_grow_tree``/``reference_fit``, tree growing with a full
 argsort at every node, against which the presorted grower is checked, and
 ``reference_predict``, one tree walked node by node, against which the
@@ -246,6 +249,97 @@ def reference_improve_once(model, state, confidence_active: bool) -> bool:
     return False
 
 
+def reference_compat(model) -> list[list[int]]:
+    """Per registration, the cells of its specialty in index order, by
+    scanning every cell."""
+    return [[ci for ci, c in enumerate(model.cells) if c.specialty == r.specialty] for r in model.regs]
+
+
+def reference_greedy(model, state, rng):
+    """The heuristic's greedy construction into the empty ``state``, with
+    every placement checked by ``state.can_place`` and each registration's
+    cells found by a scan of all cells: tiers in order, each shuffled by
+    ``rng`` unless it is None; best fit by least slack, ties drawn by
+    ``rng`` (else the first); a priority-1 registration that fits nowhere
+    is placed by relocating one occupant or ejecting the fewest
+    lower-priority ones, which are retried at the end. Returns ``state``,
+    or None when a priority-1 registration cannot be placed."""
+    compat = reference_compat(model)
+
+    def best_fit(ri):
+        best_slack, candidates = None, []
+        for ci in compat[ri]:
+            if not state.can_place(ri, ci):
+                continue
+            slack = model.cells[ci].capacity - state.loads[ci] - model.dur[ri]
+            if best_slack is None or slack < best_slack:
+                best_slack, candidates = slack, [ci]
+            elif slack == best_slack:
+                candidates.append(ci)
+        if not candidates:
+            return False
+        pick = candidates[rng.randrange(len(candidates))] if rng is not None and len(candidates) > 1 else candidates[0]
+        state.place(ri, pick)
+        return True
+
+    def repair(ri, retry):
+        dur = model.dur[ri]
+        for ci in compat[ri]:
+            cell = model.cells[ci]
+            if cell.emergency and state.em_used > 0:
+                continue
+            free = cell.capacity - state.loads[ci]
+            for occ in sorted(o for o, c in enumerate(state.choice) if c == ci):
+                if free + model.dur[occ] < dur:
+                    continue
+                state.remove(occ)
+                for ci2 in compat[occ]:
+                    if ci2 != ci and state.can_place(occ, ci2):
+                        state.place(occ, ci2)
+                        state.place(ri, ci)
+                        return True
+                state.place(occ, ci)
+        best = None
+        for ci in compat[ri]:
+            cell = model.cells[ci]
+            if cell.emergency and state.em_used > 0:
+                continue
+            free = cell.capacity - state.loads[ci]
+            ejectable = sorted(
+                (o for o, c in enumerate(state.choice) if c == ci and model.prio[o] > 1),
+                key=lambda o: (model.prio[o], model.dur[o], model.regs[o].id),
+                reverse=True,
+            )
+            chosen, gained = [], 0
+            for occ in ejectable:
+                if free + gained >= dur:
+                    break
+                chosen.append(occ)
+                gained += model.dur[occ]
+            if free + gained >= dur and (best is None or len(chosen) < len(best[1])):
+                best = (ci, chosen)
+        if best is None:
+            return False
+        ci, chosen = best
+        for occ in chosen:
+            state.remove(occ)
+            retry.append(occ)
+        state.place(ri, ci)
+        return True
+
+    retry = []
+    for tier in (1, 2, 3, 4):
+        order = [ri for ri in range(len(model.regs)) if model.prio[ri] == tier]
+        if rng is not None:
+            rng.shuffle(order)
+        for ri in order:
+            if not best_fit(ri) and tier == 1 and not repair(ri, retry):
+                return None
+    for ri in retry:
+        best_fit(ri)
+    return state
+
+
 def _reference_best_split(X: np.ndarray, y: np.ndarray, criterion: str, min_leaf: int):
     """Best (feature, threshold) over all features at once, or None.
 
@@ -280,7 +374,10 @@ def _reference_best_split(X: np.ndarray, y: np.ndarray, criterion: str, min_leaf
     flat = int(np.argmax(gain))
     pos, feat = divmod(flat, d)
     best = float(gain[pos, feat])
-    scale = max(1.0, float(np.abs(y).max()) ** 2)
+    try:
+        scale = max(1.0, float(np.abs(y).max()) ** 2)
+    except OverflowError:  # every gain is inf as well
+        scale = np.inf
     if best <= floor + 1e-12 * scale:
         return None
     threshold = float((xs[pos, feat] + xs[pos + 1, feat]) / 2.0)

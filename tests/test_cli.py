@@ -348,6 +348,20 @@ def test_evaluate_replays_overbooked_schedule(tmp_path):
     assert report[0]["overbooked"] == 1 and report[0]["occ_max"] > 100
 
 
+def test_evaluate_same_method_twice_is_usage_error(tmp_path):
+    """Two schedules under one method (names compared case-blind) would
+    report only the last one, under that name."""
+    flags = _tiny_week(tmp_path)
+    fits, over = tmp_path / "fits.csv", tmp_path / "over.csv"
+    fits.write_text("registration_id,priority,or_id,day,shift_id\na,1,OR1,0,MAIN\n")
+    over.write_text("registration_id,priority,or_id,day,shift_id\na,1,OR1,0,MAIN\nb,2,OR1,0,MAIN\n")
+    r = run_cli("evaluate", *flags, "--schedule", f"vba={fits}", "--schedule", f"VBA={over}", "-o", str(tmp_path / "out"))
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    assert "VBA" in r.stderr and str(fits) in r.stderr and str(over) in r.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_evaluate_without_schedules_is_usage_error(workspace, tmp_path):
     r = run_cli("evaluate", *instance_flags(workspace), "-o", str(tmp_path))
     assert r.returncode == 2

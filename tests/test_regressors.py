@@ -356,3 +356,17 @@ def test_split_that_sends_every_row_one_way_makes_a_leaf(family, X):
     assert json.dumps(model.structure) == json.dumps(want)
     trees = [model.structure["tree"]] if family == "tree" else model.structure["trees"]
     assert all(_depth(tree) <= 1 for tree in trees)
+
+
+@pytest.mark.parametrize("family", ["tree", "forest", "boosted_trees"])
+def test_targets_whose_square_overflows_fit_a_leaf(family):
+    # squaring the largest |target| once raised OverflowError; every gain is inf there
+    params = {} if family == "tree" else {"n_estimators": 3}
+    spec = ModelSpec(family, params)
+    X, y = np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1e160, 2e160, 3e160, 4e160])
+    with np.errstate(over="ignore"):
+        model = fit(spec, X, y, seed=4)
+        want = reference_fit(family, validate_spec(spec), X, y, seed=4)
+    assert json.dumps(model.structure) == json.dumps(want)
+    if family == "tree":
+        assert model.structure["tree"] == {"value": 2.5e160}

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import instance, random_instance, reg, single_cell_instance
-from oracle import brute_force_best, reference_improve_once, schedule_pattern
+from oracle import brute_force_best, reference_compat, reference_greedy, reference_improve_once, schedule_pattern
 
 from orsched.core import Assignment, ObjectiveVector, Schedule
 from orsched.solve import (
@@ -457,6 +457,80 @@ def test_local_search_moves_match_trial_and_undo_reference():
                             break
                         moves += 1
     assert moves >= 2000
+
+
+def test_greedy_matches_can_place_reference():
+    """The greedy construction, with its inline capacity and emergency
+    checks over the per-specialty cell lists, makes the choices of the
+    reference over ``can_place`` and a scan of every cell, and ``_Model``'s
+    lists and sets equal that scan. Every case has registrations of a
+    specialty no cell has, and runs with and without an emergency OR, with
+    the canonical order and a seeded one."""
+    rng = random.Random(1107)
+    built = raised = emergency_used = 0
+    for case in range(320):
+        base = random_instance(rng, max_regs=rng.choice((8, 16, 28)), max_cells=rng.choice((3, 6, 8)))
+        absent = [
+            reg(f"u{i}", priority=rng.randint(2, 4), specialty="URO", duration=rng.randint(1, 8), confidence=rng.randint(1, 4))
+            for i in range(rng.randint(1, 3))
+        ]
+        base = dataclasses.replace(base, registrations=base.registrations + tuple(absent))
+        emergency_or = base.mss[rng.randrange(len(base.mss))].or_id
+        for emergency in (None, emergency_or):
+            model = _Model(dataclasses.replace(base, emergency_or_id=emergency), 1)
+            scan = reference_compat(model)
+            assert model.compat == scan
+            assert model.compat_sets == [set(cells) for cells in scan]
+            for seed in (None, case):
+                try:
+                    state = _Heuristic(model, H_FAST, True)._greedy(None if seed is None else random.Random(seed))
+                except InfeasibleInstanceError:
+                    state = None
+                want = reference_greedy(model, _HeurState(model, True), None if seed is None else random.Random(seed))
+                if want is None:
+                    assert state is None
+                    raised += 1
+                    continue
+                assert state.choice == want.choice
+                _assert_state_matches_choice(model, state)
+                built += 1
+                emergency_used += state.em_used
+    assert built >= 800 and raised >= 100 and emergency_used >= 200
+
+
+def test_heuristic_returns_least_restart_in_index_order():
+    """At each restart cap from 1 to 5, the schedule is that of the first
+    restart, in index order, with the least (active tiers, tie key), each
+    restart recomputed on its own."""
+    rng = random.Random(515)
+    ties = later = 0
+    for case in range(500):
+        inst = random_instance(rng, max_regs=rng.choice((6, 12, 20)), max_cells=rng.choice((2, 4, 6)))
+        for confidence_active in (True, False):
+            model = _Model(inst, 1)
+            limits = SolveLimits(time_budget_s=60.0, seed=case)
+            heuristic = _Heuristic(model, limits, confidence_active)
+            seed_rng, restarts = random.Random(case), []
+            try:  # a seeded greedy can fail where the canonical one did not, which ends the solve
+                for index in range(5):
+                    restarts.append(heuristic._one_restart(index, seed_rng.getrandbits(63) if index else 0))
+            except InfeasibleInstanceError:
+                pass
+            keys = [(active, model.tie_key(choice)) for active, choice, _ in restarts]
+            zero = bool(restarts) and not any(keys[0][0])  # never beaten, so no other restart runs
+            for cap in range(1, 6):
+                cap_limits = dataclasses.replace(limits, max_restarts=cap)
+                if cap > len(restarts) and not zero:
+                    with pytest.raises(InfeasibleInstanceError):
+                        solve_heuristic(inst, cap_limits, confidence_objective=confidence_active)
+                    continue
+                got = solve_heuristic(inst, cap_limits, confidence_objective=confidence_active)
+                best = 0 if zero else min(range(cap), key=keys.__getitem__)
+                _, choice, objective = restarts[best]
+                assert got == model.build_schedule(choice, objective)
+                later += best > 0
+                ties += any(keys[i][0] == keys[best][0] and keys[i][1] != keys[best][1] for i in range(cap))
+    assert ties >= 800 and later >= 400
 
 
 # -- file round trip ----------------------------------------------------------
