@@ -6,6 +6,7 @@ problem-instance assembly from the scheduling input files.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import json
@@ -444,10 +445,25 @@ def _duration_from_features(base: float, anesthesia: str, admission: str, urgenc
     )
 
 
+def _choice_cdf(p: Sequence[float]) -> list[float]:
+    """``Generator.choice``'s cumulative weights: ``bisect_right(cdf, rng.random())`` is its draw."""
+    cdf = np.cumsum(p, dtype=float)
+    return (cdf / cdf[-1]).tolist()
+
+
+# each row's bounded integers after its noise draw, which one integers() call draws in turn: two days,
+# entry minute, sex; then (after a LOCALE row's PRES ANESTES draw) STAMP to room and the 7 offsets
+_ROW_LOW = np.array([0, 0, 0, 0] + [0] * 7 + [10, 5, 2, 8, 2, 0, 5])
+_ROW_HIGH = np.array([40, 40, 390, 2] + [2, 2, 2, 4, 2, 365, 3, 30, 15, 8, 16, 8, 3, 20])
+_NOISE_CDF, _ANESTHESIA_CDF, _URGENCY_CDF = map(_choice_cdf, ([0.35, 0.40, 0.25], [0.45, 0.2, 0.35], [0.85, 0.15]))
+
+
 def generate_synthetic_dataset(config: SyntheticConfig, seed: int) -> list[SurgicalRecord]:
     """Deterministic per seed. Every schema column is populated with
     plausible values, and the duration carries enough feature signal for a
-    regressor to beat the historical means."""
+    regressor to beat the historical means. The output is fixed by the order
+    of its draws; ``tests/oracle.py`` holds the one-call-per-draw reference,
+    and a change to the draws changes every workload's data."""
     rng = np.random.default_rng(seed)
     catalog_rng = np.random.default_rng(config.world_seed)
     depts = list(config.departments)
@@ -462,67 +478,73 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int) -> list[Surgi
             )
             # procedures differ in intrinsic variability: some are routine,
             # some erratic; this is what makes prediction confidence informative
-            noise_by_proc[code] = float(catalog_rng.choice([0.4, 1.0, 1.9], p=[0.35, 0.40, 0.25]))
+            noise_by_proc[code] = (0.4, 1.0, 1.9)[bisect.bisect_right(_NOISE_CDF, catalog_rng.random())]
             diagnoses_by_proc[code] = [f"D-{d}-{j:02d}-{v}" for v in ("A", "B")]
     # procedure popularity decays within each department so some codes are rare
     proc_weights = np.array([1.0 / (j + 1) for j in range(config.procedures_per_department)])
-    proc_weights /= proc_weights.sum()
+    proc_cdf = _choice_cdf(proc_weights / proc_weights.sum())
 
     start = date.fromisoformat(config.start_date)
     records: list[SurgicalRecord] = []
     for i in range(config.n_rows):
         dept = depts[int(rng.integers(len(depts)))]
-        proc_idx = int(rng.choice(config.procedures_per_department, p=proc_weights))
-        proc = f"{dept}-ICD{proc_idx:02d}"
+        proc = f"{dept}-ICD{bisect.bisect_right(proc_cdf, rng.random()):02d}"
         if rng.random() < config.rare_fraction:
             diagnosis = f"D-ONEOFF-{i:06d}"
         else:
             diagnosis = diagnoses_by_proc[proc][int(rng.integers(2))]
-        age = int(np.clip(round(rng.normal(55, 18)), 0, 95))
-        anesthesia = ("GENERALE", "SPINALE", "LOCALE")[int(rng.choice(3, p=[0.45, 0.2, 0.35]))]
+        age = min(max(round(rng.normal(55, 18)), 0), 95)
+        anesthesia = ("GENERALE", "SPINALE", "LOCALE")[bisect.bisect_right(_ANESTHESIA_CDF, rng.random())]
         admission = ("ORDINARIO", "DAY SURGERY")[int(rng.integers(2))]
-        urgency = ("ELETTIVO", "URGENTE")[int(rng.choice(2, p=[0.85, 0.15]))]
+        urgency = ("ELETTIVO", "URGENTE")[bisect.bisect_right(_URGENCY_CDF, rng.random())]
         signal = _duration_from_features(base_by_proc[proc], anesthesia, admission, urgency, age)
         if config.noise > 0:
             signal *= math.exp(config.noise * noise_by_proc[proc] * rng.standard_normal())
         duration = max(1, round(signal))
 
-        day = start + timedelta(days=int(rng.integers(0, 40)) // 5 * 7 + int(rng.integers(0, 40)) % 5)
-        entry = datetime(day.year, day.month, day.day, 7, 30) + timedelta(minutes=int(rng.integers(0, 390)))
+        if anesthesia == "LOCALE":
+            draws = rng.integers(_ROW_LOW[:4], _ROW_HIGH[:4]).tolist()
+            anesthetist = "SI" if rng.random() < 0.3 else "NO"
+            draws += rng.integers(_ROW_LOW[4:], _ROW_HIGH[4:]).tolist()
+        else:
+            draws, anesthetist = rng.integers(_ROW_LOW, _ROW_HIGH).tolist(), "SI"
+        d1, d2, minute, sex, stamp, cc, ca, surgeon, block, birthday, room, *offsets = draws
+        day = start + timedelta(days=d1 // 5 * 7 + d2 % 5)
+        entry = datetime(day.year, day.month, day.day, 7, 30) + timedelta(minutes=minute)
         exit_ = entry + timedelta(minutes=duration)
         records.append(
             {
                 "PROGRESSIVO": f"P{i:06d}",
                 "TIPORICOVERO": urgency,
-                "SESSO": "FM"[int(rng.integers(2))],
+                "SESSO": "FM"[sex],
                 "ETA": age,
                 "REPARTO": dept,
-                "PRES ANESTES": "SI" if anesthesia != "LOCALE" or rng.random() < 0.3 else "NO",
-                "STAMP": str(int(rng.integers(2))),
-                "CC": str(int(rng.integers(2))),
-                "CA": str(int(rng.integers(2))),
+                "PRES ANESTES": anesthetist,
+                "STAMP": str(stamp),
+                "CC": str(cc),
+                "CA": str(ca),
                 "ANESTLOC": "SI" if anesthesia == "LOCALE" else "NO",
                 "DIAGNOSI1": diagnosis,
                 "DESCDIAGNOSI1": f"DESC {diagnosis}",
                 "INGRESSOSALA": entry,
                 "USCITASALA": exit_,
                 "REGRICOVERO": admission,
-                "CHIRURGHI_1": f"{dept}-SURG{int(rng.integers(4))}",
+                "CHIRURGHI_1": f"{dept}-SURG{surgeon}",
                 "ICD1": proc,
                 "DESCICD1": f"DESC {proc}",
-                "BLOCCO": f"BL{1 + int(rng.integers(2))}",
-                "DATANASCITA": datetime(day.year - age, 1, 1) + timedelta(days=int(rng.integers(0, 365))),
+                "BLOCCO": f"BL{1 + block}",
+                "DATANASCITA": datetime(day.year - age, 1, 1) + timedelta(days=birthday),
                 "NOSOLOGICO": f"N{i:06d}",
                 "DATAINTERVENTO": datetime(day.year, day.month, day.day),
-                "SALA": f"SALA{1 + int(rng.integers(3)):02d}",
+                "SALA": f"SALA{1 + room:02d}",
                 "TIPOANESTESIA": anesthesia,
-                "INGRESSOBLOCCOOP": entry - timedelta(minutes=int(rng.integers(10, 30))),
-                "PREPARAZIONEPAZIENTE": entry - timedelta(minutes=int(rng.integers(5, 15))),
-                "INIZIOANESTESIA": entry + timedelta(minutes=int(rng.integers(2, 8))),
-                "INIZIOINTERVENTO": entry + timedelta(minutes=int(rng.integers(8, 16))),
-                "FINEINTERVENTO": exit_ - timedelta(minutes=int(rng.integers(2, 8))),
-                "FINEASSANESTINSALA": exit_ - timedelta(minutes=int(rng.integers(0, 3))),
-                "USCITABLOCCOOP": exit_ + timedelta(minutes=int(rng.integers(5, 20))),
+                "INGRESSOBLOCCOOP": entry - timedelta(minutes=offsets[0]),
+                "PREPARAZIONEPAZIENTE": entry - timedelta(minutes=offsets[1]),
+                "INIZIOANESTESIA": entry + timedelta(minutes=offsets[2]),
+                "INIZIOINTERVENTO": entry + timedelta(minutes=offsets[3]),
+                "FINEINTERVENTO": exit_ - timedelta(minutes=offsets[4]),
+                "FINEASSANESTINSALA": exit_ - timedelta(minutes=offsets[5]),
+                "USCITABLOCCOOP": exit_ + timedelta(minutes=offsets[6]),
                 "DURATA": duration,
             }
         )
@@ -601,14 +623,14 @@ def generate_week(
 
     week_records: list[SurgicalRecord] = []
     registrations: list[Registration] = []
-    priorities, weights = zip(*_PRIORITY_WEIGHTS)
+    priority_cdf = _choice_cdf([w for _, w in _PRIORITY_WEIGHTS])
     for rec in pool:
         specialty = rec["REPARTO"]
         if specialty not in spec_capacity or demand[specialty] >= fill_ratio * spec_capacity[specialty]:
             if all(d >= fill_ratio * spec_capacity[sp] for sp, d in demand.items()):
                 break
             continue
-        priority = int(rng.choice(priorities, p=weights))
+        priority = _PRIORITY_WEIGHTS[bisect.bisect_right(priority_cdf, rng.random())][0]
         # keep mandatory demand well inside its specialty's capacity
         if priority == 1 and p1_demand[specialty] + rec["DURATA"] > 0.4 * spec_capacity[specialty]:
             priority = 2
@@ -635,17 +657,12 @@ def generate_hospitalizations(seed: int, n_rows: int = 40) -> list[dict[str, str
     """Prior-week inpatient stays; accepted as input but not used by the
     scheduling model."""
     rng = np.random.default_rng(seed ^ 0xBED5)
+    draws = rng.integers((0, 12), (96, 120), size=(n_rows, 2)).tolist()  # admission hour, stay, row by row
     rows = []
-    for i in range(n_rows):
-        admit = datetime(2019, 2, 25, 8, 0) + timedelta(hours=int(rng.integers(0, 96)))
-        stay = int(rng.integers(12, 120))
-        rows.append(
-            {
-                "patient_id": f"H{i:05d}",
-                "admission": admit.isoformat(),
-                "discharge": (admit + timedelta(hours=stay)).isoformat(),
-            }
-        )
+    for i, (hour, stay) in enumerate(draws):
+        admit = datetime(2019, 2, 25, 8, 0) + timedelta(hours=hour)
+        discharge = admit + timedelta(hours=stay)
+        rows.append({"patient_id": f"H{i:05d}", "admission": admit.isoformat(), "discharge": discharge.isoformat()})
     return rows
 
 

@@ -773,10 +773,13 @@ class _Heuristic:
         if any(best[0]):  # an all-zero objective is unbeatable
             seed_rng = random.Random(self.limits.seed)
             max_restarts = self.limits.max_restarts
-            index = 1
-            while (max_restarts is None or index < max_restarts) and time.monotonic() < self.deadline:
-                result = self._one_restart(index, seed_rng.getrandbits(63))
+            index = 0
+            while (max_restarts is None or index + 1 < max_restarts) and time.monotonic() < self.deadline:
                 index += 1
+                try:
+                    result = self._one_restart(index, seed_rng.getrandbits(63))
+                except InfeasibleInstanceError:
+                    continue  # a shuffled greedy missed a priority-1 registration; restart 0 placed them all
                 if result[0] < best[0]:
                     best, best_key = result, None
                 elif result[0] == best[0]:

@@ -21,17 +21,33 @@ The data path has references that go cell by cell:
 ``reference_numeric_encoding``, ``reference_transform`` and
 ``reference_categories``, against which the column-at-a-time encoders are
 checked.
+
+``reference_generate_synthetic_dataset``, ``reference_generate_week`` and
+``reference_generate_hospitalizations`` are the synthetic generators with
+one numpy call per random draw. Synth output is fixed by the order in which
+the draws consume the bit generator, so the batched generators must return
+exactly what these return.
 """
 
 from __future__ import annotations
 
 import calendar
 import csv
-from datetime import datetime
+import math
+from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from orsched.core import InputFileError, ProblemInstance
+from orsched.core import InputFileError, MssSlot, ProblemInstance, Registration, Shift
+from orsched.ingest import (
+    _PRIORITY_WEIGHTS,
+    HOSPITAL_SHAPES,
+    HospitalShape,
+    SurgicalRecord,
+    SyntheticConfig,
+    _duration_from_features,
+    iqr_filter,
+)
 
 _CHUNK = 1 << 20
 
@@ -584,3 +600,190 @@ def reference_categories(records, column) -> dict:
         v = rec.get(column)
         table.setdefault("" if v is None else str(v), len(table))
     return table
+
+
+def reference_generate_synthetic_dataset(config: SyntheticConfig, seed: int) -> list[SurgicalRecord]:
+    """Deterministic per seed. Every schema column is populated with
+    plausible values, and the duration carries enough feature signal for a
+    regressor to beat the historical means."""
+    rng = np.random.default_rng(seed)
+    catalog_rng = np.random.default_rng(config.world_seed)
+    depts = list(config.departments)
+    base_by_proc: dict[str, float] = {}
+    noise_by_proc: dict[str, float] = {}
+    diagnoses_by_proc: dict[str, list[str]] = {}
+    for d in depts:
+        for j in range(config.procedures_per_department):
+            code = f"{d}-ICD{j:02d}"
+            base_by_proc[code] = float(
+                config.base_median * math.exp(config.base_sigma * catalog_rng.standard_normal())
+            )
+            # procedures differ in intrinsic variability: some are routine,
+            # some erratic; this is what makes prediction confidence informative
+            noise_by_proc[code] = float(catalog_rng.choice([0.4, 1.0, 1.9], p=[0.35, 0.40, 0.25]))
+            diagnoses_by_proc[code] = [f"D-{d}-{j:02d}-{v}" for v in ("A", "B")]
+    # procedure popularity decays within each department so some codes are rare
+    proc_weights = np.array([1.0 / (j + 1) for j in range(config.procedures_per_department)])
+    proc_weights /= proc_weights.sum()
+
+    start = date.fromisoformat(config.start_date)
+    records: list[SurgicalRecord] = []
+    for i in range(config.n_rows):
+        dept = depts[int(rng.integers(len(depts)))]
+        proc_idx = int(rng.choice(config.procedures_per_department, p=proc_weights))
+        proc = f"{dept}-ICD{proc_idx:02d}"
+        if rng.random() < config.rare_fraction:
+            diagnosis = f"D-ONEOFF-{i:06d}"
+        else:
+            diagnosis = diagnoses_by_proc[proc][int(rng.integers(2))]
+        age = int(np.clip(round(rng.normal(55, 18)), 0, 95))
+        anesthesia = ("GENERALE", "SPINALE", "LOCALE")[int(rng.choice(3, p=[0.45, 0.2, 0.35]))]
+        admission = ("ORDINARIO", "DAY SURGERY")[int(rng.integers(2))]
+        urgency = ("ELETTIVO", "URGENTE")[int(rng.choice(2, p=[0.85, 0.15]))]
+        signal = _duration_from_features(base_by_proc[proc], anesthesia, admission, urgency, age)
+        if config.noise > 0:
+            signal *= math.exp(config.noise * noise_by_proc[proc] * rng.standard_normal())
+        duration = max(1, round(signal))
+
+        day = start + timedelta(days=int(rng.integers(0, 40)) // 5 * 7 + int(rng.integers(0, 40)) % 5)
+        entry = datetime(day.year, day.month, day.day, 7, 30) + timedelta(minutes=int(rng.integers(0, 390)))
+        exit_ = entry + timedelta(minutes=duration)
+        records.append(
+            {
+                "PROGRESSIVO": f"P{i:06d}",
+                "TIPORICOVERO": urgency,
+                "SESSO": "FM"[int(rng.integers(2))],
+                "ETA": age,
+                "REPARTO": dept,
+                "PRES ANESTES": "SI" if anesthesia != "LOCALE" or rng.random() < 0.3 else "NO",
+                "STAMP": str(int(rng.integers(2))),
+                "CC": str(int(rng.integers(2))),
+                "CA": str(int(rng.integers(2))),
+                "ANESTLOC": "SI" if anesthesia == "LOCALE" else "NO",
+                "DIAGNOSI1": diagnosis,
+                "DESCDIAGNOSI1": f"DESC {diagnosis}",
+                "INGRESSOSALA": entry,
+                "USCITASALA": exit_,
+                "REGRICOVERO": admission,
+                "CHIRURGHI_1": f"{dept}-SURG{int(rng.integers(4))}",
+                "ICD1": proc,
+                "DESCICD1": f"DESC {proc}",
+                "BLOCCO": f"BL{1 + int(rng.integers(2))}",
+                "DATANASCITA": datetime(day.year - age, 1, 1) + timedelta(days=int(rng.integers(0, 365))),
+                "NOSOLOGICO": f"N{i:06d}",
+                "DATAINTERVENTO": datetime(day.year, day.month, day.day),
+                "SALA": f"SALA{1 + int(rng.integers(3)):02d}",
+                "TIPOANESTESIA": anesthesia,
+                "INGRESSOBLOCCOOP": entry - timedelta(minutes=int(rng.integers(10, 30))),
+                "PREPARAZIONEPAZIENTE": entry - timedelta(minutes=int(rng.integers(5, 15))),
+                "INIZIOANESTESIA": entry + timedelta(minutes=int(rng.integers(2, 8))),
+                "INIZIOINTERVENTO": entry + timedelta(minutes=int(rng.integers(8, 16))),
+                "FINEINTERVENTO": exit_ - timedelta(minutes=int(rng.integers(2, 8))),
+                "FINEASSANESTINSALA": exit_ - timedelta(minutes=int(rng.integers(0, 3))),
+                "USCITABLOCCOOP": exit_ + timedelta(minutes=int(rng.integers(5, 20))),
+                "DURATA": duration,
+            }
+        )
+    return records
+
+
+def reference_generate_week(
+    config: SyntheticConfig,
+    seed: int,
+    shape: HospitalShape = HOSPITAL_SHAPES["bordighera"],
+    planning_days: int = 5,
+    fill_ratio: float = 1.15,
+    emergency_or_id: str | None = None,
+) -> tuple[list[SurgicalRecord], list[Registration], list[MssSlot], list[Shift]]:
+    """One operating week: feature records for the waiting list, the derived
+    registrations (actual duration attached), the MSS and the shift table.
+
+    Registrations are drawn until their total actual duration reaches
+    ``fill_ratio`` times the horizon capacity, so the packing is tight but
+    p1 demand stays comfortably placeable.
+    """
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    capacity = shape.n_ors * planning_days * shape.shift_minutes
+    pool = reference_generate_synthetic_dataset(
+        SyntheticConfig(
+            n_rows=max(128, capacity // 6),
+            departments=config.departments,
+            procedures_per_department=config.procedures_per_department,
+            rare_fraction=0.0,
+            noise=config.noise,
+            base_median=config.base_median,
+            base_sigma=config.base_sigma,
+            start_date="2019-03-04",
+            world_seed=config.world_seed,
+        ),
+        seed=int(rng.integers(1 << 31)),
+    )
+
+    # the operating list mirrors the cleaned historical distribution: weekly
+    # elective lists do not carry the extreme-duration tail
+    kept = iqr_filter([rec["DURATA"] for rec in pool])
+    pool = [pool[i] for i in kept]
+
+    depts = list(config.departments)
+    slots = []
+    for or_idx in range(shape.n_ors):
+        for day in range(planning_days):
+            specialty = depts[(or_idx + day) % len(depts)]
+            slots.append(MssSlot(f"OR{or_idx + 1}", specialty, "MAIN", day))
+    shifts = [Shift("MAIN", shape.shift_minutes)]
+
+    # surplus demand in every offered specialty, so cells can pack tight
+    spec_capacity: dict[str, int] = {}
+    for s in slots:
+        spec_capacity[s.specialty] = spec_capacity.get(s.specialty, 0) + shape.shift_minutes
+    demand = {sp: 0 for sp in spec_capacity}
+    p1_demand = {sp: 0 for sp in spec_capacity}
+
+    week_records: list[SurgicalRecord] = []
+    registrations: list[Registration] = []
+    priorities, weights = zip(*_PRIORITY_WEIGHTS)
+    for rec in pool:
+        specialty = rec["REPARTO"]
+        if specialty not in spec_capacity or demand[specialty] >= fill_ratio * spec_capacity[specialty]:
+            if all(d >= fill_ratio * spec_capacity[sp] for sp, d in demand.items()):
+                break
+            continue
+        priority = int(rng.choice(priorities, p=weights))
+        # keep mandatory demand well inside its specialty's capacity
+        if priority == 1 and p1_demand[specialty] + rec["DURATA"] > 0.4 * spec_capacity[specialty]:
+            priority = 2
+        if priority == 1:
+            p1_demand[specialty] += rec["DURATA"]
+        rec = dict(rec)
+        rec["PROGRESSIVO"] = f"W{len(week_records):04d}"
+        rec["NOSOLOGICO"] = f"WN{len(week_records):04d}"
+        week_records.append(rec)
+        registrations.append(
+            Registration(
+                id=rec["PROGRESSIVO"],
+                priority=priority,
+                specialty=specialty,
+                duration_min=rec["DURATA"],
+                actual_duration_min=rec["DURATA"],
+            )
+        )
+        demand[specialty] += rec["DURATA"]
+    return week_records, registrations, slots, shifts
+
+
+def reference_generate_hospitalizations(seed: int, n_rows: int = 40) -> list[dict[str, str]]:
+    """Prior-week inpatient stays; accepted as input but not used by the
+    scheduling model."""
+    rng = np.random.default_rng(seed ^ 0xBED5)
+    rows = []
+    for i in range(n_rows):
+        admit = datetime(2019, 2, 25, 8, 0) + timedelta(hours=int(rng.integers(0, 96)))
+        stay = int(rng.integers(12, 120))
+        rows.append(
+            {
+                "patient_id": f"H{i:05d}",
+                "admission": admit.isoformat(),
+                "discharge": (admit + timedelta(hours=stay)).isoformat(),
+            }
+        )
+    return rows

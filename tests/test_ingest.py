@@ -1,5 +1,6 @@
 """Preprocessing pipeline, synthetic generator, and file-format tests."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracle
 from orsched.core import MssSlot, Shift
 from orsched.ingest import (
     RECORD_COLUMNS,
@@ -20,6 +22,7 @@ from orsched.ingest import (
     SyntheticConfig,
     build_instance,
     derive_duration,
+    generate_hospitalizations,
     generate_synthetic_dataset,
     generate_week,
     group_rare_diagnoses,
@@ -316,6 +319,60 @@ def test_all_schema_columns_populated():
     for r in records:
         assert set(r.keys()) == set(RECORD_COLUMNS)
         assert all(v is not None for v in r.values())
+
+
+
+# The batched draws of the generators against the one-call-per-draw
+# reference in tests/oracle.py: records equal one for one in values, value
+# types and column order, and registrations, MSS and shifts equal.
+
+
+def _assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(a, dict):
+            assert list(a.items()) == list(b.items())
+            assert [type(v) for v in a.values()] == [type(v) for v in b.values()]
+        else:
+            assert a == b
+            assert [type(v) for v in dataclasses.astuple(a)] == [type(v) for v in dataclasses.astuple(b)]
+
+
+_REFERENCE_CONFIGS = (
+    SyntheticConfig(n_rows=1),
+    SyntheticConfig(n_rows=10),
+    SyntheticConfig(n_rows=60, noise=0.0),
+    SyntheticConfig(n_rows=60, rare_fraction=0.0),
+    SyntheticConfig(n_rows=60, rare_fraction=1.0),
+    SyntheticConfig(n_rows=60, world_seed=11),
+    SyntheticConfig(n_rows=60, departments=("ORTO", "UROL"), procedures_per_department=3),
+)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_synthetic_dataset_matches_one_call_per_draw_reference(seed):
+    configs = _REFERENCE_CONFIGS + ((SyntheticConfig(n_rows=2000),) if seed == 0 else ())
+    for config in configs:
+        _assert_same_rows(
+            generate_synthetic_dataset(config, seed), oracle.reference_generate_synthetic_dataset(config, seed)
+        )
+    _assert_same_rows(generate_hospitalizations(seed), oracle.reference_generate_hospitalizations(seed))
+
+
+@pytest.mark.parametrize("shape", sorted(HOSPITAL_SHAPES))
+@pytest.mark.parametrize("fill_ratio", (1.15, 0.5))
+@pytest.mark.parametrize("emergency_or_id", (None, "OR2"))
+def test_week_matches_one_call_per_draw_reference(shape, fill_ratio, emergency_or_id):
+    config = SyntheticConfig(noise=0.4)
+    seed = 7 * sorted(HOSPITAL_SHAPES).index(shape) + 3 * (fill_ratio < 1) + (emergency_or_id is not None)
+    # one full week on the smallest site, one-day weeks elsewhere, to keep the pools small
+    days = 5 if shape == "bordighera" else 1
+    kwargs = dict(shape=HOSPITAL_SHAPES[shape], planning_days=days, fill_ratio=fill_ratio, emergency_or_id=emergency_or_id)
+    got = generate_week(config, seed, **kwargs)
+    want = oracle.reference_generate_week(config, seed, **kwargs)
+    assert len(got) == len(want) == 4
+    for part, ref in zip(got, want):
+        _assert_same_rows(part, ref)
 
 
 # -- build_instance -------------------------------------------------------------------

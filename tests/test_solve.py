@@ -501,9 +501,10 @@ def test_greedy_matches_can_place_reference():
 def test_heuristic_returns_least_restart_in_index_order():
     """At each restart cap from 1 to 5, the schedule is that of the first
     restart, in index order, with the least (active tiers, tie key), each
-    restart recomputed on its own."""
+    restart recomputed on its own. A seeded restart whose greedy fails is
+    left out and the solve goes on; only a failed canonical restart raises."""
     rng = random.Random(515)
-    ties = later = 0
+    ties = later = skipped = 0
     for case in range(500):
         inst = random_instance(rng, max_regs=rng.choice((6, 12, 20)), max_cells=rng.choice((2, 4, 6)))
         for confidence_active in (True, False):
@@ -511,26 +512,31 @@ def test_heuristic_returns_least_restart_in_index_order():
             limits = SolveLimits(time_budget_s=60.0, seed=case)
             heuristic = _Heuristic(model, limits, confidence_active)
             seed_rng, restarts = random.Random(case), []
-            try:  # a seeded greedy can fail where the canonical one did not, which ends the solve
-                for index in range(5):
-                    restarts.append(heuristic._one_restart(index, seed_rng.getrandbits(63) if index else 0))
-            except InfeasibleInstanceError:
-                pass
-            keys = [(active, model.tie_key(choice)) for active, choice, _ in restarts]
-            zero = bool(restarts) and not any(keys[0][0])  # never beaten, so no other restart runs
-            for cap in range(1, 6):
-                cap_limits = dataclasses.replace(limits, max_restarts=cap)
-                if cap > len(restarts) and not zero:
+            for index in range(5):
+                seed = seed_rng.getrandbits(63) if index else 0  # drawn whether or not the restart fails
+                try:
+                    restarts.append(heuristic._one_restart(index, seed))
+                except InfeasibleInstanceError:
+                    restarts.append(None)
+            if restarts[0] is None:
+                for cap in range(1, 6):
+                    cap_limits = dataclasses.replace(limits, max_restarts=cap)
                     with pytest.raises(InfeasibleInstanceError):
                         solve_heuristic(inst, cap_limits, confidence_objective=confidence_active)
-                    continue
+                continue
+            keys = [None if r is None else (r[0], model.tie_key(r[1])) for r in restarts]
+            zero = not any(keys[0][0])  # never beaten, so no other restart runs
+            for cap in range(1, 6):
+                cap_limits = dataclasses.replace(limits, max_restarts=cap)
                 got = solve_heuristic(inst, cap_limits, confidence_objective=confidence_active)
-                best = 0 if zero else min(range(cap), key=keys.__getitem__)
+                ran = [0] if zero else [i for i in range(cap) if keys[i] is not None]
+                best = min(ran, key=keys.__getitem__)
                 _, choice, objective = restarts[best]
                 assert got == model.build_schedule(choice, objective)
                 later += best > 0
-                ties += any(keys[i][0] == keys[best][0] and keys[i][1] != keys[best][1] for i in range(cap))
-    assert ties >= 800 and later >= 400
+                skipped += len(ran) < cap and not zero
+                ties += any(keys[i][0] == keys[best][0] and keys[i][1] != keys[best][1] for i in ran)
+    assert ties >= 800 and later >= 400 and skipped >= 2
 
 
 # -- file round trip ----------------------------------------------------------
