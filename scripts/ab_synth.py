@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time ``orsched synth`` of two source trees against each other in one process.
 
-Loads ``src/orsched/ingest.py`` from two checkouts (``--parent`` and
-``--change``) as separate modules; both import ``orsched.core`` from the
-package on ``PYTHONPATH``. One synth is what ``orsched synth --hospital <h>
---seed <seed>`` does with its defaults: the 2,000-row history, the week, the
+Loads ``src/orsched/core.py`` and ``src/orsched/ingest.py`` from two
+checkouts (``--parent`` and ``--change``) as separate modules, each side's
+ingest importing its own checkout's core, so the CSV writer is timed as each
+side has it. One synth is what ``orsched synth --hospital <h> --seed <seed>``
+does with its defaults: the 2,000-row history, the week, the
 hospitalizations and the six CSV writes, into a fresh temporary directory.
 For each hospital it runs one untimed synth per side, then ``--pairs`` pairs
 of timed synths, the side that runs first alternating from pair to pair. It
@@ -18,7 +19,7 @@ prints:
 
 Example, with the parent commit unpacked beside the checkout:
     git archive --prefix=parent/ HEAD~1 | tar x -C /tmp
-    PYTHONPATH=src python scripts/ab_synth.py --parent /tmp/parent --pairs 10
+    python scripts/ab_synth.py --parent /tmp/parent --pairs 10
 """
 
 import argparse
@@ -30,18 +31,32 @@ import tempfile
 import time
 from pathlib import Path
 
-from orsched.core import write_csv_rows
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_ingest(checkout: Path, name: str):
-    """``ingest.py`` of one checkout as a module of its own."""
-    spec = importlib.util.spec_from_file_location(name, checkout / "src" / "orsched" / "ingest.py")
+def load_module(path: Path, name: str):
+    """The Python file at ``path`` as a module of its own."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # dataclasses resolve their module by name
     spec.loader.exec_module(module)
     return module
+
+
+def load_ingest(checkout: Path, name: str):
+    """``ingest.py`` of one checkout, importing ``orsched.core`` from the same
+    checkout: its ``from orsched.core import ...`` finds that module in
+    ``sys.modules`` while it loads, and keeps what it bound from it."""
+    package = checkout / "src" / "orsched"
+    saved = sys.modules.get("orsched.core")
+    sys.modules["orsched.core"] = load_module(package / "core.py", f"{name}_core")
+    try:
+        return load_module(package / "ingest.py", name)
+    finally:
+        if saved is None:
+            del sys.modules["orsched.core"]
+        else:
+            sys.modules["orsched.core"] = saved
 
 
 def synth(module, hospital: str, seed: int, out: Path) -> None:
@@ -58,7 +73,7 @@ def synth(module, hospital: str, seed: int, out: Path) -> None:
     module.write_shifts_csv(shifts, out / "shifts.csv")
     columns = ["patient_id", "admission", "discharge"]
     stays = ([stay[c] for c in columns] for stay in module.generate_hospitalizations(seed))
-    write_csv_rows(out / "hospitalizations.csv", columns, stays)
+    module.write_csv_rows(out / "hospitalizations.csv", columns, stays)
 
 
 def timed_synth(module, hospital: str, seed: int) -> tuple[float, dict[str, str]]:

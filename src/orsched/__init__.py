@@ -14,7 +14,6 @@ from orsched.core import (
     Registration,
     Schedule,
     Shift,
-    ValidationReport,
     Violation,
     validate_instance,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "Registration",
     "Schedule",
     "Shift",
-    "ValidationReport",
     "Violation",
     "validate_instance",
     "__version__",

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -102,7 +103,7 @@ def _load_config(path: str | None, command: argparse.ArgumentParser) -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must hold a JSON object")
@@ -160,6 +161,14 @@ def _limits(args: argparse.Namespace) -> SolveLimits:
     )
 
 
+def _seed(args: argparse.Namespace) -> int:
+    """The seed of a command that seeds numpy, which takes no negative seed."""
+    seed = int(_merged(args, "seed", 0))
+    if seed < 0:
+        raise UsageError("--seed must be >= 0")
+    return seed
+
+
 def _require(args: argparse.Namespace, key: str, flag: str) -> str:
     value = _merged(args, key)
     if value is None:
@@ -175,7 +184,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     rows = int(_merged(args, "rows", 2000))
     if rows < 1:
         raise UsageError("--rows must be >= 1")
-    seed = int(_merged(args, "seed", 0))
+    planning_days = int(_merged(args, "planning_days", 5))
+    if planning_days < 1:
+        raise UsageError("--planning-days must be >= 1")
+    fill_ratio = float(_merged(args, "fill_ratio", 1.15))
+    if not fill_ratio > 0:
+        raise UsageError("--fill-ratio must be > 0")
+    seed = _seed(args)
     hospital = str(_merged(args, "hospital", "bordighera"))
     if hospital not in HOSPITAL_SHAPES:
         raise UsageError(f"unknown hospital {hospital!r}; choose from {sorted(HOSPITAL_SHAPES)}")
@@ -187,8 +202,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         config,
         seed=seed,
         shape=HOSPITAL_SHAPES[hospital],
-        planning_days=int(_merged(args, "planning_days", 5)),
-        fill_ratio=float(_merged(args, "fill_ratio", 1.15)),
+        planning_days=planning_days,
+        fill_ratio=fill_ratio,
     )
     write_records_csv(records, out / "records.csv")
     write_records_csv(week_records, out / "week.csv")
@@ -210,7 +225,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     records_path = _require(args, "records", "--records")
     out = _outdir(args)
     records = read_records_csv(records_path)
-    clean, log = preprocess(records, PreprocessConfig(seed=int(_merged(args, "seed", 0))))
+    clean, log = preprocess(records, PreprocessConfig(seed=_seed(args)))
     write_records_csv(clean.records, out / "cleaned.csv", columns=clean.kept_features)
     write_preprocess_log(log, out / "preprocess_log.json")
     last = log.stages[-1]
@@ -230,8 +245,8 @@ def _resolve_grid(args: argparse.Namespace) -> list[ModelSpec]:
         return GRID_PRESETS[name]
     try:
         entries = json.loads(Path(name).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"--grid must be a preset ({sorted(GRID_PRESETS)}) or a JSON grid file: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"--grid {name}: not a preset ({sorted(GRID_PRESETS)}) nor a JSON grid file: {exc}") from exc
     if not isinstance(entries, list) or not entries:
         raise UsageError(f"grid file {name} must hold a non-empty JSON list of model entries")
     specs = []
@@ -253,7 +268,7 @@ def _resolve_grid(args: argparse.Namespace) -> list[ModelSpec]:
 def cmd_train(args: argparse.Namespace) -> int:
     records_path = _require(args, "records", "--records")
     grid = _resolve_grid(args)
-    seed = int(_merged(args, "seed", 0))
+    seed = _seed(args)
     out = _outdir(args)
     records = read_records_csv(records_path)
 
@@ -278,7 +293,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     ]
     save_model(model, encoder, out / "model.json", baselines=baselines)
 
-    metrics_payload = report.to_json_dict()
+    metrics_payload = asdict(report)
     metrics_payload["spec"] = {"family": best.family, "hyperparameters": model.hyperparameters}
     if cv_results:
         metrics_payload["cv"] = [
@@ -337,7 +352,10 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
     model_path = _merged(args, "model")
     if predictive and model_path is None:
         raise UsageError(f"method {predictive[0]} needs --model with a trained artifact")
-    loaded = load_model(model_path) if model_path is not None else None
+    try:
+        loaded = load_model(model_path) if model_path is not None else None
+    except PredictError as exc:  # every one is about the file's content
+        raise UsageError(str(exc)) from None
     predicted = department = procedure = None
     if predictive:
         model, encoder, _ = loaded
@@ -355,7 +373,7 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
                 raise UsageError("model artifact carries no baselines; pass --records instead")
         elif records_path is not None:
             records = read_records_csv(records_path)
-            clean, _ = preprocess(records, PreprocessConfig(seed=int(_merged(args, "seed", 0))))
+            clean, _ = preprocess(records, PreprocessConfig(seed=_seed(args)))
             baselines = {key: baseline_mean_estimator(clean.records, key) for key in ("department", "procedure_type")}
         else:
             raise UsageError(f"method {means[0]} needs --model or --records for the historical means")
@@ -436,8 +454,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if violation.code != "capacity_exceeded":
                 raise UsageError(f"{path}: {violation.code}: {violation.detail}")
         reports.append(evaluate_schedule(method, schedule, instance))
-    write_report_json({hospital: reports}, out / "report.json")
-    write_report_txt({hospital: reports}, out / "report.txt")
+    write_report_json(hospital, reports, out / "report.json")
+    write_report_txt(hospital, reports, out / "report.txt")
     print((out / "report.txt").read_text(encoding="utf-8"))
     return EXIT_OK
 
@@ -456,6 +474,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     methods = [normalize_method(m) for m in methods]
     if not methods:
         raise UsageError("empty method list")
+    twice = next((m for i, m in enumerate(methods) if m in methods[:i]), None)
+    if twice is not None:
+        raise UsageError(f"--methods names method {twice} twice")
 
     # each stage reads the files the stages before it wrote into ``out``
     args.records, args.week, args.model = str(out / "records.csv"), str(out / "week.csv"), str(out / "model.json")
@@ -480,8 +501,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         reports.append(evaluate_schedule(method, schedule, method_instance))
 
     hospital = str(_merged(args, "hospital", "bordighera"))
-    write_report_json({hospital: reports}, out / "report.json")
-    write_report_txt({hospital: reports}, out / "report.txt")
+    write_report_json(hospital, reports, out / "report.json")
+    write_report_txt(hospital, reports, out / "report.txt")
     print((out / "report.txt").read_text(encoding="utf-8"))
     return EXIT_OK
 

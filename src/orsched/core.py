@@ -10,7 +10,7 @@ construction time: malformed data is representable on purpose, and
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -129,9 +129,6 @@ class Schedule:
     assignments: tuple[Assignment, ...]
     objective: ObjectiveVector
 
-    def assigned_ids(self) -> set[str]:
-        return {a.registration_id for a in self.assignments}
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -143,27 +140,26 @@ class Violation:
     index: int | None = None
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, code: str, detail: str, index: int | None = None) -> None:
-        self.violations.append(Violation(code, detail, index))
-
-    def __iter__(self):
-        return iter(self.violations)
-
-
 class InputFileError(Exception):
     """An input file that cannot be read, with the file, row and field at
-    fault. Rows are numbered as lines of the file, the header being row 1."""
+    fault (None when the fault is in no field). Rows are numbered as lines
+    of the file, the header being row 1."""
 
-    def __init__(self, path: str | Path, row: int, field: str, problem: str):
-        super().__init__(f"{path}: row {row}, field {field!r}: {problem}")
+    def __init__(self, path: str | Path, row: int, field: str | None, problem: str):
+        at = "" if field is None else f", field {field!r}"
+        super().__init__(f"{path}: row {row}{at}: {problem}")
+
+
+def not_utf8(path: str | Path) -> InputFileError:
+    """The error for a file that does not decode as UTF-8, at the line of
+    its first bad byte. A text reader decodes in blocks, so its line count
+    is not that line: the file's bytes are read again."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start + 1]
+    return InputFileError(path, data.count(b"\n") + 1, None, f"byte {data[-1]:#04x} is not UTF-8")
 
 
 def header_index(path: str | Path, header: Sequence[str]) -> dict[str, int]:
@@ -182,31 +178,35 @@ def read_csv_rows(
     """Rows of a CSV file as dicts of ``columns``, with the ``integers``
     parsed; blank lines are skipped. A column in ``optional`` may be absent
     or empty and then reads None. Raises ``InputFileError`` at a repeated or
-    missing column, or at the first missing value or malformed integer."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        index = header_index(path, next(reader, []))
-        for column in columns:
-            if column not in optional and column not in index:
-                raise InputFileError(path, 1, column, "column missing from the header")
-        kinds = [(column, index.get(column), column in optional, column in integers) for column in columns]
-        for row in reader:
-            if not row:
-                continue
-            values: dict[str, Any] = {}
-            for column, at, is_optional, is_integer in kinds:
-                value = row[at] if at is not None and at < len(row) else None
-                if is_optional and not value:
-                    value = None
-                elif value is None:
-                    raise InputFileError(path, reader.line_num, column, "value missing")
-                elif is_integer:
-                    try:
-                        value = int(value)
-                    except ValueError:
-                        raise InputFileError(path, reader.line_num, column, f"{value!r} is not an integer") from None
-                values[column] = value
-            yield values
+    missing column, at the first missing value or malformed integer, or at
+    a byte that is not UTF-8."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            index = header_index(path, next(reader, []))
+            for column in columns:
+                if column not in optional and column not in index:
+                    raise InputFileError(path, 1, column, "column missing from the header")
+            kinds = [(column, index.get(column), column in optional, column in integers) for column in columns]
+            for row in reader:
+                if not row:
+                    continue
+                values: dict[str, Any] = {}
+                for column, at, is_optional, is_integer in kinds:
+                    value = row[at] if at is not None and at < len(row) else None
+                    if is_optional and not value:
+                        value = None
+                    elif value is None:
+                        raise InputFileError(path, reader.line_num, column, "value missing")
+                    elif is_integer:
+                        try:
+                            value = int(value)
+                        except ValueError:
+                            raise InputFileError(path, reader.line_num, column, f"{value!r} is not an integer") from None
+                    values[column] = value
+                yield values
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
 
 
 def write_csv_rows(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[Any]]) -> None:
@@ -218,61 +218,52 @@ def write_csv_rows(path: str | Path, header: Sequence[str], rows: Iterable[Itera
         writer.writerows(rows)
 
 
-def validate_instance(instance: ProblemInstance) -> ValidationReport:
+def validate_instance(instance: ProblemInstance) -> list[Violation]:
     """Check every structural invariant of a problem instance.
 
-    Returns the full list of violations; an empty report means the instance
+    Returns the full list of violations; an empty list means the instance
     is in solvable form. Violations are data, not exceptions.
     """
-    report = ValidationReport()
+    violations: list[Violation] = []
     shift_ids = {s.shift_id for s in instance.shifts}
 
     seen_reg_ids: set[str] = set()
     for i, reg in enumerate(instance.registrations):
         if reg.id in seen_reg_ids:
-            report.add("duplicate_registration_id", f"registration id {reg.id!r} repeats", i)
+            violations.append(Violation("duplicate_registration_id", f"registration id {reg.id!r} repeats", i))
         seen_reg_ids.add(reg.id)
         if reg.priority not in PRIORITIES:
-            report.add("priority_out_of_range", f"registration {reg.id!r} priority {reg.priority}", i)
+            violations.append(Violation("priority_out_of_range", f"registration {reg.id!r} priority {reg.priority}", i))
         if reg.duration_min < 1:
-            report.add("non_positive_duration", f"registration {reg.id!r} duration {reg.duration_min}", i)
+            violations.append(Violation("non_positive_duration", f"registration {reg.id!r} duration {reg.duration_min}", i))
         if reg.actual_duration_min is not None and reg.actual_duration_min < 1:
-            report.add(
-                "non_positive_actual_duration",
-                f"registration {reg.id!r} actual duration {reg.actual_duration_min}",
-                i,
+            violations.append(
+                Violation("non_positive_actual_duration", f"registration {reg.id!r} actual duration {reg.actual_duration_min}", i)
             )
         if reg.confidence is not None and reg.confidence.level not in PRIORITIES:
-            report.add(
-                "confidence_out_of_range",
-                f"registration {reg.id!r} confidence level {reg.confidence.level}",
-                i,
+            violations.append(
+                Violation("confidence_out_of_range", f"registration {reg.id!r} confidence level {reg.confidence.level}", i)
             )
 
     for i, shift in enumerate(instance.shifts):
         if shift.capacity_min < 1:
-            report.add("non_positive_capacity", f"shift {shift.shift_id!r} capacity {shift.capacity_min}", i)
+            violations.append(Violation("non_positive_capacity", f"shift {shift.shift_id!r} capacity {shift.capacity_min}", i))
 
     seen_cells: set[tuple[str, str, int]] = set()
     for i, slot in enumerate(instance.mss):
         key = (slot.or_id, slot.shift_id, slot.day)
         if key in seen_cells:
-            report.add("duplicate_mss_cell", f"cell (or={slot.or_id!r}, shift={slot.shift_id!r}, day={slot.day}) repeats", i)
+            violations.append(
+                Violation("duplicate_mss_cell", f"cell (or={slot.or_id!r}, shift={slot.shift_id!r}, day={slot.day}) repeats", i)
+            )
         seen_cells.add(key)
         if slot.shift_id not in shift_ids:
-            report.add("dangling_shift_id", f"MSS cell references unknown shift {slot.shift_id!r}", i)
+            violations.append(Violation("dangling_shift_id", f"MSS cell references unknown shift {slot.shift_id!r}", i))
         if not (0 <= slot.day < instance.planning_days):
-            report.add(
-                "day_out_of_range",
-                f"MSS cell day {slot.day} outside [0, {instance.planning_days})",
-                i,
-            )
+            violations.append(Violation("day_out_of_range", f"MSS cell day {slot.day} outside [0, {instance.planning_days})", i))
 
     if instance.emergency_or_id is not None:
         if all(slot.or_id != instance.emergency_or_id for slot in instance.mss):
-            report.add(
-                "emergency_or_not_in_mss",
-                f"emergency OR {instance.emergency_or_id!r} appears in no MSS cell",
-            )
+            violations.append(Violation("emergency_or_not_in_mss", f"emergency OR {instance.emergency_or_id!r} appears in no MSS cell"))
 
-    return report
+    return violations

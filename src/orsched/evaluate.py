@@ -1,6 +1,7 @@
 """Schedule quality evaluation: replay a schedule against the actual surgery
-durations, compute per-cell occupancy and booking counts, and compare the
-scheduling methods (VBA, Conf, Pred, Dep, Surg) on one instance.
+durations, compute per-cell occupancy and booking counts, give each
+scheduling method (VBA, Conf, Pred, Dep, Surg) its planned durations and
+solve with them, and write the per-method report.
 """
 
 from __future__ import annotations
@@ -67,9 +68,6 @@ class MethodReport:
     overbooked: int
     underbooked: int
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def replay(schedule: Schedule, instance: ProblemInstance) -> OccupancyTable:
     """Realized per-cell usage from actual durations.
@@ -122,7 +120,7 @@ def occupancy_stats(table: OccupancyTable) -> OccupancyStats:
 
 
 # ---------------------------------------------------------------------------
-# method comparison
+# per-method durations and solves
 
 
 @dataclass(frozen=True)
@@ -224,57 +222,31 @@ def solve_method(
     return method_instance, schedule, proven
 
 
-def run_method_comparison(
-    instance: ProblemInstance,
-    estimates: DurationEstimates,
-    methods: Sequence[str] = METHODS,
-    limits: SolveLimits = SolveLimits(),
-    solver: str | None = None,
-) -> list[MethodReport]:
-    """Solve the same week once per method and replay each schedule against
-    the actual durations. Every method gets identical limits."""
-    if not methods:
-        raise EvaluateError("empty method list")
-    reports = []
-    for method in methods:
-        method_instance, schedule, _ = solve_method(instance, method, estimates, limits, solver)
-        reports.append(evaluate_schedule(method, schedule, method_instance))
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # report files
 
-_COLUMNS = ("method", "occ_mean", "occ_std", "occ_max", "occ_min", "overbooked", "underbooked")
 
-
-def format_report_table(reports_by_hospital: Mapping[str, Sequence[MethodReport]]) -> str:
-    """Fixed-width per-hospital table: one row per method, occupancy
-    percentages rounded to integers, std with two decimals."""
-    lines = []
-    for hospital in reports_by_hospital:
-        lines.append(f"== {hospital} ==")
+def format_report_table(hospital: str, reports: Sequence[MethodReport]) -> str:
+    """Fixed-width table under a hospital heading: one row per method,
+    occupancy percentages rounded to integers, std with two decimals."""
+    lines = [
+        f"== {hospital} ==",
+        f"{'method':<8}{'% occ (mean)':>14}{'occ (std)':>12}{'% occ (max)':>13}"
+        f"{'% occ (min)':>13}{'overbooking':>13}{'underbooking':>14}",
+    ]
+    for r in reports:
         lines.append(
-            f"{'method':<8}{'% occ (mean)':>14}{'occ (std)':>12}{'% occ (max)':>13}"
-            f"{'% occ (min)':>13}{'overbooking':>13}{'underbooking':>14}"
+            f"{r.method:<8}{round(r.occ_mean):>14}{r.occ_std:>12.2f}{round(r.occ_max):>13}"
+            f"{round(r.occ_min):>13}{r.overbooked:>13}{r.underbooked:>14}"
         )
-        for r in reports_by_hospital[hospital]:
-            lines.append(
-                f"{r.method:<8}{round(r.occ_mean):>14}{r.occ_std:>12.2f}{round(r.occ_max):>13}"
-                f"{round(r.occ_min):>13}{r.overbooked:>13}{r.underbooked:>14}"
-            )
-        lines.append("")
+    lines.append("")
     return "\n".join(lines)
 
 
-def write_report_json(reports_by_hospital: Mapping[str, Sequence[MethodReport]], path: str | Path) -> None:
-    payload = [
-        {"hospital": hospital, **report.to_json_dict()}
-        for hospital, reports in reports_by_hospital.items()
-        for report in reports
-    ]
+def write_report_json(hospital: str, reports: Sequence[MethodReport], path: str | Path) -> None:
+    payload = [{"hospital": hospital, **asdict(report)} for report in reports]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def write_report_txt(reports_by_hospital: Mapping[str, Sequence[MethodReport]], path: str | Path) -> None:
-    Path(path).write_text(format_report_table(reports_by_hospital), encoding="utf-8")
+def write_report_txt(hospital: str, reports: Sequence[MethodReport], path: str | Path) -> None:
+    Path(path).write_text(format_report_table(hospital, reports), encoding="utf-8")

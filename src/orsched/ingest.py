@@ -26,8 +26,9 @@ from orsched.core import (
     ProblemInstance,
     Registration,
     Shift,
-    ValidationReport,
+    Violation,
     header_index,
+    not_utf8,
     read_csv_rows,
     validate_instance,
     write_csv_rows,
@@ -93,7 +94,7 @@ SurgicalRecord = dict[str, Any]
 class IngestError(Exception):
     """Raised for unrecoverable data problems (empty survivors, bad schema)."""
 
-    def __init__(self, message: str, report: ValidationReport | None = None):
+    def __init__(self, message: str, report: list[Violation] | None = None):
         super().__init__(message)
         self.report = report
 
@@ -123,15 +124,9 @@ class PreprocessLog:
     def add(self, stage: str, rows_in: int, rows_out: int, features_in: int, features_out: int, note: str = "") -> None:
         self.stages.append(StageLog(stage, rows_in, rows_out, features_in, features_out, note))
 
-    def to_json_dict(self) -> dict:
-        return {"stages": [asdict(s) for s in self.stages]}
-
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    iqr_multiplier: float = 1.5
-    correlation_threshold: float = 0.95
-    rare_max_clusters: int = 3
     seed: int = 0
 
 
@@ -361,7 +356,7 @@ def preprocess(
     # rare-diagnosis grouping
     dataset = CleanDataset(survivors, columns)
     if "DIAGNOSI1" in columns and "REPARTO" in columns:
-        grouped = group_rare_diagnoses(dataset, config.rare_max_clusters, config.seed)
+        grouped = group_rare_diagnoses(dataset, seed=config.seed)
         changed = sum(1 for a, b in zip(dataset.records, grouped.records) if a["DIAGNOSI1"] != b["DIAGNOSI1"])
         dataset = grouped
         log.add("group_rare_diagnoses", len(survivors), len(survivors), len(columns), len(columns), note=f"{changed} rows regrouped")
@@ -374,7 +369,7 @@ def preprocess(
     passes = 0
     while filtered:
         passes += 1
-        kept_idx = iqr_filter([rec["DURATA"] for rec in filtered], config.iqr_multiplier)
+        kept_idx = iqr_filter([rec["DURATA"] for rec in filtered])
         if len(kept_idx) == len(filtered):
             break
         filtered = [filtered[i] for i in kept_idx]
@@ -393,7 +388,7 @@ def preprocess(
     feature_cols = [c for c in columns if c != "DURATA"]
     if len(filtered) >= 2 and feature_cols:
         matrix = _numeric_encoding(filtered, feature_cols)
-        kept_names = set(prune_correlated_features(matrix, feature_cols, config.correlation_threshold))
+        kept_names = set(prune_correlated_features(matrix, feature_cols))
     else:
         kept_names = set(feature_cols)
     kept_features = [c for c in columns if c == "DURATA" or c in kept_names]
@@ -555,15 +550,14 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int) -> list[Surgi
 class HospitalShape:
     """OR count and daily opening span of one hospital site."""
 
-    name: str
     n_ors: int
     shift_minutes: int
 
 
 HOSPITAL_SHAPES = {
-    "bordighera": HospitalShape("bordighera", n_ors=2, shift_minutes=360),  # 07:30-13:30
-    "imperia": HospitalShape("imperia", n_ors=5, shift_minutes=750),  # 07:30-20:00
-    "sanremo": HospitalShape("sanremo", n_ors=5, shift_minutes=750),
+    "bordighera": HospitalShape(n_ors=2, shift_minutes=360),  # 07:30-13:30
+    "imperia": HospitalShape(n_ors=5, shift_minutes=750),  # 07:30-20:00
+    "sanremo": HospitalShape(n_ors=5, shift_minutes=750),
 }
 
 _PRIORITY_WEIGHTS = ((1, 0.15), (2, 0.35), (3, 0.30), (4, 0.20))
@@ -677,8 +671,8 @@ def build_instance(
     planning_days: int | None = None,
     emergency_or_id: str | None = None,
 ) -> ProblemInstance:
-    """Assemble and validate a problem instance; raises with the full
-    validation report when the parts do not fit together."""
+    """Assemble and validate a problem instance; raises with every
+    violation when the parts do not fit together."""
     mss = tuple(mss_slots)
     days = planning_days if planning_days is not None else (max((s.day for s in mss), default=0) + 1)
     instance = ProblemInstance(
@@ -689,7 +683,7 @@ def build_instance(
         emergency_or_id=emergency_or_id,
     )
     report = validate_instance(instance)
-    if not report.ok:
+    if report:
         raise IngestError(
             "instance validation failed: " + "; ".join(f"{v.code}: {v.detail}" for v in report),
             report=report,
@@ -713,18 +707,22 @@ def read_records_csv(path: str | Path) -> list[SurgicalRecord]:
     """Read a records file, one record per line after the header (blank
     lines are skipped, a short row gives a record of its first columns).
     Empty cells read None; timestamp and integer columns are parsed one
-    column at a time. Raises ``InputFileError`` at a repeated column or at
-    the first cell, in file order, that does not parse."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputFileError(path, 1, "header", "empty records file")
-        index = header_index(path, header)
-        records, lines = [], []
-        for row in filter(None, reader):
-            records.append(dict(zip(header, [text or None for text in row] if "" in row else row)))
-            lines.append(reader.line_num)
+    column at a time. Raises ``InputFileError`` at a repeated column, at a
+    byte that is not UTF-8 or at the first cell, in file order, that does
+    not parse."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputFileError(path, 1, "header", "empty records file")
+            index = header_index(path, header)
+            records, lines = [], []
+            for row in filter(None, reader):
+                records.append(dict(zip(header, [text or None for text in row] if "" in row else row)))
+                lines.append(reader.line_num)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     bad = []  # (record, column position) of each column's first cell that does not parse
     for column in [c for c in header if c in TIMESTAMP_COLUMNS or c in INTEGER_COLUMNS]:
         parse = datetime.fromisoformat if column in TIMESTAMP_COLUMNS else int
@@ -818,7 +816,7 @@ def load_instance(
             emergency_or_id=emergency_or_id,
         )
     except IngestError as exc:
-        first = exc.report.violations[0]
+        first = exc.report[0]
         if first.code not in _VIOLATION_AT:
             raise
         which, column = _VIOLATION_AT[first.code]
@@ -829,4 +827,4 @@ def load_instance(
 
 
 def write_preprocess_log(log: PreprocessLog, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(log.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(log), indent=2) + "\n", encoding="utf-8")

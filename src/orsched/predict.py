@@ -82,23 +82,6 @@ class FeatureEncoder:
             j += 1
         return rows
 
-    def to_json_dict(self) -> dict:
-        return {
-            "numeric_columns": self.numeric_columns,
-            "timestamp_columns": self.timestamp_columns,
-            "categorical_columns": self.categorical_columns,
-            "categories": self.categories,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FeatureEncoder":
-        return cls(
-            numeric_columns=list(data["numeric_columns"]),
-            timestamp_columns=list(data["timestamp_columns"]),
-            categorical_columns=list(data["categorical_columns"]),
-            categories={c: dict(t) for c, t in data["categories"].items()},
-        )
-
 
 def _category_key(value: Any) -> str:
     return "" if value is None else str(value)
@@ -185,9 +168,6 @@ class MetricsReport:
     rmse: float
     r2: float | None
 
-    def to_json_dict(self) -> dict:
-        return {"mae": self.mae, "rmse": self.rmse, "r2": self.r2}
-
 
 def regression_metrics(y: Sequence[float], yhat: Sequence[float]) -> MetricsReport:
     y = np.asarray(y, dtype=float)
@@ -211,8 +191,6 @@ class CvResult:
     spec: ModelSpec
     mean_mae: float
     mean_rmse: float
-    fold_mae: tuple[float, ...]
-    fold_rmse: tuple[float, ...]
 
 
 def grid_search_cv(
@@ -249,9 +227,7 @@ def grid_search_cv(
             report = regression_metrics(y[fold], predict(model, X[fold]))
             maes.append(report.mae)
             rmses.append(report.rmse)
-        results.append(
-            CvResult(spec, float(np.mean(maes)), float(np.mean(rmses)), tuple(maes), tuple(rmses))
-        )
+        results.append(CvResult(spec, float(np.mean(maes)), float(np.mean(rmses))))
     best_idx = min(range(len(grid)), key=lambda i: (results[i].mean_mae, results[i].mean_rmse, i))
     return grid[best_idx], results
 
@@ -303,13 +279,6 @@ class BaselineEstimator:
     def estimate_record(self, record: SurgicalRecord) -> float:
         return self.estimate(record.get(self.column))
 
-    def to_json_dict(self) -> dict:
-        return {"key": self.key, "column": self.column, "means": dict(self.means), "global_mean": self.global_mean}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BaselineEstimator":
-        return cls(data["key"], data["column"], dict(data["means"]), data["global_mean"])
-
 
 def baseline_mean_estimator(records: Sequence[SurgicalRecord], key: str) -> BaselineEstimator:
     if key not in _BASELINE_COLUMNS:
@@ -347,20 +316,29 @@ def save_model(
         "family": model.family,
         "hyperparameters": model.hyperparameters,
         "structure": model.structure,
-        "encoder": encoder.to_json_dict(),
-        "baselines": {b.key: b.to_json_dict() for b in baselines},
+        "encoder": vars(encoder),
+        "baselines": {b.key: vars(b) for b in baselines},
     }
     # a fresh acyclic tree: skipping the encoder's cycle check writes the same bytes
     Path(path).write_text(json.dumps(payload, check_circular=False), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> tuple[FittedModel, FeatureEncoder, dict[str, BaselineEstimator]]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if data.get("format_version") != ARTIFACT_VERSION:
-        raise PredictError(f"unsupported artifact version {data.get('format_version')!r}")
-    model = FittedModel(data["family"], data["hyperparameters"], data["structure"])
-    encoder = FeatureEncoder.from_json_dict(data["encoder"])
-    baselines = {k: BaselineEstimator.from_json_dict(v) for k, v in data.get("baselines", {}).items()}
+    """Read a ``save_model`` artifact; raises ``PredictError`` naming the
+    file and the JSON error's line, the missing key or the wrong version."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if data["format_version"] != ARTIFACT_VERSION:
+            raise PredictError(f"{path}: key 'format_version': unsupported artifact version {data['format_version']!r}")
+        model = FittedModel(data["family"], data["hyperparameters"], data["structure"])
+        encoder = FeatureEncoder(**data["encoder"])
+        baselines = {k: BaselineEstimator(**v) for k, v in data.get("baselines", {}).items()}
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise PredictError(f"{path}: not a JSON model artifact: {exc}") from None
+    except KeyError as exc:
+        raise PredictError(f"{path}: key {exc.args[0]!r} missing") from None
+    except (AttributeError, TypeError) as exc:
+        raise PredictError(f"{path}: not a model artifact: {exc}") from None
     return model, encoder, baselines
 
 

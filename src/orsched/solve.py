@@ -81,16 +81,9 @@ class IncompleteSearchError(SolverError):
     if none was reached.
     """
 
-    def __init__(self, incumbent: Schedule | None, wall_time_s: float, reason: str):
+    def __init__(self, incumbent: Schedule | None, reason: str):
         super().__init__(reason)
         self.incumbent = incumbent
-        self.wall_time_s = wall_time_s
-
-
-def compare_lex(a: ObjectiveVector, b: ObjectiveVector) -> int:
-    """Lexicographic comparison, highest tier first; -1 means ``a`` is better."""
-    ta, tb = a.as_tuple(), b.as_tuple()
-    return (ta > tb) - (ta < tb)
 
 
 def is_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violation]:
@@ -142,36 +135,6 @@ def is_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violation
     return violations
 
 
-def objective_vector(schedule: Schedule, instance: ProblemInstance, confidence_scale: int = 1) -> ObjectiveVector:
-    """Evaluate the six lexicographic components of a schedule.
-
-    ``confidence_scale`` multiplies every confidence level before aggregation;
-    it exists so tests can check that scaling leaves optimal assignment
-    patterns unchanged.
-    """
-    regs = {r.id: r for r in instance.registrations}
-    assigned = schedule.assigned_ids()
-
-    unassigned = [0, 0, 0, 0]
-    for reg in instance.registrations:
-        if reg.id not in assigned and reg.priority in (1, 2, 3, 4):
-            unassigned[reg.priority - 1] += 1
-
-    sums: dict[CellKey, int] = {CellKey(s.or_id, s.day, s.shift_id): 0 for s in instance.mss}
-    for a in schedule.assignments:
-        reg = regs.get(a.registration_id)
-        key = CellKey(a.or_id, a.day, a.shift_id)
-        if reg is not None and reg.confidence is not None and key in sums:
-            sums[key] += reg.confidence.level * confidence_scale
-
-    if sums:
-        max_sum = max(sums.values())
-        spread = max_sum - min(sums.values())
-    else:
-        max_sum = spread = 0
-    return ObjectiveVector(*unassigned, max_sum, spread)
-
-
 # ---------------------------------------------------------------------------
 # shared solver model
 
@@ -187,9 +150,9 @@ class _Model:
     """Instance unpacked into index-based arrays for search."""
 
     def __init__(self, instance: ProblemInstance, confidence_scale: int):
-        report = validate_instance(instance)
-        if not report.ok:
-            raise ValueError(f"instance fails validation: {[v.code for v in report]}")
+        violations = validate_instance(instance)
+        if violations:
+            raise ValueError(f"instance fails validation: {[v.code for v in violations]}")
         capacity = {s.shift_id: s.capacity_min for s in instance.shifts}
         cells = [
             _Cell(
@@ -354,14 +317,13 @@ class _ExactSearch:
                     self.m.p1_ids(),
                     f"priority-1 registration {self.m.regs[ri].id!r} fits no compatible cell",
                 )
-        start = time.monotonic()
         try:
             self._dfs(0)
         except _Abort as abort:
             incumbent = None
             if self.best_choice is not None:
                 incumbent = self.m.build_schedule(self.best_choice, self.best_objective)
-            raise IncompleteSearchError(incumbent, time.monotonic() - start, abort.reason) from None
+            raise IncompleteSearchError(incumbent, abort.reason) from None
         if self.best_choice is None:
             raise InfeasibleInstanceError(self.m.p1_ids(), "no feasible schedule hosts every priority-1 registration")
         return self.m.build_schedule(self.best_choice, self.best_objective)

@@ -1,8 +1,10 @@
-"""Shared builders for solver and evaluation tests."""
+"""Shared builders for solver and evaluation tests, and the method
+comparison loop the evaluation and acceptance tests run."""
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from orsched.core import (
     ConfidenceLevel,
@@ -11,6 +13,15 @@ from orsched.core import (
     Registration,
     Shift,
 )
+from orsched.evaluate import (
+    METHODS,
+    DurationEstimates,
+    EvaluateError,
+    MethodReport,
+    evaluate_schedule,
+    solve_method,
+)
+from orsched.solve import SolveLimits
 
 
 def reg(
@@ -102,3 +113,21 @@ def random_instance(
     if rng.random() < 0.3:
         emergency = cells[rng.randrange(len(cells))][0]
     return instance(regs, cells, caps, emergency_or_id=emergency)
+
+
+def run_method_comparison(
+    instance: ProblemInstance,
+    estimates: DurationEstimates,
+    methods: Sequence[str] = METHODS,
+    limits: SolveLimits = SolveLimits(),
+    solver: str | None = None,
+) -> list[MethodReport]:
+    """Solve the same week once per method and replay each schedule against
+    the actual durations. Every method gets identical limits."""
+    if not methods:
+        raise EvaluateError("empty method list")
+    reports = []
+    for method in methods:
+        method_instance, schedule, _ = solve_method(instance, method, estimates, limits, solver)
+        reports.append(evaluate_schedule(method, schedule, method_instance))
+    return reports

@@ -13,7 +13,9 @@ the per-specialty cell lists are checked,
 ``reference_grow_tree``/``reference_fit``, tree growing with a full
 argsort at every node, against which the presorted grower is checked, and
 ``reference_predict``, one tree walked node by node, against which the
-blocked array prediction is checked.
+blocked array prediction is checked. ``objective_vector`` recomputes a
+schedule's six objective components from its assignments, and
+``compare_lex`` orders two objective vectors, highest tier first.
 
 The data path has references that go cell by cell:
 ``reference_read_records_csv`` and ``reference_read_csv_rows`` (a
@@ -38,7 +40,7 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 
-from orsched.core import InputFileError, MssSlot, ProblemInstance, Registration, Shift
+from orsched.core import InputFileError, MssSlot, ObjectiveVector, ProblemInstance, Registration, Schedule, Shift
 from orsched.ingest import (
     _PRIORITY_WEIGHTS,
     HOSPITAL_SHAPES,
@@ -48,6 +50,7 @@ from orsched.ingest import (
     _duration_from_features,
     iqr_filter,
 )
+from orsched.solve import CellKey
 
 _CHUNK = 1 << 20
 
@@ -168,6 +171,42 @@ def brute_force_optimal_patterns(instance: ProblemInstance, confidence_scale: in
 def schedule_pattern(schedule) -> frozenset:
     """Pattern representation of a solver schedule, comparable with oracle output."""
     return frozenset((a.registration_id, (a.or_id, a.day, a.shift_id)) for a in schedule.assignments)
+
+
+def compare_lex(a: ObjectiveVector, b: ObjectiveVector) -> int:
+    """Lexicographic comparison, highest tier first; -1 means ``a`` is better."""
+    ta, tb = a.as_tuple(), b.as_tuple()
+    return (ta > tb) - (ta < tb)
+
+
+def objective_vector(schedule: Schedule, instance: ProblemInstance, confidence_scale: int = 1) -> ObjectiveVector:
+    """Evaluate the six lexicographic components of a schedule.
+
+    ``confidence_scale`` multiplies every confidence level before aggregation;
+    it exists so tests can check that scaling leaves optimal assignment
+    patterns unchanged.
+    """
+    regs = {r.id: r for r in instance.registrations}
+    assigned = {a.registration_id for a in schedule.assignments}
+
+    unassigned = [0, 0, 0, 0]
+    for reg in instance.registrations:
+        if reg.id not in assigned and reg.priority in (1, 2, 3, 4):
+            unassigned[reg.priority - 1] += 1
+
+    sums: dict[CellKey, int] = {CellKey(s.or_id, s.day, s.shift_id): 0 for s in instance.mss}
+    for a in schedule.assignments:
+        reg = regs.get(a.registration_id)
+        key = CellKey(a.or_id, a.day, a.shift_id)
+        if reg is not None and reg.confidence is not None and key in sums:
+            sums[key] += reg.confidence.level * confidence_scale
+
+    if sums:
+        max_sum = max(sums.values())
+        spread = max_sum - min(sums.values())
+    else:
+        max_sum = spread = 0
+    return ObjectiveVector(*unassigned, max_sum, spread)
 
 
 def reference_improve_once(model, state, confidence_active: bool) -> bool:

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance
-from oracle import brute_force_best, brute_force_optimal_patterns, schedule_pattern
+from helpers import random_instance, run_method_comparison
+from oracle import brute_force_best, brute_force_optimal_patterns, compare_lex, schedule_pattern
 
 from orsched.core import ObjectiveVector
-from orsched.evaluate import DurationEstimates, EvaluateError, run_method_comparison
+from orsched.evaluate import DurationEstimates, EvaluateError
 from orsched.ingest import (
     HOSPITAL_SHAPES,
     PreprocessConfig,
@@ -40,7 +40,6 @@ from orsched.predict import (
 from orsched.solve import (
     InfeasibleInstanceError,
     SolveLimits,
-    compare_lex,
     is_feasible,
     solve_exact,
     solve_heuristic,

@@ -520,3 +520,87 @@ def test_train_malformed_grid_entry_is_usage_error(workspace, tmp_path, capsys, 
     assert orsched.cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(grid) in err and "entry 1" in err and repr(field) in err
+
+
+
+def _not_utf8(src, dst, line):
+    """``src`` copied to ``dst`` with a byte that is not UTF-8 opening its ``line``-th line."""
+    lines = src.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    dst.write_bytes(b"\n".join(lines))
+    return str(dst)
+
+
+def _written(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+def _model(workspace, tmp_path, change):
+    """The workspace's model artifact with ``change`` applied to its JSON object."""
+    data = json.loads((workspace / "model.json").read_text())
+    change(data)
+    return _written(tmp_path / "model.json", json.dumps(data).encode())
+
+
+def _schedule(ws, *flags):
+    return ["schedule", *instance_flags(ws), "--week", str(ws / "week.csv"), "--max-restarts", "1", *flags]
+
+
+def _pipeline(*flags):
+    return ["pipeline", "--rows", "200", "--grid", "fast", "--max-restarts", "1", "--time-limit", "5", *flags]
+
+
+# each case: (workspace, tmp_path) -> (argv, text the error line must hold)
+MALFORMED_INPUT = {
+    "model_not_json": lambda ws, tmp: (
+        _schedule(ws, "--method", "pred", "--model", _written(tmp / "model.json", b"{not json")), "line 1"
+    ),
+    "model_without_family": lambda ws, tmp: (
+        _schedule(ws, "--method", "pred", "--model", _model(ws, tmp, lambda d: d.pop("family"))), "'family'"
+    ),
+    "model_wrong_version": lambda ws, tmp: (
+        _schedule(ws, "--method", "pred", "--model", _model(ws, tmp, lambda d: d.update(format_version=2))),
+        "'format_version'",
+    ),
+    "records_not_utf8": lambda ws, tmp: (
+        ["train", "--records", _not_utf8(ws / "records.csv", tmp / "records.csv", 300)], "row 300"
+    ),
+    "registrations_not_utf8": lambda ws, tmp: (
+        ["schedule", "--registrations", _not_utf8(ws / "registrations.csv", tmp / "registrations.csv", 5),
+         "--mss", str(ws / "mss.csv"), "--shifts", str(ws / "shifts.csv")],
+        "row 5",
+    ),
+    "config_not_utf8": lambda ws, tmp: (
+        ["synth", "--config", _written(tmp / "latin1.json", b'{"rows": "\xe9"}')], "latin1.json"
+    ),
+    "grid_not_utf8": lambda ws, tmp: (
+        ["train", "--records", str(ws / "records.csv"), "--grid", _written(tmp / "latin1.json", b'[{"family": "\xe9"}]')],
+        "latin1.json",
+    ),
+    "pipeline_same_method_twice": lambda ws, tmp: (_pipeline("--methods", "vba,VBA"), "VBA"),
+    "synth_negative_seed": lambda ws, tmp: (["synth", "--rows", "50", "--seed", "-1"], "--seed"),
+    "synth_negative_seed_in_config": lambda ws, tmp: (
+        ["synth", "--rows", "50", "--config", _written(tmp / "seed.json", b'{"seed": -1}')], "--seed"
+    ),
+    "preprocess_negative_seed": lambda ws, tmp: (["preprocess", "--records", str(ws / "records.csv"), "--seed", "-1"], "--seed"),
+    "train_negative_seed": lambda ws, tmp: (
+        ["train", "--records", str(ws / "records.csv"), "--grid", "fast", "--seed", "-1"], "--seed"
+    ),
+    "pipeline_negative_seed": lambda ws, tmp: (_pipeline("--seed", "-1"), "--seed"),
+    "schedule_dep_history_negative_seed": lambda ws, tmp: (
+        _schedule(ws, "--method", "dep", "--records", str(ws / "records.csv"), "--seed", "-1"), "--seed"
+    ),
+    "synth_zero_planning_days": lambda ws, tmp: (["synth", "--rows", "50", "--planning-days", "0"], "--planning-days"),
+    "synth_negative_fill_ratio": lambda ws, tmp: (["synth", "--rows", "50", "--fill-ratio", "-1"], "--fill-ratio"),
+    "pipeline_zero_planning_days": lambda ws, tmp: (_pipeline("--planning-days", "0"), "--planning-days"),
+    "pipeline_negative_fill_ratio": lambda ws, tmp: (_pipeline("--fill-ratio", "-1"), "--fill-ratio"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUT))
+def test_malformed_input_is_one_usage_line(workspace, tmp_path, capsys, case):
+    argv, expected = MALFORMED_INPUT[case](workspace, tmp_path)
+    assert orsched.cli.main([*argv, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and expected in err, err

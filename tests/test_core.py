@@ -29,7 +29,7 @@ def test_well_formed_instance_has_empty_report():
         [("R1", "GEN", "S1", 0)],
         {"S1": 20},
     )
-    assert validate_instance(inst).ok
+    assert validate_instance(inst) == []
 
 
 def test_dangling_shift_reported():
@@ -56,7 +56,7 @@ def test_every_corruption_kind_detected():
         emergency_or_id="R1",
         planning_days=2,
     )
-    assert validate_instance(base).ok
+    assert validate_instance(base) == []
 
     def variant(**overrides):
         fields = dict(
@@ -124,7 +124,7 @@ def valid_instances(draw):
 
 @given(valid_instances())
 def test_valid_instances_validate_clean(inst):
-    assert validate_instance(inst).ok
+    assert validate_instance(inst) == []
 
 
 @given(valid_instances())

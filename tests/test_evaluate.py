@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import instance, reg, single_cell_instance
+from helpers import instance, reg, run_method_comparison, single_cell_instance
 
 from orsched.core import Assignment, ConfidenceLevel, ObjectiveVector, Schedule
 from orsched.evaluate import (
@@ -21,7 +21,6 @@ from orsched.evaluate import (
     normalize_method,
     occupancy_stats,
     replay,
-    run_method_comparison,
 )
 from orsched.solve import CellKey, SolveLimits, solve_heuristic
 
@@ -229,7 +228,7 @@ def test_report_table_shape():
     reports = run_method_comparison(
         inst, full_estimates(inst), methods=["VBA", "Pred"], limits=SolveLimits(time_budget_s=5, max_restarts=2)
     )
-    text = format_report_table({"bordighera": reports})
+    text = format_report_table("bordighera", reports)
     lines = text.splitlines()
     assert lines[0] == "== bordighera =="
     assert "overbooking" in lines[1]

@@ -8,7 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import instance, random_instance, reg, single_cell_instance
-from oracle import brute_force_best, reference_compat, reference_greedy, reference_improve_once, schedule_pattern
+from oracle import (
+    brute_force_best,
+    compare_lex,
+    objective_vector,
+    reference_compat,
+    reference_greedy,
+    reference_improve_once,
+    schedule_pattern,
+)
 
 from orsched.core import Assignment, ObjectiveVector, Schedule
 from orsched.solve import (
@@ -18,9 +26,7 @@ from orsched.solve import (
     _Heuristic,
     _HeurState,
     _Model,
-    compare_lex,
     is_feasible,
-    objective_vector,
     read_schedule_csv,
     solve_exact,
     solve_heuristic,
@@ -167,7 +173,7 @@ def test_single_cell_priority_packing():
         capacity=10,
     )
     s = solve_exact(inst, FAST)
-    assert "r1" in s.assigned_ids()
+    assert "r1" in {a.registration_id for a in s.assignments}
     assert s.objective.as_tuple()[:4] == (0, 1, 0, 0)
     assert brute_force_best(inst)[:4] == (0, 1, 0, 0)
 
@@ -182,7 +188,7 @@ def test_confidence_steers_choice_of_companion():
         capacity=10,
     )
     s = solve_exact(inst, FAST)
-    assert s.assigned_ids() == {"r1", "r2"}
+    assert {a.registration_id for a in s.assignments} == {"r1", "r2"}
     assert s.objective.max_cell_confidence == 3
     assert brute_force_best(inst) == s.objective.as_tuple()
 
@@ -349,7 +355,7 @@ def test_perfect_packing_of_all_p1():
         {"S1": 10, "S2": 10},
     )
     s = solve_heuristic(inst, H_FAST)
-    assert s.assigned_ids() == {"a", "b", "c", "d"}
+    assert {a.registration_id for a in s.assignments} == {"a", "b", "c", "d"}
     assert is_feasible(s, inst) == []
 
 
