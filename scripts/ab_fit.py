@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from orsched.cli import main as cli_main
-from orsched.ingest import PreprocessConfig, preprocess, read_records_csv
+from orsched.ingest import preprocess, read_records_csv
 from orsched.predict import encode_features, stratified_split
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,7 +64,7 @@ def training_split(seed: int) -> tuple[np.ndarray, np.ndarray]:
         if code != 0:
             raise SystemExit(code)
         records = read_records_csv(Path(tmp) / "records.csv")
-    clean, _ = preprocess(records, PreprocessConfig(seed=seed))
+    clean, _ = preprocess(records, seed=seed)
     X, y, _ = encode_features(clean)
     train_idx, _ = stratified_split(X, y, test_fraction=0.2, n_bins=10, seed=seed)
     return X[train_idx], y[train_idx]

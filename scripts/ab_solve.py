@@ -74,11 +74,11 @@ def make_weeks(checkout: Path, data: Path, weeks: list[tuple[str, int]]) -> None
 def load_week(out: Path):
     """The week's instance and the estimates all five methods plan with,
     built as ``orsched schedule --week --model`` builds them."""
-    from orsched.cli import _build_estimates
+    from orsched.cli import _build_estimates, build_parser
     from orsched.ingest import load_instance
 
     instance = load_instance(out / "registrations.csv", out / "mss.csv", out / "shifts.csv")
-    flags = argparse.Namespace(week=str(out / "week.csv"), model=str(out / "model.json"))
+    flags = build_parser().parse_args(["schedule", "--week", str(out / "week.csv"), "--model", str(out / "model.json")])
     return instance, _build_estimates(flags, METHODS, instance)
 
 

@@ -34,7 +34,6 @@ from orsched.evaluate import (
 from orsched.ingest import (
     HOSPITAL_SHAPES,
     IngestError,
-    PreprocessConfig,
     SyntheticConfig,
     generate_hospitalizations,
     generate_synthetic_dataset,
@@ -94,13 +93,13 @@ GRID_PRESETS: dict[str, list[ModelSpec]] = {
 }
 
 
-def _load_config(path: str | None, command: argparse.ArgumentParser) -> dict:
+def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
     """The config file's settings for ``command``: each key must be one of its
     options' ``dest`` (as ``time_limit`` for ``--time-limit``), and each
-    value, or each item of a list, is converted by that option's type and
-    checked against its choices, as the flag's text would be."""
-    if path is None:
-        return {}
+    value, or each item of a list for ``schedule`` (one per ``--schedule``)
+    or ``methods`` (one per name), is converted by that option's type and
+    checked against its choices, as the flag's text would be. A null leaves
+    the option's default."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -115,9 +114,10 @@ def _load_config(path: str | None, command: argparse.ArgumentParser) -> dict:
         option = options[key]
         try:
             if value is None:
-                settings[key] = None
-            elif isinstance(value, list):
-                settings[key] = [_config_value(option, item) for item in value]
+                continue
+            if key in ("schedule", "methods"):
+                items = [_config_value(option, item) for item in (value if isinstance(value, list) else [value])]
+                settings[key] = items if key == "schedule" else ",".join(items)
             else:
                 settings[key] = _config_value(option, value)
         except (TypeError, ValueError) as exc:
@@ -139,41 +139,44 @@ def _config_value(option: argparse.Action, value):
     return parsed
 
 
-def _merged(args: argparse.Namespace, key: str, default=None):
-    """Flag beats config file beats default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return getattr(args, "_config", {}).get(key, default)
+class _Repeat(argparse.Action):
+    """``append`` whose first flag starts a new list, so that flags replace a
+    config file's list rather than extend it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
 
 
 def _outdir(args: argparse.Namespace) -> Path:
-    out = Path(_merged(args, "out", "."))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _limits(args: argparse.Namespace) -> SolveLimits:
-    return SolveLimits(
-        time_budget_s=float(_merged(args, "time_limit", 60.0)),
-        seed=int(_merged(args, "seed", 0)),
-        max_restarts=_merged(args, "max_restarts"),
-    )
+    return SolveLimits(time_budget_s=args.time_limit, seed=args.seed, max_restarts=args.max_restarts)
 
 
 def _seed(args: argparse.Namespace) -> int:
     """The seed of a command that seeds numpy, which takes no negative seed."""
-    seed = int(_merged(args, "seed", 0))
-    if seed < 0:
+    if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    return seed
+    return args.seed
 
 
-def _require(args: argparse.Namespace, key: str, flag: str) -> str:
-    value = _merged(args, key)
+def _require(value: str | None, flag: str) -> str:
     if value is None:
         raise UsageError(f"missing required input: {flag}")
-    return str(value)
+    return value
+
+
+def _method(name: str) -> str:
+    """``normalize_method``, with an unknown name as a usage error."""
+    try:
+        return normalize_method(name)
+    except EvaluateError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +184,23 @@ def _require(args: argparse.Namespace, key: str, flag: str) -> str:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    rows = int(_merged(args, "rows", 2000))
-    if rows < 1:
+    if args.rows < 1:
         raise UsageError("--rows must be >= 1")
-    planning_days = int(_merged(args, "planning_days", 5))
-    if planning_days < 1:
+    if args.planning_days < 1:
         raise UsageError("--planning-days must be >= 1")
-    fill_ratio = float(_merged(args, "fill_ratio", 1.15))
-    if not fill_ratio > 0:
+    if not args.fill_ratio > 0:
         raise UsageError("--fill-ratio must be > 0")
     seed = _seed(args)
-    hospital = str(_merged(args, "hospital", "bordighera"))
-    if hospital not in HOSPITAL_SHAPES:
-        raise UsageError(f"unknown hospital {hospital!r}; choose from {sorted(HOSPITAL_SHAPES)}")
     out = _outdir(args)
 
-    config = SyntheticConfig(n_rows=rows, noise=float(_merged(args, "noise", 0.25)))
+    config = SyntheticConfig(n_rows=args.rows, noise=args.noise)
     records = generate_synthetic_dataset(config, seed=seed)
     week_records, registrations, mss, shifts = generate_week(
         config,
         seed=seed,
-        shape=HOSPITAL_SHAPES[hospital],
-        planning_days=planning_days,
-        fill_ratio=fill_ratio,
+        shape=HOSPITAL_SHAPES[args.hospital],
+        planning_days=args.planning_days,
+        fill_ratio=args.fill_ratio,
     )
     write_records_csv(records, out / "records.csv")
     write_records_csv(week_records, out / "week.csv")
@@ -213,7 +210,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     columns = ["patient_id", "admission", "discharge"]
     stays = ([stay[c] for c in columns] for stay in generate_hospitalizations(seed))
     write_csv_rows(out / "hospitalizations.csv", columns, stays)
-    print(f"wrote {rows} historical rows, {len(registrations)} registrations to {out}")
+    print(f"wrote {args.rows} historical rows, {len(registrations)} registrations to {out}")
     return EXIT_OK
 
 
@@ -222,10 +219,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    records_path = _require(args, "records", "--records")
+    records_path = _require(args.records, "--records")
     out = _outdir(args)
     records = read_records_csv(records_path)
-    clean, log = preprocess(records, PreprocessConfig(seed=_seed(args)))
+    clean, log = preprocess(records, seed=_seed(args))
     write_records_csv(clean.records, out / "cleaned.csv", columns=clean.kept_features)
     write_preprocess_log(log, out / "preprocess_log.json")
     last = log.stages[-1]
@@ -237,10 +234,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 # train
 
 
-def _resolve_grid(args: argparse.Namespace) -> list[ModelSpec]:
+def _resolve_grid(name: str) -> list[ModelSpec]:
     """The preset ``--grid`` names, or the specs of a JSON grid file: a list
     of ``{"family": ..., "hyperparameters": {...}}``, each entry validated."""
-    name = str(_merged(args, "grid", "best"))
     if name in GRID_PRESETS:
         return GRID_PRESETS[name]
     try:
@@ -266,13 +262,13 @@ def _resolve_grid(args: argparse.Namespace) -> list[ModelSpec]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    records_path = _require(args, "records", "--records")
-    grid = _resolve_grid(args)
+    records_path = _require(args.records, "--records")
+    grid = _resolve_grid(args.grid)
     seed = _seed(args)
     out = _outdir(args)
     records = read_records_csv(records_path)
 
-    clean, log = preprocess(records, PreprocessConfig(seed=seed))
+    clean, log = preprocess(records, seed=seed)
     write_preprocess_log(log, out / "preprocess_log.json")
     X, y, encoder = encode_features(clean)
     train_idx, test_idx = stratified_split(X, y, test_fraction=0.2, n_bins=10, seed=seed)
@@ -321,11 +317,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _load_week_instance(args: argparse.Namespace) -> ProblemInstance:
     try:
         return load_instance(
-            _require(args, "registrations", "--registrations"),
-            _require(args, "mss", "--mss"),
-            _require(args, "shifts", "--shifts"),
-            planning_days=_merged(args, "planning_days"),
-            emergency_or_id=_merged(args, "emergency_or"),
+            _require(args.registrations, "--registrations"),
+            _require(args.mss, "--mss"),
+            _require(args.shifts, "--shifts"),
+            planning_days=args.planning_days,
+            emergency_or_id=args.emergency_or,
         )
     except IngestError as exc:  # the violations in no file: an --emergency-or absent from the MSS
         raise UsageError(str(exc)) from None
@@ -338,10 +334,9 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
     needing = [m for m in methods if m != "VBA"]
     if not needing:
         return DurationEstimates()
-    week_path = _merged(args, "week")
-    if week_path is None:
+    if args.week is None:
         raise UsageError(f"method {needing[0]} needs --week with the operating list's feature records")
-    by_id = {str(r.get("PROGRESSIVO")): r for r in read_records_csv(week_path)}
+    by_id = {str(r.get("PROGRESSIVO")): r for r in read_records_csv(args.week)}
     regs = instance.registrations
     missing = [r.id for r in regs if r.id not in by_id]
     if missing:
@@ -349,11 +344,10 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
 
     predictive = [m for m in needing if m in ("Pred", "Conf")]
     means = [m for m in needing if m in ("Dep", "Surg")]
-    model_path = _merged(args, "model")
-    if predictive and model_path is None:
+    if predictive and args.model is None:
         raise UsageError(f"method {predictive[0]} needs --model with a trained artifact")
     try:
-        loaded = load_model(model_path) if model_path is not None else None
+        loaded = load_model(args.model) if args.model is not None else None
     except PredictError as exc:  # every one is about the file's content
         raise UsageError(str(exc)) from None
     predicted = department = procedure = None
@@ -366,14 +360,13 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
             if lacking:
                 raise UsageError("Conf derives confidence from actual durations, missing for: " + ", ".join(lacking[:5]))
     if means:
-        records_path = _merged(args, "records")
         if loaded is not None:
             baselines = loaded[2]
             if not baselines:
                 raise UsageError("model artifact carries no baselines; pass --records instead")
-        elif records_path is not None:
-            records = read_records_csv(records_path)
-            clean, _ = preprocess(records, PreprocessConfig(seed=_seed(args)))
+        elif args.records is not None:
+            records = read_records_csv(args.records)
+            clean, _ = preprocess(records, seed=_seed(args))
             baselines = {key: baseline_mean_estimator(clean.records, key) for key in ("department", "procedure_type")}
         else:
             raise UsageError(f"method {means[0]} needs --model or --records for the historical means")
@@ -402,13 +395,12 @@ def _solve_and_write(
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    method = normalize_method(str(_merged(args, "method", "vba")))
+    method = _method(args.method)
     instance = _load_week_instance(args)
     estimates = _build_estimates(args, [method], instance)
     out = _outdir(args)
-    prefer = _merged(args, "solver")
     _, schedule = _solve_and_write(
-        instance, method, estimates, _limits(args), prefer, out / "schedule.csv", out / "objective.json"
+        instance, method, estimates, _limits(args), args.solver, out / "schedule.csv", out / "objective.json"
     )
     print(
         f"{method}: assigned {len(schedule.assignments)}/{len(instance.registrations)} "
@@ -427,7 +419,7 @@ def _parse_schedule_specs(pairs: list[str]) -> dict[str, str]:
         if "=" not in pair:
             raise UsageError(f"--schedule expects method=path, got {pair!r}")
         method, path = pair.split("=", 1)
-        method = normalize_method(method)
+        method = _method(method)
         if method in out:
             raise UsageError(f"--schedule names method {method} twice: {out[method]} and {path}")
         out[method] = path
@@ -435,12 +427,10 @@ def _parse_schedule_specs(pairs: list[str]) -> dict[str, str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    pairs = _merged(args, "schedule") or []
-    if not pairs:
+    if not args.schedule:
         raise UsageError("--schedule method=path required at least once")
-    schedules = _parse_schedule_specs(list(pairs))
+    schedules = _parse_schedule_specs(args.schedule)
     instance = _load_week_instance(args)
-    hospital = str(_merged(args, "hospital", "hospital"))
     out = _outdir(args)
 
     reports: list[MethodReport] = []
@@ -454,8 +444,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if violation.code != "capacity_exceeded":
                 raise UsageError(f"{path}: {violation.code}: {violation.detail}")
         reports.append(evaluate_schedule(method, schedule, instance))
-    write_report_json(hospital, reports, out / "report.json")
-    write_report_txt(hospital, reports, out / "report.txt")
+    write_report_json(args.hospital, reports, out / "report.json")
+    write_report_txt(args.hospital, reports, out / "report.txt")
     print((out / "report.txt").read_text(encoding="utf-8"))
     return EXIT_OK
 
@@ -466,12 +456,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     out = _outdir(args)
-    methods = _merged(args, "methods")
-    if methods is None:
-        methods = list(METHODS)
-    elif isinstance(methods, str):
-        methods = [m for m in methods.split(",") if m]
-    methods = [normalize_method(m) for m in methods]
+    methods = [_method(m) for m in args.methods.split(",") if m]
     if not methods:
         raise UsageError("empty method list")
     twice = next((m for i, m in enumerate(methods) if m in methods[:i]), None)
@@ -486,7 +471,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     instance = _load_week_instance(args)
     estimates = _build_estimates(args, methods, instance)
     limits = _limits(args)
-    prefer = _merged(args, "solver")
     reports: list[MethodReport] = []
     for method in methods:
         method_instance, schedule = _solve_and_write(
@@ -494,15 +478,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             method,
             estimates,
             limits,
-            prefer,
+            args.solver,
             out / f"schedule_{method.lower()}.csv",
             out / f"objective_{method.lower()}.json",
         )
         reports.append(evaluate_schedule(method, schedule, method_instance))
 
-    hospital = str(_merged(args, "hospital", "bordighera"))
-    write_report_json(hospital, reports, out / "report.json")
-    write_report_txt(hospital, reports, out / "report.txt")
+    write_report_json(args.hospital, reports, out / "report.json")
+    write_report_txt(args.hospital, reports, out / "report.txt")
     print((out / "report.txt").read_text(encoding="utf-8"))
     return EXIT_OK
 
@@ -512,77 +495,68 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every option is declared once, with its default: the options several
+    commands share are declared in one function each, which adds them to each
+    of those commands. Related options form an argument group, a section of
+    ``--help`` whose ``add_argument`` also costs less than the parser's."""
+
+    def seeded(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=0, help="master random seed (default %(default)s)")
+
+    def history(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--records", help="historical records CSV (schedule: for Dep/Surg without --model)")
+
+    def grid(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--grid", default="best", help="grid preset (best/fast/full) or JSON grid file (default %(default)s)")
+
+    def emergency(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--emergency-or", help="OR kept nearly free for emergencies (default: none)")
+
+    def world(p: argparse.ArgumentParser) -> None:
+        g = p.add_argument_group("synthetic hospital")
+        g.add_argument("--rows", type=int, default=2000, help="historical record count (default %(default)s)")
+        g.add_argument("--hospital", default="bordighera", choices=sorted(HOSPITAL_SHAPES), help="hospital shape (default %(default)s)")
+        g.add_argument("--noise", type=float, default=0.25, help="duration noise sigma (default %(default)s)")
+        g.add_argument("--planning-days", type=int, default=5, help="days in the generated week (default %(default)s)")
+        g.add_argument("--fill-ratio", type=float, default=1.15, help="booked over offered minutes (default %(default)s)")
+
+    def instance(p: argparse.ArgumentParser) -> None:
+        g = p.add_argument_group("week instance")
+        g.add_argument("--registrations", help="registrations CSV")
+        g.add_argument("--mss", help="master surgical schedule CSV")
+        g.add_argument("--shifts", help="shifts CSV")
+        g.add_argument("--planning-days", type=int, help="days in the week (default: the MSS's last day + 1)")
+
+    def solving(p: argparse.ArgumentParser) -> None:
+        g = p.add_argument_group("solver")
+        g.add_argument("--time-limit", type=float, default=60.0, help="solver budget in seconds (default %(default)s)")
+        g.add_argument("--solver", choices=["exact", "heuristic"], help="force a solver (default: exact for small instances)")
+        g.add_argument("--max-restarts", type=int, help="cap on heuristic restarts (default: until the time limit)")
+
     parser = argparse.ArgumentParser(prog="orsched", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seed: bool = True, time_limit: bool = False) -> None:
-        if seed:
-            p.add_argument("--seed", type=int, default=None, help="master random seed (default 0)")
-        if time_limit:
-            p.add_argument("--time-limit", dest="time_limit", type=float, default=None, help="solver budget in seconds (default 60)")
-        p.add_argument("--config", type=str, default=None, help="JSON config file; flags win over config keys")
-        p.add_argument("-o", "--out", type=str, default=None, help="output directory (default .)")
+    def command(name: str, func, summary: str, *options) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func, command_parser=p)
+        p.add_argument("--config", help="JSON file of option values (time_limit for --time-limit); flags win")
+        p.add_argument("-o", "--out", default=".", help="output directory (default %(default)s)")
+        for add in options:
+            add(p)
+        return p
 
-    p = sub.add_parser("synth", help="generate synthetic hospital inputs")
-    common(p)
-    p.add_argument("--rows", type=int, default=None, help="historical record count (default 2000)")
-    p.add_argument("--hospital", type=str, default=None, choices=sorted(HOSPITAL_SHAPES), help="hospital shape")
-    p.add_argument("--noise", type=float, default=None, help="duration noise sigma (default 0.25)")
-    p.add_argument("--planning-days", dest="planning_days", type=int, default=None)
-    p.add_argument("--fill-ratio", dest="fill_ratio", type=float, default=None)
-    p.set_defaults(func=cmd_synth, command_parser=p)
-
-    p = sub.add_parser("preprocess", help="clean a historical records file")
-    common(p)
-    p.add_argument("--records", type=str, default=None, help="records.csv path")
-    p.set_defaults(func=cmd_preprocess, command_parser=p)
-
-    p = sub.add_parser("train", help="train and select a duration model")
-    common(p)
-    p.add_argument("--records", type=str, default=None, help="records.csv path")
-    p.add_argument("--grid", type=str, default=None, help="grid preset (best/fast/full) or JSON grid file")
-    p.set_defaults(func=cmd_train, command_parser=p)
-
-    p = sub.add_parser("schedule", help="compute one weekly schedule")
-    common(p, time_limit=True)
-    p.add_argument("--method", type=str, default=None, help="vba, conf, pred, dep or surg")
-    p.add_argument("--registrations", type=str, default=None)
-    p.add_argument("--mss", type=str, default=None)
-    p.add_argument("--shifts", type=str, default=None)
-    p.add_argument("--week", type=str, default=None, help="feature records for the operating list")
-    p.add_argument("--model", type=str, default=None, help="trained model artifact")
-    p.add_argument("--records", type=str, default=None, help="historical records (for Dep/Surg without --model)")
-    p.add_argument("--solver", type=str, default=None, choices=["exact", "heuristic"], help="force a solver")
-    p.add_argument("--max-restarts", dest="max_restarts", type=int, default=None)
-    p.add_argument("--planning-days", dest="planning_days", type=int, default=None)
-    p.add_argument("--emergency-or", dest="emergency_or", type=str, default=None)
-    p.set_defaults(func=cmd_schedule, command_parser=p)
-
-    p = sub.add_parser("evaluate", help="replay schedules into a comparison report")
-    common(p, seed=False)
-    p.add_argument("--registrations", type=str, default=None)
-    p.add_argument("--mss", type=str, default=None)
-    p.add_argument("--shifts", type=str, default=None)
-    p.add_argument("--schedule", action="append", default=None, help="method=path, repeatable")
-    p.add_argument("--hospital", type=str, default=None, help="grouping label for the report")
-    p.add_argument("--planning-days", dest="planning_days", type=int, default=None)
-    p.add_argument("--emergency-or", dest="emergency_or", type=str, default=None)
-    p.set_defaults(func=cmd_evaluate, command_parser=p)
-
-    p = sub.add_parser("pipeline", help="synth + train + schedule + evaluate in one run")
-    common(p, time_limit=True)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--hospital", type=str, default=None, choices=sorted(HOSPITAL_SHAPES))
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--methods", type=str, default=None, help="comma-separated subset of vba,conf,pred,dep,surg")
-    p.add_argument("--grid", type=str, default=None)
-    p.add_argument("--solver", type=str, default=None, choices=["exact", "heuristic"])
-    p.add_argument("--max-restarts", dest="max_restarts", type=int, default=None)
-    p.add_argument("--planning-days", dest="planning_days", type=int, default=None)
-    p.add_argument("--fill-ratio", dest="fill_ratio", type=float, default=None)
-    p.add_argument("--emergency-or", dest="emergency_or", type=str, default=None)
-    p.set_defaults(func=cmd_pipeline, command_parser=p)
-
+    command("synth", cmd_synth, "generate synthetic hospital inputs", seeded, world)
+    command("preprocess", cmd_preprocess, "clean a historical records file", seeded, history)
+    command("train", cmd_train, "train and select a duration model", seeded, history, grid)
+    p = command("schedule", cmd_schedule, "compute one weekly schedule", seeded, history, emergency, instance, solving)
+    p.add_argument("--method", default="vba", help="vba, conf, pred, dep or surg (default %(default)s)")
+    p.add_argument("--week", help="feature records for the operating list")
+    p.add_argument("--model", help="trained model artifact")
+    p = command("evaluate", cmd_evaluate, "replay schedules into a comparison report", emergency, instance)
+    p.add_argument("--schedule", action=_Repeat, default=[], help="method=path, repeatable")
+    p.add_argument("--hospital", default="hospital", help="grouping label for the report (default %(default)s)")
+    p = command("pipeline", cmd_pipeline, "synth + train + schedule + evaluate in one run", seeded, grid, emergency, world, solving)
+    p.add_argument("--methods", default=",".join(METHODS), help="comma-separated methods (default %(default)s)")
     return parser
 
 
@@ -590,9 +564,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config = _load_config(getattr(args, "config", None), args.command_parser)
+        if args.config is not None:
+            # the file's values become the command's defaults, which flags override
+            args.command_parser.set_defaults(**_load_config(args.config, args.command_parser))
+            args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, InputFileError) as exc:
+    except (UsageError, InputFileError, FileNotFoundError) as exc:  # a missing input file is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleInstanceError as exc:

@@ -125,11 +125,6 @@ class PreprocessLog:
         self.stages.append(StageLog(stage, rows_in, rows_out, features_in, features_out, note))
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    seed: int = 0
-
-
 # ---------------------------------------------------------------------------
 # parsing primitives
 
@@ -306,7 +301,7 @@ def prune_correlated_features(matrix: np.ndarray, names: Sequence[str], threshol
 
 def preprocess(
     records: list[SurgicalRecord],
-    config: PreprocessConfig = PreprocessConfig(),
+    seed: int = 0,
 ) -> tuple[CleanDataset, PreprocessLog]:
     """Full cleaning pipeline: duration derivation and non-positive removal,
     rare-diagnosis grouping, IQR filtering on the duration, then
@@ -356,7 +351,7 @@ def preprocess(
     # rare-diagnosis grouping
     dataset = CleanDataset(survivors, columns)
     if "DIAGNOSI1" in columns and "REPARTO" in columns:
-        grouped = group_rare_diagnoses(dataset, seed=config.seed)
+        grouped = group_rare_diagnoses(dataset, seed=seed)
         changed = sum(1 for a, b in zip(dataset.records, grouped.records) if a["DIAGNOSI1"] != b["DIAGNOSI1"])
         dataset = grouped
         log.add("group_rare_diagnoses", len(survivors), len(survivors), len(columns), len(columns), note=f"{changed} rows regrouped")

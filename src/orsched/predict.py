@@ -15,7 +15,7 @@ import numpy as np
 
 from orsched.core import ConfidenceLevel, write_csv_rows
 from orsched.ingest import CleanDataset, SurgicalRecord
-from orsched.regressors import FittedModel, ModelSpec, fit, predict  # noqa: F401  (re-exported)
+from orsched.regressors import PREDICT_KEYS, FittedModel, ModelSpec, fit, predict  # noqa: F401  (re-exported)
 
 #: Columns never used as features: identifiers plus every intra-operative
 #: timestamp (the duration is exactly exit minus entry, so these leak the
@@ -325,11 +325,18 @@ def save_model(
 
 def load_model(path: str | Path) -> tuple[FittedModel, FeatureEncoder, dict[str, BaselineEstimator]]:
     """Read a ``save_model`` artifact; raises ``PredictError`` naming the
-    file and the JSON error's line, the missing key or the wrong version."""
+    file and the JSON error's line, the missing key (one ``predict`` reads
+    for the family included), the unknown family or the wrong version."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if data["format_version"] != ARTIFACT_VERSION:
             raise PredictError(f"{path}: key 'format_version': unsupported artifact version {data['format_version']!r}")
+        if data["family"] not in PREDICT_KEYS:
+            raise PredictError(f"{path}: key 'family': unknown model family {data['family']!r}")
+        for part, keys in zip(("structure", "hyperparameters"), PREDICT_KEYS[data["family"]]):
+            missing = [key for key in keys if key not in data[part]]
+            if missing:
+                raise PredictError(f"{path}: key {missing[0]!r} missing from {part!r}")
         model = FittedModel(data["family"], data["hyperparameters"], data["structure"])
         encoder = FeatureEncoder(**data["encoder"])
         baselines = {k: BaselineEstimator(**v) for k, v in data.get("baselines", {}).items()}

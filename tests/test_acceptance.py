@@ -19,7 +19,6 @@ from orsched.core import ObjectiveVector
 from orsched.evaluate import DurationEstimates, EvaluateError
 from orsched.ingest import (
     HOSPITAL_SHAPES,
-    PreprocessConfig,
     SyntheticConfig,
     build_instance,
     generate_synthetic_dataset,
@@ -151,7 +150,7 @@ def test_criterion_6_predictor_beats_baselines():
     means by at least 15% held-out MAE on a 5,000-row synthetic dataset."""
     start = time.monotonic()
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=5000, noise=0.25), seed=606)
-    clean, _ = preprocess(records, PreprocessConfig(seed=606))
+    clean, _ = preprocess(records, seed=606)
     X, y, _ = encode_features(clean)
     train_idx, test_idx = stratified_split(X, y, test_fraction=0.2, n_bins=10, seed=606)
     model = fit(
@@ -191,7 +190,7 @@ def test_criterion_7_confidence_lowers_overbooking_in_aggregate():
     for seed in range(n_seeds):
         cfg = SyntheticConfig(n_rows=1500, noise=0.25, world_seed=seed)
         records = generate_synthetic_dataset(cfg, seed=seed * 7 + 1)
-        clean, _ = preprocess(records, PreprocessConfig(seed=seed))
+        clean, _ = preprocess(records, seed=seed)
         X, y, encoder = encode_features(clean)
         model = fit(ModelSpec("boosted_trees", {"n_estimators": 200, "max_depth": 4}), X, y, seed=seed)
 
@@ -232,7 +231,7 @@ def test_criterion_8_preprocessing_fixtures_and_idempotence():
         row["f01"] = 3.0 * row["f00"]
         row["DURATA"] = int(rng.integers(10, 60))
         records.append(row)
-    clean, _ = preprocess(records, PreprocessConfig(seed=0))
+    clean, _ = preprocess(records, seed=0)
     assert len(clean.kept_features) == 31 and "f01" not in clean.kept_features
 
     # well-separated singleton diagnoses split into two groups
@@ -248,8 +247,8 @@ def test_criterion_8_preprocessing_fixtures_and_idempotence():
 
     # idempotence on the pipeline's own output
     synthetic = generate_synthetic_dataset(SyntheticConfig(n_rows=900), seed=17)
-    once, _ = preprocess(synthetic, PreprocessConfig(seed=17))
-    twice, _ = preprocess(once.records, PreprocessConfig(seed=17))
+    once, _ = preprocess(synthetic, seed=17)
+    twice, _ = preprocess(once.records, seed=17)
     assert len(twice.records) == len(once.records)
     assert twice.kept_features == once.kept_features
     passed(8, "IQR, correlation and rare-diagnosis fixtures exact; preprocess idempotent")

@@ -595,6 +595,27 @@ MALFORMED_INPUT = {
     "synth_negative_fill_ratio": lambda ws, tmp: (["synth", "--rows", "50", "--fill-ratio", "-1"], "--fill-ratio"),
     "pipeline_zero_planning_days": lambda ws, tmp: (_pipeline("--planning-days", "0"), "--planning-days"),
     "pipeline_negative_fill_ratio": lambda ws, tmp: (_pipeline("--fill-ratio", "-1"), "--fill-ratio"),
+    "schedule_unknown_method": lambda ws, tmp: (_schedule(ws, "--method", "vbx"), "'vbx'"),
+    "pipeline_unknown_method": lambda ws, tmp: (_pipeline("--methods", "foo"), "'foo'"),
+    "evaluate_unknown_method": lambda ws, tmp: (
+        ["evaluate", *instance_flags(ws), "--schedule", f"foo={tmp / 'x.csv'}"], "'foo'"
+    ),
+    "model_missing": lambda ws, tmp: (
+        _schedule(ws, "--method", "pred", "--model", str(tmp / "nothere.json")), "nothere.json"
+    ),
+    "model_unknown_family": lambda ws, tmp: (
+        _schedule(ws, "--method", "pred", "--model", _model(ws, tmp, lambda d: d.update(family="xgb"))), "'family'"
+    ),
+    "model_empty_structure": lambda ws, tmp: (
+        _schedule(ws, "--method", "pred", "--model", _model(ws, tmp, lambda d: d.update(structure={}))), "'n_features'"
+    ),
+    "model_empty_hyperparameters": lambda ws, tmp: (
+        _schedule(ws, "--method", "pred", "--model", _model(ws, tmp, lambda d: d.update(hyperparameters={}))),
+        "'learning_rate'",
+    ),
+    "config_list_for_scalar": lambda ws, tmp: (
+        ["synth", "--config", _written(tmp / "rows.json", b'{"rows": [30, 40]}')], "'rows'"
+    ),
 }
 
 
@@ -604,3 +625,33 @@ def test_malformed_input_is_one_usage_line(workspace, tmp_path, capsys, case):
     assert orsched.cli.main([*argv, "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and expected in err, err
+
+
+def test_config_null_takes_the_default(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rows": None, "seed": 3}))
+    assert orsched.cli.main(["synth", "--config", str(config), "-o", str(tmp_path)]) == 0
+    assert "wrote 2000 historical rows" in capsys.readouterr().out
+    with open(tmp_path / "records.csv", newline="") as fh:
+        assert sum(1 for _ in csv.reader(fh)) == 1 + 2000
+
+
+def test_flags_win_over_config(tmp_path, capsys):
+    """A flag replaces the config's value; a repeated flag's list replaces
+    the config's list rather than extending it."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rows": 50}))
+    assert orsched.cli.main(["synth", "--config", str(config), "--rows", "30", "-o", str(tmp_path / "synth")]) == 0
+    with open(tmp_path / "synth" / "records.csv", newline="") as fh:
+        assert sum(1 for _ in csv.reader(fh)) == 1 + 30
+
+    flags = _tiny_week(tmp_path)
+    fits, over = tmp_path / "fits.csv", tmp_path / "over.csv"
+    fits.write_text("registration_id,priority,or_id,day,shift_id\na,1,OR1,0,MAIN\n")
+    over.write_text("registration_id,priority,or_id,day,shift_id\na,1,OR1,0,MAIN\nb,2,OR1,0,MAIN\n")
+    config.write_text(json.dumps({"schedule": [f"vba={fits}", f"conf={fits}"]}))
+    argv = ["evaluate", *flags, "--config", str(config), "--schedule", f"pred={over}", "-o", str(tmp_path / "out")]
+    assert orsched.cli.main(argv) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [row["method"] for row in report] == ["Pred"]

@@ -18,7 +18,6 @@ from orsched.ingest import (
     CleanDataset,
     HOSPITAL_SHAPES,
     IngestError,
-    PreprocessConfig,
     SyntheticConfig,
     build_instance,
     derive_duration,
@@ -233,7 +232,7 @@ def test_preprocess_prunes_exact_duplicate_column():
         row["f01"] = 3.0 * row["f00"]
         row["DURATA"] = int(rng.integers(10, 60))
         records.append(row)
-    clean, log = preprocess(records, PreprocessConfig(seed=0))
+    clean, log = preprocess(records, seed=0)
     assert len(clean.kept_features) == 31
     assert "f01" not in clean.kept_features
     assert log.stages[-1].features_out == 31
@@ -284,8 +283,8 @@ def test_preprocess_missing_duration_columns_is_error():
 
 def test_preprocess_idempotent_for_rows_and_features():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=800), seed=11)
-    clean, _ = preprocess(records, PreprocessConfig(seed=1))
-    again, log = preprocess(clean.records, PreprocessConfig(seed=1))
+    clean, _ = preprocess(records, seed=1)
+    again, log = preprocess(clean.records, seed=1)
     assert len(again.records) == len(clean.records)
     assert again.kept_features == clean.kept_features
 
