@@ -35,7 +35,7 @@ def main() -> None:
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=args.rows, noise=args.noise), seed=args.seed)
     clean, log = preprocess(records, seed=args.seed)
     X, y, _ = encode_features(clean)
-    train, test = stratified_split(X, y, test_fraction=0.2, n_bins=10, seed=args.seed)
+    train, test = stratified_split(y, test_fraction=0.2, n_bins=10, seed=args.seed)
     print(
         f"{len(clean.records)} rows after preprocessing "
         f"({log.stages[-1].features_out} features kept), train {len(train)} / test {len(test)}\n"

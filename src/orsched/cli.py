@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -168,7 +169,15 @@ def _seed(args: argparse.Namespace) -> int:
 def _require(value: str | None, flag: str) -> str:
     if value is None:
         raise UsageError(f"missing required input: {flag}")
-    return value
+    return _input(value, flag)
+
+
+def _input(path: str, flag: str) -> str:
+    """``path``, an input file; a directory is a usage error (writing into
+    one stays a runtime failure)."""
+    if Path(path).is_dir():
+        raise UsageError(f"{flag} {path}: is a directory, not a file")
+    return path
 
 
 def _method(name: str) -> str:
@@ -271,7 +280,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     clean, log = preprocess(records, seed=seed)
     write_preprocess_log(log, out / "preprocess_log.json")
     X, y, encoder = encode_features(clean)
-    train_idx, test_idx = stratified_split(X, y, test_fraction=0.2, n_bins=10, seed=seed)
+    train_idx, test_idx = stratified_split(y, test_fraction=0.2, n_bins=10, seed=seed)
 
     if len(grid) == 1:
         best = grid[0]
@@ -336,7 +345,7 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
         return DurationEstimates()
     if args.week is None:
         raise UsageError(f"method {needing[0]} needs --week with the operating list's feature records")
-    by_id = {str(r.get("PROGRESSIVO")): r for r in read_records_csv(args.week)}
+    by_id = {str(r.get("PROGRESSIVO")): r for r in read_records_csv(_input(args.week, "--week"))}
     regs = instance.registrations
     missing = [r.id for r in regs if r.id not in by_id]
     if missing:
@@ -346,34 +355,45 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
     means = [m for m in needing if m in ("Dep", "Surg")]
     if predictive and args.model is None:
         raise UsageError(f"method {predictive[0]} needs --model with a trained artifact")
+    if "Conf" in predictive:
+        lacking = [r.id for r in regs if r.actual_duration_min is None]
+        if lacking:
+            raise UsageError("Conf derives confidence from actual durations, missing for: " + ", ".join(lacking[:5]))
     try:
-        loaded = load_model(args.model) if args.model is not None else None
+        loaded = load_model(_input(args.model, "--model")) if args.model is not None else None
     except PredictError as exc:  # every one is about the file's content
         raise UsageError(str(exc)) from None
-    predicted = department = procedure = None
-    if predictive:
-        model, encoder, _ = loaded
-        yhat = predict(model, encoder.transform([by_id[r.id] for r in regs]))
-        predicted = {r.id: float(p) for r, p in zip(regs, yhat)}
-        if "Conf" in predictive:
-            lacking = [r.id for r in regs if r.actual_duration_min is None]
-            if lacking:
-                raise UsageError("Conf derives confidence from actual durations, missing for: " + ", ".join(lacking[:5]))
     if means:
         if loaded is not None:
             baselines = loaded[2]
             if not baselines:
                 raise UsageError("model artifact carries no baselines; pass --records instead")
         elif args.records is not None:
-            records = read_records_csv(args.records)
+            records = read_records_csv(_input(args.records, "--records"))
             clean, _ = preprocess(records, seed=_seed(args))
             baselines = {key: baseline_mean_estimator(clean.records, key) for key in ("department", "procedure_type")}
         else:
             raise UsageError(f"method {means[0]} needs --model or --records for the historical means")
+
+    # ``load_model`` checks the artifact's shape; its values show only here,
+    # where the model is applied (means from --records are always finite)
+    predicted = department = procedure = None
+    try:
+        if predictive:
+            model, encoder, _ = loaded
+            yhat = predict(model, encoder.transform([by_id[r.id] for r in regs]))
+            predicted = {r.id: float(p) for r, p in zip(regs, yhat)}
         if "Dep" in means:
             department = {r.id: baselines["department"].estimate_record(by_id[r.id]) for r in regs}
         if "Surg" in means:
             procedure = {r.id: baselines["procedure_type"].estimate_record(by_id[r.id]) for r in regs}
+        for values in (predicted, department, procedure):
+            for rid, value in (values or {}).items():
+                if not math.isfinite(value):
+                    raise ValueError(f"estimate {value} for registration {rid} is not a finite number")
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        problem = f"key {exc.args[0]!r} missing" if isinstance(exc, KeyError) else exc
+        raise UsageError(f"{args.model}: malformed model values: {problem}") from None
     return DurationEstimates(predicted=predicted, department_mean=department, procedure_mean=procedure)
 
 
@@ -436,7 +456,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     reports: list[MethodReport] = []
     for method, path in schedules.items():
         # the report reads only the assignments, so no objective is computed
-        schedule = Schedule(read_schedule_csv(path), ObjectiveVector(0, 0, 0, 0, 0, 0))
+        schedule = Schedule(read_schedule_csv(_input(path, "--schedule")), ObjectiveVector(0, 0, 0, 0, 0, 0))
         # capacity is judged by the replay: registrations.csv durations are
         # not the ones the method planned with, and overbooking is what the
         # report measures

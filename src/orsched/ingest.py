@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -564,7 +564,6 @@ def generate_week(
     shape: HospitalShape = HOSPITAL_SHAPES["bordighera"],
     planning_days: int = 5,
     fill_ratio: float = 1.15,
-    emergency_or_id: str | None = None,
 ) -> tuple[list[SurgicalRecord], list[Registration], list[MssSlot], list[Shift]]:
     """One operating week: feature records for the waiting list, the derived
     registrations (actual duration attached), the MSS and the shift table.
@@ -575,20 +574,8 @@ def generate_week(
     """
     rng = np.random.default_rng(seed ^ 0x5EED)
     capacity = shape.n_ors * planning_days * shape.shift_minutes
-    pool = generate_synthetic_dataset(
-        SyntheticConfig(
-            n_rows=max(128, capacity // 6),
-            departments=config.departments,
-            procedures_per_department=config.procedures_per_department,
-            rare_fraction=0.0,
-            noise=config.noise,
-            base_median=config.base_median,
-            base_sigma=config.base_sigma,
-            start_date="2019-03-04",
-            world_seed=config.world_seed,
-        ),
-        seed=int(rng.integers(1 << 31)),
-    )
+    pool_config = replace(config, n_rows=max(128, capacity // 6), rare_fraction=0.0, start_date="2019-03-04")
+    pool = generate_synthetic_dataset(pool_config, seed=int(rng.integers(1 << 31)))
 
     # the operating list mirrors the cleaned historical distribution: weekly
     # elective lists do not carry the extreme-duration tail

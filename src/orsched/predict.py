@@ -15,7 +15,7 @@ import numpy as np
 
 from orsched.core import ConfidenceLevel, write_csv_rows
 from orsched.ingest import CleanDataset, SurgicalRecord
-from orsched.regressors import PREDICT_KEYS, FittedModel, ModelSpec, fit, predict  # noqa: F401  (re-exported)
+from orsched.regressors import FAMILIES, FittedModel, ModelSpec, fit, predict  # noqa: F401  (re-exported)
 
 #: Columns never used as features: identifiers plus every intra-operative
 #: timestamp (the duration is exactly exit minus entry, so these leak the
@@ -132,13 +132,12 @@ def encode_features(
 
 
 def stratified_split(
-    X: np.ndarray,
     y: np.ndarray,
     test_fraction: float = 0.2,
     n_bins: int = 10,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split indices preserving the target distribution.
+    """Split the indices of ``y`` preserving the target distribution.
 
     Targets are bucketed into quantile bins; each bin contributes its rounded
     share to the test set. Bins with fewer than two samples stay in train.
@@ -325,18 +324,15 @@ def save_model(
 
 def load_model(path: str | Path) -> tuple[FittedModel, FeatureEncoder, dict[str, BaselineEstimator]]:
     """Read a ``save_model`` artifact; raises ``PredictError`` naming the
-    file and the JSON error's line, the missing key (one ``predict`` reads
-    for the family included), the unknown family or the wrong version."""
+    file and the JSON error's line, the missing top-level key, the unknown
+    family or the wrong version. The keys and values ``predict`` reads are
+    checked where the model is applied."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if data["format_version"] != ARTIFACT_VERSION:
             raise PredictError(f"{path}: key 'format_version': unsupported artifact version {data['format_version']!r}")
-        if data["family"] not in PREDICT_KEYS:
+        if data["family"] not in FAMILIES:
             raise PredictError(f"{path}: key 'family': unknown model family {data['family']!r}")
-        for part, keys in zip(("structure", "hyperparameters"), PREDICT_KEYS[data["family"]]):
-            missing = [key for key in keys if key not in data[part]]
-            if missing:
-                raise PredictError(f"{path}: key {missing[0]!r} missing from {part!r}")
         model = FittedModel(data["family"], data["hyperparameters"], data["structure"])
         encoder = FeatureEncoder(**data["encoder"])
         baselines = {k: BaselineEstimator(**v) for k, v in data.get("baselines", {}).items()}

@@ -376,15 +376,6 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray, seed: int = 0) -> FittedM
     return FittedModel(spec.family, params, structure)
 
 
-#: per family, the ``structure`` keys and the ``hyperparameters`` keys ``predict`` reads
-PREDICT_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "tree": (("n_features", "tree"), ()),
-    "forest": (("n_features", "trees"), ()),
-    "boosted_trees": (("n_features", "base", "trees"), ("learning_rate",)),
-    "knn": (("n_features", "X", "y"), ("n_neighbors", "weights")),
-}
-
-
 def predict(model: FittedModel, X: np.ndarray) -> np.ndarray:
     """Deterministic predictions; raises on feature-count mismatch."""
     X = np.asarray(X, dtype=float)

@@ -732,7 +732,6 @@ def reference_generate_week(
     shape: HospitalShape = HOSPITAL_SHAPES["bordighera"],
     planning_days: int = 5,
     fill_ratio: float = 1.15,
-    emergency_or_id: str | None = None,
 ) -> tuple[list[SurgicalRecord], list[Registration], list[MssSlot], list[Shift]]:
     """One operating week: feature records for the waiting list, the derived
     registrations (actual duration attached), the MSS and the shift table.

@@ -152,7 +152,7 @@ def test_criterion_6_predictor_beats_baselines():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=5000, noise=0.25), seed=606)
     clean, _ = preprocess(records, seed=606)
     X, y, _ = encode_features(clean)
-    train_idx, test_idx = stratified_split(X, y, test_fraction=0.2, n_bins=10, seed=606)
+    train_idx, test_idx = stratified_split(y, test_fraction=0.2, n_bins=10, seed=606)
     model = fit(
         ModelSpec("boosted_trees", {"n_estimators": 400, "learning_rate": 0.1, "max_depth": 5}),
         X[train_idx],

@@ -543,6 +543,17 @@ def _model(workspace, tmp_path, change):
     return _written(tmp_path / "model.json", json.dumps(data).encode())
 
 
+def _model_values(ws, tmp, method, change):
+    """``schedule --method`` with the workspace model with ``change`` applied,
+    and the model's path, which the error line must name."""
+    model = _model(ws, tmp, change)
+    return _schedule(ws, "--method", method, "--model", model), model
+
+
+def _first_tree(data, tree):
+    data["structure"]["trees"][0] = tree
+
+
 def _schedule(ws, *flags):
     return ["schedule", *instance_flags(ws), "--week", str(ws / "week.csv"), "--max-restarts", "1", *flags]
 
@@ -616,6 +627,19 @@ MALFORMED_INPUT = {
     "config_list_for_scalar": lambda ws, tmp: (
         ["synth", "--config", _written(tmp / "rows.json", b'{"rows": [30, 40]}')], "'rows'"
     ),
+    # values well formed as JSON but not as the model or baselines read them
+    "model_n_features_text": lambda ws, tmp: _model_values(ws, tmp, "pred", lambda d: d["structure"].update(n_features="x")),
+    "model_first_tree_empty": lambda ws, tmp: _model_values(ws, tmp, "conf", lambda d: _first_tree(d, {})),
+    "model_learning_rate_text": lambda ws, tmp: _model_values(ws, tmp, "pred", lambda d: d["hyperparameters"].update(learning_rate="a")),
+    "model_categories_list": lambda ws, tmp: _model_values(ws, tmp, "conf", lambda d: d["encoder"].update(categories=[])),
+    "model_department_means_list": lambda ws, tmp: _model_values(
+        ws, tmp, "dep", lambda d: d["baselines"]["department"].update(means=[])
+    ),
+    "model_procedure_mean_text": lambda ws, tmp: _model_values(
+        ws, tmp, "surg", lambda d: d["baselines"]["procedure_type"].update(means={}, global_mean="x")
+    ),
+    "model_base_infinite": lambda ws, tmp: _model_values(ws, tmp, "pred", lambda d: d["structure"].update(base=float("inf"))),
+    "model_base_nan": lambda ws, tmp: _model_values(ws, tmp, "conf", lambda d: d["structure"].update(base=float("nan"))),
 }
 
 
@@ -655,3 +679,27 @@ def test_flags_win_over_config(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert [row["method"] for row in report] == ["Pred"]
+
+
+# each case: (workspace, a directory) -> argv that reads the directory as an input file
+DIRECTORY_INPUT = {
+    "train_records": lambda ws, d: ["train", "--records", d, "--grid", "fast"],
+    "schedule_records": lambda ws, d: _schedule(ws, "--method", "dep", "--records", d),
+    "week": lambda ws, d: ["schedule", *instance_flags(ws), "--week", d, "--method", "pred", "--model", str(ws / "model.json")],
+    "registrations": lambda ws, d: ["schedule", "--registrations", d, "--mss", str(ws / "mss.csv"), "--shifts", str(ws / "shifts.csv")],
+    "mss": lambda ws, d: ["schedule", "--registrations", str(ws / "registrations.csv"), "--mss", d, "--shifts", str(ws / "shifts.csv")],
+    "shifts": lambda ws, d: ["schedule", "--registrations", str(ws / "registrations.csv"), "--mss", str(ws / "mss.csv"), "--shifts", d],
+    "model": lambda ws, d: _schedule(ws, "--method", "pred", "--model", d),
+    "evaluate_schedule": lambda ws, d: ["evaluate", *instance_flags(ws), "--schedule", f"vba={d}"],
+}
+
+
+@pytest.mark.parametrize("case", list(DIRECTORY_INPUT))
+def test_directory_as_input_file_is_one_usage_line(workspace, tmp_path, capsys, case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = DIRECTORY_INPUT[case](workspace, str(folder))
+    assert orsched.cli.main([*argv, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(folder) in err and "directory" in err, err
+

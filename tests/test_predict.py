@@ -75,8 +75,7 @@ def test_all_encoded_entries_finite(clean_dataset):
 def test_split_sizes_close_to_fraction():
     rng = np.random.default_rng(0)
     y = rng.lognormal(3, 0.5, size=100)
-    X = np.zeros((100, 1))
-    train, test = stratified_split(X, y, test_fraction=0.2, n_bins=10, seed=1)
+    train, test = stratified_split(y, test_fraction=0.2, n_bins=10, seed=1)
     assert len(set(train) & set(test)) == 0
     assert len(train) + len(test) == 100
     assert abs(len(test) - 20) <= 10
@@ -84,23 +83,20 @@ def test_split_sizes_close_to_fraction():
 
 def test_all_equal_targets_degenerate_to_single_bin():
     y = np.full(40, 5.0)
-    X = np.zeros((40, 1))
-    train, test = stratified_split(X, y, test_fraction=0.25, n_bins=10, seed=0)
+    train, test = stratified_split(y, test_fraction=0.25, n_bins=10, seed=0)
     assert len(test) == 10
 
 
 def test_bimodal_target_represented_in_both_sets():
     y = np.array([10.0] * 20 + [200.0] * 80)
-    X = np.zeros((100, 1))
-    train, test = stratified_split(X, y, test_fraction=0.2, n_bins=5, seed=3)
+    train, test = stratified_split(y, test_fraction=0.2, n_bins=5, seed=3)
     assert (y[test] == 10.0).sum() == 4  # 20% of the short mode
     assert (y[test] == 200.0).sum() == 16
 
 
 def test_tiny_bins_stay_in_train():
     y = np.array([1.0, 100.0, 100.0, 100.0, 100.0])
-    X = np.zeros((5, 1))
-    train, test = stratified_split(X, y, test_fraction=0.5, n_bins=2, seed=0)
+    train, test = stratified_split(y, test_fraction=0.5, n_bins=2, seed=0)
     assert 0 in train  # singleton bin
 
 
@@ -271,7 +267,7 @@ def test_boosted_trees_explain_noise_free_target():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=1200, noise=0.0), seed=13)
     clean, _ = preprocess(records, seed=13)
     X, y, _ = encode_features(clean)
-    train, test = stratified_split(X, y, test_fraction=0.2, n_bins=10, seed=13)
+    train, test = stratified_split(y, test_fraction=0.2, n_bins=10, seed=13)
     model = fit(
         ModelSpec("boosted_trees", {"n_estimators": 150, "max_depth": 5, "learning_rate": 0.1}),
         X[train],
