@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
 """Time one subject of two orsched checkouts against each other, in alternating pairs.
 
-    python scripts/ab.py {fit,solve,synth} --parent DIR [--change DIR] [--pairs N]
+    python scripts/ab.py {data,fit,solve,synth} --parent DIR [--change DIR] [--pairs N]
 
 Each side is one worker process with its checkout's ``src/`` as
 ``PYTHONPATH``: it sets up, runs once untimed, then answers each request
 with one JSON line. Shared inputs are made once, by ``--change``. The
 subjects, with the digests that must match:
 
+- ``data``: on the imperia synth of seed 1 and its ``train --grid fast``
+  model, the history read (``read_records_csv``), ``preprocess``,
+  ``encode_features``, the week read, and ``cli._build_estimates`` for Pred
+  and for Dep as ``orsched schedule`` calls it (each reads the week again);
+  the sha256 of the feature matrix and target, of the encoder and of each
+  method's estimates, in every run.
 - ``fit``: ``regressors.fit`` of boosted 400x5 and 80x3 on the split that
   ``orsched train --seed 1`` fits on the bordighera 2,000-row synth; each
   structure's sha256 (a ``tracemalloc`` peak is printed too).
@@ -80,6 +86,9 @@ def make_inputs(subject: str, data: Path) -> None:
         run_cli("synth", "--rows", "2000", "--seed", str(SEED), "-o", str(data))
         run_cli("train", "--records", str(data / "records.csv"), "--grid", "fast", "--seed", str(SEED), "-o", str(data))
         np.savez(data / "split.npz", X=split[0][0], y=split[0][1])
+    elif subject == "data":
+        run_cli("synth", "--hospital", "imperia", "--rows", "2000", "--seed", str(SEED), "-o", str(data))
+        run_cli("train", "--records", str(data / "records.csv"), "--grid", "fast", "--seed", str(SEED), "-o", str(data))
     elif subject == "solve":
         for hospital, seed in itertools.product(HOSPITALS, WEEK_SEEDS):
             out = data / f"{hospital}-{seed}"
@@ -142,6 +151,42 @@ def subject_solve(data: Path):
     return f"five imperia solves, week seed {SEED}, --max-restarts 2", digests, info, run
 
 
+def subject_data(data: Path):
+    from orsched.cli import _build_estimates, build_parser
+    from orsched.ingest import load_instance, preprocess, read_records_csv
+    from orsched.predict import encode_features
+
+    instance = load_instance(data / "registrations.csv", data / "mss.csv", data / "shifts.csv")
+    flags = build_parser().parse_args(
+        ["schedule", "--week", str(data / "week.csv"), "--model", str(data / "model.json"), "--seed", str(SEED)]
+    )
+
+    def run():
+        times = {}
+
+        def step(part: str, work, *args):
+            start = time.perf_counter()
+            result = work(*args)
+            times[part] = time.perf_counter() - start
+            return result
+
+        history = step("read history", read_records_csv, data / "records.csv")
+        clean, _ = step("preprocess", preprocess, history, SEED)
+        X, y, encoder = step("encode", encode_features, clean)
+        step("read week", read_records_csv, data / "week.csv")
+        pred = step("Pred estimates", _build_estimates, flags, ["Pred"], instance)
+        dep = step("Dep estimates", _build_estimates, flags, ["Dep"], instance)
+        return times, {
+            "feature matrix": hashlib.sha256(X.tobytes()).hexdigest(),
+            "target": hashlib.sha256(y.tobytes()).hexdigest(),
+            "encoder": sha256(json.dumps(vars(encoder))),
+            "Pred estimates": sha256(json.dumps(pred.predicted)),
+            "Dep estimates": sha256(json.dumps(dep.department_mean)),
+        }
+
+    return f"imperia records, week and estimates, seed {SEED}", {}, {}, run
+
+
 def subject_synth(data: Path):
     def run():
         times, digests = {}, {}
@@ -154,7 +199,7 @@ def subject_synth(data: Path):
     return f"orsched synth --seed {SEED} of {' and '.join(HOSPITALS)}", {}, {}, run
 
 
-SUBJECTS = {"fit": subject_fit, "solve": subject_solve, "synth": subject_synth}
+SUBJECTS = {"data": subject_data, "fit": subject_fit, "solve": subject_solve, "synth": subject_synth}
 
 
 def child(role: str, subject: str, data: str) -> None:

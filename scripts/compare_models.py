@@ -14,7 +14,7 @@ import argparse
 import time
 
 from orsched.cli import GRID_PRESETS
-from orsched.ingest import SyntheticConfig, generate_synthetic_dataset, preprocess
+from orsched.ingest import RecordTable, SyntheticConfig, generate_synthetic_dataset, preprocess
 from orsched.predict import (
     baseline_mean_estimator,
     encode_features,
@@ -33,7 +33,7 @@ def main() -> None:
     args = parser.parse_args()
 
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=args.rows, noise=args.noise), seed=args.seed)
-    clean, log = preprocess(records, seed=args.seed)
+    clean, log = preprocess(RecordTable.from_records(records), seed=args.seed)
     X, y, _ = encode_features(clean)
     train, test = stratified_split(y, test_fraction=0.2, n_bins=10, seed=args.seed)
     print(
@@ -49,11 +49,9 @@ def main() -> None:
         report = regression_metrics(y[test], predict(model, X[test]))
         print(f"{spec.family:<16}{report.mae:>10.2f}{report.rmse:>12.2f}{report.r2:>8.2f}{elapsed:>9.1f}")
 
-    train_records = [clean.records[i] for i in train]
-    test_records = [clean.records[i] for i in test]
     for key, label in (("department", "dept mean"), ("procedure_type", "procedure mean")):
-        est = baseline_mean_estimator(train_records, key)
-        report = regression_metrics(y[test], [est.estimate_record(r) for r in test_records])
+        est = baseline_mean_estimator(clean.records, key, train.tolist())
+        report = regression_metrics(y[test], est.estimates(clean.records, test.tolist()))
         print(f"{label:<16}{report.mae:>10.2f}{report.rmse:>12.2f}{report.r2:>8.2f}{'-':>9}")
 
 

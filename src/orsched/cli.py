@@ -35,6 +35,7 @@ from orsched.evaluate import (
 from orsched.ingest import (
     HOSPITAL_SHAPES,
     IngestError,
+    RecordTable,
     SyntheticConfig,
     generate_hospitalizations,
     generate_synthetic_dataset,
@@ -211,8 +212,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         planning_days=args.planning_days,
         fill_ratio=args.fill_ratio,
     )
-    write_records_csv(records, out / "records.csv")
-    write_records_csv(week_records, out / "week.csv")
+    write_records_csv(RecordTable.from_records(records), out / "records.csv")
+    write_records_csv(RecordTable.from_records(week_records), out / "week.csv")
     write_registrations_csv(registrations, out / "registrations.csv")
     write_mss_csv(mss, out / "mss.csv")
     write_shifts_csv(shifts, out / "shifts.csv")
@@ -230,8 +231,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     records_path = _require(args.records, "--records")
     out = _outdir(args)
-    records = read_records_csv(records_path)
-    clean, log = preprocess(records, seed=_seed(args))
+    clean, log = preprocess(read_records_csv(records_path), seed=_seed(args))
     write_records_csv(clean.records, out / "cleaned.csv", columns=clean.kept_features)
     write_preprocess_log(log, out / "preprocess_log.json")
     last = log.stages[-1]
@@ -275,9 +275,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     grid = _resolve_grid(args.grid)
     seed = _seed(args)
     out = _outdir(args)
-    records = read_records_csv(records_path)
-
-    clean, log = preprocess(records, seed=seed)
+    clean, log = preprocess(read_records_csv(records_path), seed=seed)
     write_preprocess_log(log, out / "preprocess_log.json")
     X, y, encoder = encode_features(clean)
     train_idx, test_idx = stratified_split(y, test_fraction=0.2, n_bins=10, seed=seed)
@@ -291,10 +289,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     yhat = predict(model, X[test_idx])
     report = regression_metrics(y[test_idx], yhat)
-    train_records = [clean.records[i] for i in train_idx]
+    train_rows = train_idx.tolist()
     baselines = [
-        baseline_mean_estimator(train_records, "department"),
-        baseline_mean_estimator(train_records, "procedure_type"),
+        baseline_mean_estimator(clean.records, "department", train_rows),
+        baseline_mean_estimator(clean.records, "procedure_type", train_rows),
     ]
     save_model(model, encoder, out / "model.json", baselines=baselines)
 
@@ -312,7 +310,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         ]
     (out / "metrics.json").write_text(json.dumps(metrics_payload, indent=2) + "\n", encoding="utf-8")
 
-    ids = [str(clean.records[i].get("PROGRESSIVO", i)) for i in test_idx]
+    progressivo = clean.records.columns.get("PROGRESSIVO")
+    ids = [str(i if progressivo is None else progressivo[i]) for i in test_idx]
     write_predictions_csv(ids, y[test_idx], yhat, out / "predictions.csv")
     r2 = "undefined" if report.r2 is None else f"{report.r2:.3f}"
     print(f"model={best.family} test MAE={report.mae:.2f} RMSE={report.rmse:.2f} R2={r2} -> {out / 'model.json'}")
@@ -345,11 +344,13 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
         return DurationEstimates()
     if args.week is None:
         raise UsageError(f"method {needing[0]} needs --week with the operating list's feature records")
-    by_id = {str(r.get("PROGRESSIVO")): r for r in read_records_csv(_input(args.week, "--week"))}
+    week = read_records_csv(_input(args.week, "--week"))
     regs = instance.registrations
-    missing = [r.id for r in regs if r.id not in by_id]
+    row_of = _week_rows(args.week, week)
+    missing = [r.id for r in regs if r.id not in row_of]
     if missing:
         raise UsageError(f"week records missing for registrations: {', '.join(missing[:5])}")
+    rows = [row_of[r.id] for r in regs]
 
     predictive = [m for m in needing if m in ("Pred", "Conf")]
     means = [m for m in needing if m in ("Dep", "Surg")]
@@ -369,24 +370,23 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
             if not baselines:
                 raise UsageError("model artifact carries no baselines; pass --records instead")
         elif args.records is not None:
-            records = read_records_csv(_input(args.records, "--records"))
-            clean, _ = preprocess(records, seed=_seed(args))
+            clean, _ = preprocess(read_records_csv(_input(args.records, "--records")), seed=_seed(args))
             baselines = {key: baseline_mean_estimator(clean.records, key) for key in ("department", "procedure_type")}
         else:
             raise UsageError(f"method {means[0]} needs --model or --records for the historical means")
 
     # ``load_model`` checks the artifact's shape; its values show only here,
     # where the model is applied (means from --records are always finite)
+    ids = [r.id for r in regs]
     predicted = department = procedure = None
     try:
         if predictive:
             model, encoder, _ = loaded
-            yhat = predict(model, encoder.transform([by_id[r.id] for r in regs]))
-            predicted = {r.id: float(p) for r, p in zip(regs, yhat)}
+            predicted = dict(zip(ids, predict(model, encoder.transform(week, rows)).tolist()))
         if "Dep" in means:
-            department = {r.id: baselines["department"].estimate_record(by_id[r.id]) for r in regs}
+            department = dict(zip(ids, baselines["department"].estimates(week, rows)))
         if "Surg" in means:
-            procedure = {r.id: baselines["procedure_type"].estimate_record(by_id[r.id]) for r in regs}
+            procedure = dict(zip(ids, baselines["procedure_type"].estimates(week, rows)))
         for values in (predicted, department, procedure):
             for rid, value in (values or {}).items():
                 if not math.isfinite(value):
@@ -395,6 +395,18 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
         problem = f"key {exc.args[0]!r} missing" if isinstance(exc, KeyError) else exc
         raise UsageError(f"{args.model}: malformed model values: {problem}") from None
     return DurationEstimates(predicted=predicted, department_mean=department, procedure_mean=procedure)
+
+
+def _week_rows(path: str, week: RecordTable) -> dict[str, int]:
+    """The row of each ``PROGRESSIVO`` in the week's table; an absent column
+    or a repeated id raises ``InputFileError``."""
+    if "PROGRESSIVO" not in week.columns:
+        raise InputFileError(path, 1, "PROGRESSIVO", "column missing from the header")
+    row_of: dict[str, int] = {}
+    for i, rid in enumerate(week.columns["PROGRESSIVO"]):
+        if rid is not None and row_of.setdefault(rid, i) != i:  # an empty id names no registration
+            raise InputFileError(path, week.lines[i], "PROGRESSIVO", f"id {rid!r} repeats row {week.lines[row_of[rid]]}")
+    return row_of
 
 
 def _solve_and_write(

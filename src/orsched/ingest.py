@@ -91,6 +91,52 @@ INTEGER_COLUMNS = frozenset({"ETA", "DURATA"})
 SurgicalRecord = dict[str, Any]
 
 
+@dataclass(frozen=True)
+class RecordTable:
+    """Records as columns: ``columns`` maps each name, in header order, to
+    one value per row, None for an empty cell or one past a short row's end.
+    ``lines`` holds each row's line in its file, for error messages, and
+    ``widths`` how many of the header's columns the row had cells for.
+    ``len`` is the row count. No table is changed in place, so derived
+    tables share the value lists they do not change."""
+
+    columns: dict[str, list]
+    lines: list[int]
+    widths: list[int]
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    @classmethod
+    def from_records(cls, records: Sequence[SurgicalRecord]) -> RecordTable:
+        """Dicts as a table, with every key of any record as a column, in
+        order of first appearance; a record's absent keys read None. Row i
+        gets line i + 2, as if written below a header."""
+        names = dict.fromkeys(itertools.chain.from_iterable(records))
+        columns = {name: [rec.get(name) for rec in records] for name in names}
+        return cls(columns, list(range(2, len(records) + 2)), [len(names)] * len(records))
+
+    def column(self, name: str) -> list:
+        """The values of ``name``, all None where the table lacks it."""
+        return self.columns[name] if name in self.columns else [None] * len(self)
+
+    def take(self, rows: Sequence[int] | None, names: Sequence[str] | None = None) -> RecordTable:
+        """The ``rows``, in their order (None: every row), of the columns
+        ``names`` (all of them by default; a name the table lacks reads
+        None). A row keeps its width only when every column is taken."""
+
+        def pick(values: list) -> list:
+            return values if rows is None else list(map(values.__getitem__, rows))
+
+        columns = {name: pick(self.column(name)) for name in (self.columns if names is None else names)}
+        lines = pick(self.lines)
+        return RecordTable(columns, lines, pick(self.widths) if names is None else [len(columns)] * len(lines))
+
+    def with_column(self, name: str, values: list) -> RecordTable:
+        """This table with ``name``'s values replaced, or appended as its last column."""
+        return RecordTable({**self.columns, name: values}, self.lines, self.widths)
+
+
 class IngestError(Exception):
     """Raised for unrecoverable data problems (empty survivors, bad schema)."""
 
@@ -103,7 +149,7 @@ class IngestError(Exception):
 class CleanDataset:
     """Preprocessed records plus the surviving column names, in schema order."""
 
-    records: list[SurgicalRecord]
+    records: RecordTable
     kept_features: list[str]
 
 
@@ -153,8 +199,7 @@ def iqr_filter(values: Sequence[float], multiplier: float = 1.5) -> list[int]:
     span = multiplier * (q3 - q1)
     if not math.isfinite(span):
         return list(range(len(values)))
-    lo, hi = q1 - span, q3 + span
-    return [i for i, v in enumerate(arr) if lo <= v <= hi]
+    return np.flatnonzero((q1 - span <= arr) & (arr <= q3 + span)).tolist()
 
 
 def kmeans(points: Sequence[Sequence[float]], k: int, seed: int) -> list[int]:
@@ -202,33 +247,33 @@ def group_rare_diagnoses(dataset: CleanDataset, max_clusters: int = 3, seed: int
     """Replace each diagnosis occurring exactly once within its department by
     a synthetic group code shared with its nearest one-off neighbours.
 
-    Rows are clustered per department on standardized (duration, age); row
-    count and every other column are untouched.
+    Rows are clustered per department on standardized (duration, age), an
+    absent age read as 0; row count and every other column are untouched.
     """
-    records = list(dataset.records)  # a regrouped record is copied, the others are shared
+    table = dataset.records
+    diagnoses = list(table.column("DIAGNOSI1"))  # the regrouped column, the others are shared
+    durations, ages = table.column("DURATA"), table.column("ETA")
     by_dept: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        by_dept.setdefault(str(rec.get("REPARTO")), []).append(i)
+    for i, dept in enumerate(table.column("REPARTO")):
+        by_dept.setdefault(str(dept), []).append(i)
 
     for dept in sorted(by_dept):
         rows = by_dept[dept]
         counts: dict[str, int] = {}
         for i in rows:
-            diag = str(records[i].get("DIAGNOSI1"))
+            diag = str(diagnoses[i])
             counts[diag] = counts.get(diag, 0) + 1
-        singles = [i for i in rows if counts[str(records[i].get("DIAGNOSI1"))] == 1]
+        singles = [i for i in rows if counts[str(diagnoses[i])] == 1]
         if not singles:
             continue
-        feats = np.array(
-            [[float(records[i].get("DURATA", 0)), float(records[i].get("ETA", 0))] for i in singles]
-        )
+        feats = np.array([[float(durations[i] or 0), float(ages[i] or 0)] for i in singles])
         mean, std = feats.mean(axis=0), feats.std(axis=0)
         std[std == 0] = 1.0
         k = min(max_clusters, len(singles))
         labels = kmeans((feats - mean) / std, k, seed=seed ^ zlib.crc32(dept.encode()))
         for i, label in zip(singles, labels):
-            records[i] = {**records[i], "DIAGNOSI1": f"RARE_{dept}_{label}"}
-    return CleanDataset(records, list(dataset.kept_features))
+            diagnoses[i] = f"RARE_{dept}_{label}"
+    return CleanDataset(table.with_column("DIAGNOSI1", diagnoses), list(dataset.kept_features))
 
 
 _EPOCH = datetime(1970, 1, 1)
@@ -244,22 +289,25 @@ def _epoch_seconds(values: Sequence[datetime]) -> np.ndarray:
     return seconds + np.array([d.microseconds for d in deltas], dtype=float) / 1e6
 
 
-def _numeric_encoding(records: list[SurgicalRecord], columns: Sequence[str]) -> np.ndarray:
+def _numeric_encoding(table: RecordTable, columns: Sequence[str]) -> np.ndarray:
     """Columns as floats: numbers pass through, timestamps become epoch
     seconds (``_epoch_seconds``), None becomes -1 and everything else gets
     ordinal codes by first appearance. Each column is converted as a whole
     by the types of its values; one that mixes kinds goes value by value."""
-    matrix = np.zeros((len(records), len(columns)), dtype=float)
+    matrix = np.zeros((len(table), len(columns)), dtype=float)
     for j, col in enumerate(columns):
-        values = [rec.get(col) for rec in records]
+        values = table.column(col)
         kinds = set(map(type, values))
         if kinds <= {int, float, bool}:
             matrix[:, j] = values
         elif kinds == {datetime}:
             matrix[:, j] = _epoch_seconds(values)
         elif kinds <= {str, type(None)}:
-            codes = {key: i for i, key in enumerate(key for key in dict.fromkeys(values) if key is not None)}
-            matrix[:, j] = [codes.get(v, -1) for v in values]
+            firsts = dict.fromkeys(values)
+            firsts.pop(None, None)
+            codes = dict(zip(firsts, itertools.count()))
+            codes[None] = -1
+            matrix[:, j] = list(map(codes.__getitem__, values))
         else:
             codes = {}
             for i, v in enumerate(values):
@@ -300,95 +348,88 @@ def prune_correlated_features(matrix: np.ndarray, names: Sequence[str], threshol
 
 
 def preprocess(
-    records: list[SurgicalRecord],
+    table: RecordTable,
     seed: int = 0,
 ) -> tuple[CleanDataset, PreprocessLog]:
     """Full cleaning pipeline: duration derivation and non-positive removal,
     rare-diagnosis grouping, IQR filtering on the duration, then
-    correlated-feature pruning. Returns the clean dataset and a per-stage
-    provenance log."""
-    if not records:
+    correlated-feature pruning. The columns are the schema's when the first
+    row has all of them, else the first row's. Returns the clean dataset and
+    a per-stage provenance log."""
+    if not len(table):
         raise IngestError("no records to preprocess")
-    columns = [c for c in (RECORD_COLUMNS if all(c in records[0] for c in RECORD_COLUMNS) else records[0].keys())]
+    first = list(table.columns)[: table.widths[0]]
+    columns = list(RECORD_COLUMNS) if set(RECORD_COLUMNS) <= set(first) else first
     log = PreprocessLog()
 
     # duration target
-    rows_in = len(records)
-    survivors: list[SurgicalRecord] = []
+    rows_in = len(table)
+    keep: list[int] = []
     parse_errors = 0
     if "INGRESSOSALA" in columns and "USCITASALA" in columns:
-        for rec in records:
-            entry, exit_ = rec.get("INGRESSOSALA"), rec.get("USCITASALA")
+        durations = []
+        for i, (entry, exit_) in enumerate(zip(table.columns["INGRESSOSALA"], table.columns["USCITASALA"])):
             if not isinstance(entry, datetime) or not isinstance(exit_, datetime):
                 parse_errors += 1
                 continue
             minutes = derive_duration(entry, exit_)
-            if minutes is None:
-                continue
-            out = dict(rec)
-            out["DURATA"] = minutes
-            survivors.append(out)
+            if minutes is not None:
+                keep.append(i)
+                durations.append(minutes)
         if "DURATA" not in columns:
             columns = columns + ["DURATA"]
     elif "DURATA" in columns:
-        for rec in records:
-            dur = rec.get("DURATA")
-            if isinstance(dur, int) and dur >= 1:
-                survivors.append(dict(rec))
+        keep = [i for i, dur in enumerate(table.columns["DURATA"]) if isinstance(dur, int) and dur >= 1]
+        durations = [table.columns["DURATA"][i] for i in keep]
     else:
         raise IngestError("cannot derive durations: missing columns INGRESSOSALA, USCITASALA (and no DURATA)")
     log.add(
         "derive_duration",
         rows_in,
-        len(survivors),
+        len(keep),
         len(columns),
         len(columns),
         note=f"{parse_errors} timestamp parse failures" if parse_errors else "",
     )
-    if not survivors:
+    if not keep:
         raise IngestError("no records survive duration derivation")
 
     # rare-diagnosis grouping
-    dataset = CleanDataset(survivors, columns)
+    survivors = table.take(None if len(keep) == len(table) else keep)
+    dataset = CleanDataset(survivors.with_column("DURATA", durations), columns)
+    n = len(keep)
     if "DIAGNOSI1" in columns and "REPARTO" in columns:
         grouped = group_rare_diagnoses(dataset, seed=seed)
-        changed = sum(1 for a, b in zip(dataset.records, grouped.records) if a["DIAGNOSI1"] != b["DIAGNOSI1"])
+        changed = sum(a != b for a, b in zip(dataset.records.columns["DIAGNOSI1"], grouped.records.columns["DIAGNOSI1"]))
         dataset = grouped
-        log.add("group_rare_diagnoses", len(survivors), len(survivors), len(columns), len(columns), note=f"{changed} rows regrouped")
+        log.add("group_rare_diagnoses", n, n, len(columns), len(columns), note=f"{changed} rows regrouped")
     else:
-        log.add("group_rare_diagnoses", len(survivors), len(survivors), len(columns), len(columns), note="skipped: columns absent")
+        log.add("group_rare_diagnoses", n, n, len(columns), len(columns), note="skipped: columns absent")
 
     # IQR outlier removal on the duration, iterated to a fixpoint: tail removal
     # shrinks the fences, so a single pass would leave re-runs with more work
-    filtered = dataset.records
+    rows = list(range(n))
     passes = 0
-    while filtered:
+    while rows:
         passes += 1
-        kept_idx = iqr_filter([rec["DURATA"] for rec in filtered])
-        if len(kept_idx) == len(filtered):
+        kept_idx = iqr_filter([durations[i] for i in rows])
+        if len(kept_idx) == len(rows):
             break
-        filtered = [filtered[i] for i in kept_idx]
-    log.add(
-        "iqr_filter",
-        len(dataset.records),
-        len(filtered),
-        len(columns),
-        len(columns),
-        note=f"{passes} passes to fixpoint",
-    )
-    if not filtered:
+        rows = [rows[i] for i in kept_idx]
+    log.add("iqr_filter", n, len(rows), len(columns), len(columns), note=f"{passes} passes to fixpoint")
+    if not rows:
         raise IngestError("no records survive IQR filtering")
 
     # correlated-feature pruning (the target never participates)
+    filtered = dataset.records.take(None if len(rows) == n else rows, columns)
     feature_cols = [c for c in columns if c != "DURATA"]
-    if len(filtered) >= 2 and feature_cols:
-        matrix = _numeric_encoding(filtered, feature_cols)
-        kept_names = set(prune_correlated_features(matrix, feature_cols))
+    if len(rows) >= 2 and feature_cols:
+        kept_names = set(prune_correlated_features(_numeric_encoding(filtered, feature_cols), feature_cols))
     else:
         kept_names = set(feature_cols)
     kept_features = [c for c in columns if c == "DURATA" or c in kept_names]
-    slim = [{c: rec.get(c) for c in kept_features} for rec in filtered]
-    log.add("prune_correlated_features", len(filtered), len(slim), len(columns), len(kept_features))
+    slim = filtered.take(None, kept_features)
+    log.add("prune_correlated_features", len(rows), len(slim), len(columns), len(kept_features))
     return CleanDataset(slim, kept_features), log
 
 
@@ -677,50 +718,63 @@ def build_instance(
 # CSV formats
 
 
-def write_records_csv(records: Iterable[SurgicalRecord], path: str | Path, columns: Sequence[str] | None = None) -> None:
-    """Write records as CSV: timestamps in ISO 8601 with a space, None as an empty cell."""
-    records = list(records)
-    if columns is None:
-        columns = list(records[0].keys()) if records else list(RECORD_COLUMNS)
-    write_csv_rows(path, columns, ([rec.get(c) for c in columns] for rec in records))
+def write_records_csv(table: RecordTable, path: str | Path, columns: Sequence[str] | None = None) -> None:
+    """Write a table's ``columns`` (all by default) as CSV: timestamps in ISO
+    8601 with a space, None as an empty cell."""
+    names = list(table.columns) if columns is None else columns
+    write_csv_rows(path, names, zip(*(table.column(name) for name in names)))
 
 
-def read_records_csv(path: str | Path) -> list[SurgicalRecord]:
-    """Read a records file, one record per line after the header (blank
-    lines are skipped, a short row gives a record of its first columns).
-    Empty cells read None; timestamp and integer columns are parsed one
-    column at a time. Raises ``InputFileError`` at a repeated column, at a
-    byte that is not UTF-8 or at the first cell, in file order, that does
-    not parse."""
+def read_records_csv(path: str | Path) -> RecordTable:
+    """Read a records file as a table, one row per line after the header
+    (blank lines are skipped, a short row's missing cells read None and a
+    long row's extra cells are dropped). Empty cells read None; each
+    timestamp and integer column is parsed as a whole. Raises
+    ``InputFileError`` at a repeated column, at a byte that is not UTF-8 or
+    at the first cell, in file order, that does not parse."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise InputFileError(path, 1, "header", "empty records file")
-            index = header_index(path, header)
-            records, lines = [], []
-            for row in filter(None, reader):
-                records.append(dict(zip(header, [text or None for text in row] if "" in row else row)))
-                lines.append(reader.line_num)
+            header_index(path, header)
+            rows, lines = [], []
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except UnicodeDecodeError:
         raise not_utf8(path) from None
-    bad = []  # (record, column position) of each column's first cell that does not parse
-    for column in [c for c in header if c in TIMESTAMP_COLUMNS or c in INTEGER_COLUMNS]:
-        parse = datetime.fromisoformat if column in TIMESTAMP_COLUMNS else int
-        for i, record in enumerate(records):
-            text = record.get(column)
-            if text is not None:
-                try:
-                    record[column] = parse(text)
-                except ValueError:
-                    bad.append((i, index[column]))
-                    break
+    n = len(header)
+    widths = list(map(len, rows))
+    if any(width != n for width in widths):
+        rows = [row[:n] + [""] * (n - len(row)) for row in rows]
+        widths = [min(width, n) for width in widths]
+    columns, bad = {}, []  # bad: (row, column position) of each column's first cell that does not parse
+    for at, (name, texts) in enumerate(zip(header, zip(*rows) if rows else [()] * n)):
+        empty = "" in texts
+        values = [text or None for text in texts] if empty else list(texts)
+        parse = datetime.fromisoformat if name in TIMESTAMP_COLUMNS else int if name in INTEGER_COLUMNS else None
+        if parse is not None:
+            try:
+                values = [None if v is None else parse(v) for v in values] if empty else list(map(parse, values))
+            except ValueError:
+                bad.append((next(i for i, v in enumerate(values) if v is not None and not _parses(parse, v)), at))
+        columns[name] = values
     if bad:
         i, at = min(bad)
         kind = "a timestamp" if header[at] in TIMESTAMP_COLUMNS else "an integer"
-        raise InputFileError(path, lines[i], header[at], f"{records[i][header[at]]!r} is not {kind}")
-    return records
+        raise InputFileError(path, lines[i], header[at], f"{rows[i][at]!r} is not {kind}")
+    return RecordTable(columns, lines, widths)
+
+
+def _parses(parse, text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
 
 
 REGISTRATION_HEADER = ["id", "priority", "specialty", "duration_min", "actual_duration_min", "confidence"]

@@ -5,6 +5,7 @@ confidence levels, historical-mean baselines, and the model artifact format.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -14,7 +15,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from orsched.core import ConfidenceLevel, write_csv_rows
-from orsched.ingest import CleanDataset, SurgicalRecord
+from orsched.ingest import CleanDataset, RecordTable
 from orsched.regressors import FAMILIES, FittedModel, ModelSpec, fit, predict  # noqa: F401  (re-exported)
 
 #: Columns never used as features: identifiers plus every intra-operative
@@ -65,31 +66,33 @@ class FeatureEncoder:
         names += list(self.categorical_columns)
         return names
 
-    def transform(self, records: Sequence[SurgicalRecord]) -> np.ndarray:
-        rows = np.zeros((len(records), len(self.feature_names)), dtype=float)
+    def transform(self, table: RecordTable, rows: Sequence[int] | None = None) -> np.ndarray:
+        """The feature matrix of the table's ``rows`` (all by default), in their order."""
+
+        def column(name: str) -> list:
+            values = table.column(name)
+            return values if rows is None else list(map(values.__getitem__, rows))
+
+        out = np.zeros((len(table) if rows is None else len(rows), len(self.feature_names)), dtype=float)
         j = 0
         for col in self.numeric_columns:
-            rows[:, j] = [float(v) if isinstance(v, (int, float)) else 0.0 for v in _column(records, col)]
+            out[:, j] = [float(v) if isinstance(v, (int, float)) else 0.0 for v in column(col)]
             j += 1
         for col in self.timestamp_columns:
-            stamps = [v if isinstance(v, datetime) else None for v in _column(records, col)]
-            rows[:, j] = [0 if v is None else v.hour for v in stamps]
-            rows[:, j + 1] = [0 if v is None else v.weekday() for v in stamps]
+            stamps = [v if isinstance(v, datetime) else None for v in column(col)]
+            out[:, j] = [0 if v is None else v.hour for v in stamps]
+            out[:, j + 1] = [0 if v is None else v.weekday() for v in stamps]
             j += 2
         for col in self.categorical_columns:
-            table = self.categories[col]
-            rows[:, j] = [table.get("" if v is None else str(v), UNSEEN_CATEGORY) for v in _column(records, col)]
+            codes, values = self.categories[col], column(col)
+            keys = values if set(map(type, values)) <= {str} else [_category_key(v) for v in values]
+            out[:, j] = list(map(codes.get, keys, itertools.repeat(UNSEEN_CATEGORY, len(keys))))
             j += 1
-        return rows
+        return out
 
 
 def _category_key(value: Any) -> str:
     return "" if value is None else str(value)
-
-
-def _column(records: Sequence[SurgicalRecord], column: str) -> list:
-    """Each record's value in ``column``, None where a record lacks it."""
-    return [rec.get(column) for rec in records]
 
 
 def encode_features(
@@ -102,7 +105,8 @@ def encode_features(
     """
     if target_name not in dataset.kept_features:
         raise PredictError(f"target column {target_name!r} missing from dataset")
-    y = np.array([float(rec[target_name]) for rec in dataset.records])
+    table = dataset.records
+    y = np.array([float(v) for v in table.column(target_name)])
     if len(y) == 0:
         raise PredictError("empty dataset")
     if (y <= 0).any():
@@ -112,7 +116,7 @@ def encode_features(
     for col in dataset.kept_features:
         if col == target_name or col in EXCLUDED_FEATURE_COLUMNS:
             continue
-        sample = next((rec[col] for rec in dataset.records if rec.get(col) is not None), None)
+        sample = next((v for v in table.column(col) if v is not None), None)
         if isinstance(sample, datetime):
             encoder.timestamp_columns.append(col)
         elif isinstance(sample, (int, float)) and not isinstance(sample, bool):
@@ -121,10 +125,11 @@ def encode_features(
             encoder.categorical_columns.append(col)
 
     for col in encoder.categorical_columns:
-        firsts = dict.fromkeys(["" if v is None else str(v) for v in _column(dataset.records, col)])
+        values = table.column(col)
+        firsts = dict.fromkeys(values if set(map(type, values)) <= {str} else map(_category_key, values))
         encoder.categories[col] = dict(zip(firsts, range(len(firsts))))
 
-    return encoder.transform(dataset.records), y, encoder
+    return encoder.transform(table), y, encoder
 
 
 # ---------------------------------------------------------------------------
@@ -275,27 +280,32 @@ class BaselineEstimator:
     def estimate(self, key_value: Any) -> float:
         return self.means.get(_category_key(key_value), self.global_mean)
 
-    def estimate_record(self, record: SurgicalRecord) -> float:
-        return self.estimate(record.get(self.column))
+    def estimates(self, table: RecordTable, rows: Sequence[int]) -> list[float]:
+        """The estimate of each of the table's ``rows``, in their order."""
+        values = table.column(self.column)
+        return [self.estimate(values[i]) for i in rows]
 
 
-def baseline_mean_estimator(records: Sequence[SurgicalRecord], key: str) -> BaselineEstimator:
+def baseline_mean_estimator(table: RecordTable, key: str, rows: Sequence[int] | None = None) -> BaselineEstimator:
+    """The means of the table's ``rows`` (all by default)."""
     if key not in _BASELINE_COLUMNS:
         raise PredictError(f"key must be one of {sorted(_BASELINE_COLUMNS)}, got {key!r}")
     column = _BASELINE_COLUMNS[key]
+    keys, durations = table.column(column), table.column("DURATA")
+    rows = range(len(table)) if rows is None else rows
     sums: dict[str, float] = {}
     counts: dict[str, int] = {}
     total = 0.0
-    for rec in records:
-        value = _category_key(rec.get(column))
-        duration = float(rec["DURATA"])
+    for i in rows:
+        value = _category_key(keys[i])
+        duration = float(durations[i])
         sums[value] = sums.get(value, 0.0) + duration
         counts[value] = counts.get(value, 0) + 1
         total += duration
-    if not records:
+    if not len(rows):
         raise PredictError("baseline needs at least one record")
     means = {v: sums[v] / counts[v] for v in sums}
-    return BaselineEstimator(key, column, means, total / len(records))
+    return BaselineEstimator(key, column, means, total / len(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from orsched.core import ObjectiveVector
 from orsched.evaluate import DurationEstimates, EvaluateError
 from orsched.ingest import (
     HOSPITAL_SHAPES,
+    RecordTable,
     SyntheticConfig,
     build_instance,
     generate_synthetic_dataset,
@@ -150,7 +151,7 @@ def test_criterion_6_predictor_beats_baselines():
     means by at least 15% held-out MAE on a 5,000-row synthetic dataset."""
     start = time.monotonic()
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=5000, noise=0.25), seed=606)
-    clean, _ = preprocess(records, seed=606)
+    clean, _ = preprocess(RecordTable.from_records(records), seed=606)
     X, y, _ = encode_features(clean)
     train_idx, test_idx = stratified_split(y, test_fraction=0.2, n_bins=10, seed=606)
     model = fit(
@@ -161,12 +162,10 @@ def test_criterion_6_predictor_beats_baselines():
     )
     model_mae = regression_metrics(y[test_idx], predict(model, X[test_idx])).mae
 
-    train_records = [clean.records[i] for i in train_idx]
-    test_records = [clean.records[i] for i in test_idx]
     margins = {}
     for key in ("department", "procedure_type"):
-        est = baseline_mean_estimator(train_records, key)
-        base_mae = regression_metrics(y[test_idx], [est.estimate_record(r) for r in test_records]).mae
+        est = baseline_mean_estimator(clean.records, key, train_idx.tolist())
+        base_mae = regression_metrics(y[test_idx], est.estimates(clean.records, test_idx.tolist())).mae
         margins[key] = (base_mae - model_mae) / base_mae
         assert margins[key] >= 0.15, f"{key}: margin {margins[key]:.1%}"
     elapsed = time.monotonic() - start
@@ -190,7 +189,7 @@ def test_criterion_7_confidence_lowers_overbooking_in_aggregate():
     for seed in range(n_seeds):
         cfg = SyntheticConfig(n_rows=1500, noise=0.25, world_seed=seed)
         records = generate_synthetic_dataset(cfg, seed=seed * 7 + 1)
-        clean, _ = preprocess(records, seed=seed)
+        clean, _ = preprocess(RecordTable.from_records(records), seed=seed)
         X, y, encoder = encode_features(clean)
         model = fit(ModelSpec("boosted_trees", {"n_estimators": 200, "max_depth": 4}), X, y, seed=seed)
 
@@ -198,7 +197,7 @@ def test_criterion_7_confidence_lowers_overbooking_in_aggregate():
             cfg, seed=seed, shape=HOSPITAL_SHAPES["bordighera"], fill_ratio=0.95
         )
         inst = build_instance(regs, mss, shifts)
-        yhat = predict(model, encoder.transform(week))
+        yhat = predict(model, encoder.transform(RecordTable.from_records(week)))
         estimates = DurationEstimates(predicted={r.id: float(p) for r, p in zip(regs, yhat)})
         limits = SolveLimits(time_budget_s=10.0, max_restarts=8, seed=seed)
         conf_rep, pred_rep = run_method_comparison(
@@ -231,7 +230,7 @@ def test_criterion_8_preprocessing_fixtures_and_idempotence():
         row["f01"] = 3.0 * row["f00"]
         row["DURATA"] = int(rng.integers(10, 60))
         records.append(row)
-    clean, _ = preprocess(records, seed=0)
+    clean, _ = preprocess(RecordTable.from_records(records), seed=0)
     assert len(clean.kept_features) == 31 and "f01" not in clean.kept_features
 
     # well-separated singleton diagnoses split into two groups
@@ -241,13 +240,13 @@ def test_criterion_8_preprocessing_fixtures_and_idempotence():
         {"PROGRESSIVO": f"r{i}", "REPARTO": "ORTO", "DIAGNOSI1": f"DX{i}", "DURATA": d, "ETA": 50}
         for i, d in enumerate([10, 11, 12, 90, 91, 92])
     ]
-    ds = CleanDataset(rows, ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
-    codes = [r["DIAGNOSI1"] for r in group_rare_diagnoses(ds, max_clusters=2, seed=0).records]
+    ds = CleanDataset(RecordTable.from_records(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
+    codes = group_rare_diagnoses(ds, max_clusters=2, seed=0).records.columns["DIAGNOSI1"]
     assert codes[0] == codes[1] == codes[2] != codes[3] and codes[3] == codes[4] == codes[5]
 
     # idempotence on the pipeline's own output
     synthetic = generate_synthetic_dataset(SyntheticConfig(n_rows=900), seed=17)
-    once, _ = preprocess(synthetic, seed=17)
+    once, _ = preprocess(RecordTable.from_records(synthetic), seed=17)
     twice, _ = preprocess(once.records, seed=17)
     assert len(twice.records) == len(once.records)
     assert twice.kept_features == once.kept_features

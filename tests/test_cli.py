@@ -558,6 +558,36 @@ def _schedule(ws, *flags):
     return ["schedule", *instance_flags(ws), "--week", str(ws / "week.csv"), "--max-restarts", "1", *flags]
 
 
+def _week(ws, tmp, change, problem):
+    """``schedule --method dep`` with the workspace's week.csv, its rows
+    (header first) changed by ``change``, and the error line's text: the
+    file's path, then ``problem``."""
+    with open(ws / "week.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    change(rows)
+    path = tmp / "week.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    argv = ["schedule", *instance_flags(ws), "--week", str(path), "--model", str(ws / "model.json"), "--method", "dep"]
+    return argv, f"{path}: {problem}"
+
+
+def _repeat_first_record(rows):
+    """The first record again, as row 3, in another department."""
+    repeat = list(rows[1])
+    repeat[rows[0].index("REPARTO")] = "ALTRO"
+    rows.insert(2, repeat)
+
+
+def _drop_column(name):
+    def change(rows):
+        at = rows[0].index(name)
+        for row in rows:
+            del row[at]
+
+    return change
+
+
 def _pipeline(*flags):
     return ["pipeline", "--rows", "200", "--grid", "fast", "--max-restarts", "1", "--time-limit", "5", *flags]
 
@@ -640,6 +670,12 @@ MALFORMED_INPUT = {
     ),
     "model_base_infinite": lambda ws, tmp: _model_values(ws, tmp, "pred", lambda d: d["structure"].update(base=float("inf"))),
     "model_base_nan": lambda ws, tmp: _model_values(ws, tmp, "conf", lambda d: d["structure"].update(base=float("nan"))),
+    "week_repeated_id": lambda ws, tmp: _week(
+        ws, tmp, _repeat_first_record, "row 3, field 'PROGRESSIVO': id 'W0000' repeats row 2"
+    ),
+    "week_without_id_column": lambda ws, tmp: _week(
+        ws, tmp, _drop_column("PROGRESSIVO"), "row 1, field 'PROGRESSIVO': column missing from the header"
+    ),
 }
 
 

@@ -18,6 +18,7 @@ from orsched.ingest import (
     CleanDataset,
     HOSPITAL_SHAPES,
     IngestError,
+    RecordTable,
     SyntheticConfig,
     build_instance,
     derive_duration,
@@ -153,27 +154,40 @@ def rec(progressivo, dept, diagnosis, duration, age=50):
 
 def test_no_singletons_is_a_no_op():
     rows = [rec("a", "CHIR", "D1", 20), rec("b", "CHIR", "D1", 25)]
-    ds = CleanDataset(rows, ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
+    ds = CleanDataset(RecordTable.from_records(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
     out = group_rare_diagnoses(ds, seed=0)
-    assert out.records == rows
+    assert out.records == ds.records
 
 
 def test_single_singleton_gets_cluster_zero():
     rows = [rec("a", "CHIR", "D1", 20), rec("b", "CHIR", "D1", 25), rec("c", "CHIR", "DX", 30)]
-    ds = CleanDataset(rows, ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
+    ds = CleanDataset(RecordTable.from_records(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
     out = group_rare_diagnoses(ds, seed=0)
-    assert out.records[2]["DIAGNOSI1"] == "RARE_CHIR_0"
+    assert out.records.columns["DIAGNOSI1"][2] == "RARE_CHIR_0"
 
 
 def test_singletons_split_by_duration_scale():
     durations = [10, 11, 12, 90, 91, 92]
     rows = [rec(f"r{i}", "ORTO", f"DX{i}", d) for i, d in enumerate(durations)]
-    ds = CleanDataset(rows, ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
+    ds = CleanDataset(RecordTable.from_records(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
     out = group_rare_diagnoses(ds, max_clusters=2, seed=0)
-    codes = [r["DIAGNOSI1"] for r in out.records]
+    codes = out.records.columns["DIAGNOSI1"]
     assert codes[0] == codes[1] == codes[2]
     assert codes[3] == codes[4] == codes[5]
     assert codes[0] != codes[3]
+
+
+def test_empty_age_clusters_as_zero():
+    """An empty ETA cell reads None, and a one-off row clusters on age 0, as
+    one cut short before its ETA cell does."""
+    columns = ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"]
+    durations = [10, 11, 12, 90, 91, 92]
+    codes = []
+    for age in (None, 0):
+        rows = [rec(f"r{i}", "ORTO", f"DX{i}", d, age if i % 2 else 40) for i, d in enumerate(durations)]
+        out = group_rare_diagnoses(CleanDataset(RecordTable.from_records(rows), columns), max_clusters=2, seed=0)
+        codes.append(out.records.columns["DIAGNOSI1"])
+    assert codes[0] == codes[1]
 
 
 def test_row_count_and_other_columns_preserved():
@@ -182,12 +196,11 @@ def test_row_count_and_other_columns_preserved():
         rec(f"r{i}", rng.choice(["A", "B"]), f"D{rng.randint(0, 6)}", rng.randint(5, 60), rng.randint(20, 80))
         for i in range(40)
     ]
-    ds = CleanDataset(rows, ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
+    ds = CleanDataset(RecordTable.from_records(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
     out = group_rare_diagnoses(ds, seed=5)
     assert len(out.records) == 40
-    for before, after in zip(rows, out.records):
-        for col in ("PROGRESSIVO", "REPARTO", "DURATA", "ETA"):
-            assert before[col] == after[col]
+    for col in ("PROGRESSIVO", "REPARTO", "DURATA", "ETA"):
+        assert out.records.columns[col] == [row[col] for row in rows]
 
 
 # -- prune_correlated_features ---------------------------------------------------
@@ -232,7 +245,7 @@ def test_preprocess_prunes_exact_duplicate_column():
         row["f01"] = 3.0 * row["f00"]
         row["DURATA"] = int(rng.integers(10, 60))
         records.append(row)
-    clean, log = preprocess(records, seed=0)
+    clean, log = preprocess(RecordTable.from_records(records), seed=0)
     assert len(clean.kept_features) == 31
     assert "f01" not in clean.kept_features
     assert log.stages[-1].features_out == 31
@@ -251,7 +264,7 @@ def test_preprocess_keeps_all_rows_when_no_outliers():
                 "ETA": 50,
             }
         )
-    clean, log = preprocess(records)
+    clean, log = preprocess(RecordTable.from_records(records))
     stage = {s.stage: s for s in log.stages}["iqr_filter"]
     assert stage.rows_in == stage.rows_out == 50
 
@@ -271,19 +284,19 @@ def test_preprocess_drops_nonpositive_and_outliers():
         }
         for i, minutes in enumerate([30, 35, 40, 45, 0, -15, 500])
     ]
-    clean, log = preprocess(records)
-    durations = sorted(r["DURATA"] for r in clean.records)
+    clean, log = preprocess(RecordTable.from_records(records))
+    durations = sorted(clean.records.columns["DURATA"])
     assert durations == [30, 35, 40, 45]
 
 
 def test_preprocess_missing_duration_columns_is_error():
     with pytest.raises(IngestError, match="INGRESSOSALA"):
-        preprocess([{"REPARTO": "CHIR", "ETA": 4}])
+        preprocess(RecordTable.from_records([{"REPARTO": "CHIR", "ETA": 4}]))
 
 
 def test_preprocess_idempotent_for_rows_and_features():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=800), seed=11)
-    clean, _ = preprocess(records, seed=1)
+    clean, _ = preprocess(RecordTable.from_records(records), seed=1)
     again, log = preprocess(clean.records, seed=1)
     assert len(again.records) == len(clean.records)
     assert again.kept_features == clean.kept_features
@@ -408,8 +421,8 @@ def test_unknown_shift_reference_is_error():
 def test_records_csv_round_trip(tmp_path):
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=25), seed=4)
     path = tmp_path / "records.csv"
-    write_records_csv(records, path, columns=RECORD_COLUMNS)
-    assert read_records_csv(path) == records
+    write_records_csv(RecordTable.from_records(records), path, columns=RECORD_COLUMNS)
+    assert read_records_csv(path) == RecordTable.from_records(records)
 
 
 def test_registrations_csv_round_trip(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orsched.ingest import SyntheticConfig, generate_synthetic_dataset, preprocess
+from orsched.ingest import RecordTable, SyntheticConfig, generate_synthetic_dataset, preprocess
 from orsched.predict import (
     ModelSpec,
     PredictError,
@@ -28,7 +28,7 @@ from orsched.predict import (
 @pytest.fixture(scope="module")
 def clean_dataset():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=400), seed=21)
-    clean, _ = preprocess(records, seed=21)
+    clean, _ = preprocess(RecordTable.from_records(records), seed=21)
     return clean
 
 
@@ -56,9 +56,8 @@ def test_encoder_transform_is_deterministic(clean_dataset):
 
 def test_unseen_category_maps_to_reserved_code(clean_dataset):
     _, _, encoder = encode_features(clean_dataset)
-    alien = dict(clean_dataset.records[0])
-    alien["REPARTO"] = "NEUROCHIRURGIA"
-    row = encoder.transform([alien])
+    alien = clean_dataset.records.take([0]).with_column("REPARTO", ["NEUROCHIRURGIA"])
+    row = encoder.transform(alien)
     j = encoder.feature_names.index("REPARTO")
     assert row[0, j] == -1.0
 
@@ -215,7 +214,7 @@ def test_department_mean_and_fallback():
         {"REPARTO": "A", "ICD1": "Y", "DURATA": 20},
         {"REPARTO": "B", "ICD1": "X", "DURATA": 40},
     ]
-    est = baseline_mean_estimator(records, "department")
+    est = baseline_mean_estimator(RecordTable.from_records(records), "department")
     assert est.estimate("A") == pytest.approx(15.0)
     assert est.estimate("B") == pytest.approx(40.0)
     assert est.estimate("UNSEEN") == pytest.approx(70 / 3)
@@ -223,13 +222,13 @@ def test_department_mean_and_fallback():
 
 def test_procedure_mean_single_record_key():
     records = [{"REPARTO": "A", "ICD1": "X", "DURATA": 33}]
-    est = baseline_mean_estimator(records, "procedure_type")
+    est = baseline_mean_estimator(RecordTable.from_records(records), "procedure_type")
     assert est.estimate("X") == 33.0
 
 
 def test_unknown_key_rejected():
     with pytest.raises(PredictError):
-        baseline_mean_estimator([{"DURATA": 1}], "surgeon")
+        baseline_mean_estimator(RecordTable.from_records([{"DURATA": 1}]), "surgeon")
 
 
 # -- artifact round trip -------------------------------------------------------------------
@@ -265,7 +264,7 @@ def test_predictions_csv_shape(tmp_path):
 
 def test_boosted_trees_explain_noise_free_target():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=1200, noise=0.0), seed=13)
-    clean, _ = preprocess(records, seed=13)
+    clean, _ = preprocess(RecordTable.from_records(records), seed=13)
     X, y, _ = encode_features(clean)
     train, test = stratified_split(y, test_fraction=0.2, n_bins=10, seed=13)
     model = fit(

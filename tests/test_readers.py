@@ -23,10 +23,13 @@ from orsched.core import InputFileError, read_csv_rows
 from orsched.ingest import (
     RECORD_COLUMNS,
     CleanDataset,
+    RecordTable,
     SyntheticConfig,
     _numeric_encoding,
     generate_synthetic_dataset,
+    preprocess,
     read_records_csv,
+    write_records_csv,
 )
 from orsched.predict import encode_features
 
@@ -40,6 +43,13 @@ def _outcome(read, *args):
     except InputFileError as exc:
         return ("error", str(exc))
     return ("ok", [[(k, type(v), v) for k, v in row.items()] for row in rows])
+
+
+def _rows(table):
+    """A table's rows as the records a reader of dicts gives: each row's
+    first ``width`` columns."""
+    header = list(table.columns)
+    return [{name: table.columns[name][i] for name in header[:width]} for i, width in enumerate(table.widths)]
 
 
 def _write(path, header, rows, rng):
@@ -116,7 +126,7 @@ def test_records_reader_matches_reference_on_generated_files(tmp_path):
             ]
         _write(path, header, rows, rng)
         want = _outcome(reference_read_records_csv, path)
-        assert _outcome(read_records_csv, path) == want, (case, path.read_text())
+        assert _outcome(lambda p: _rows(read_records_csv(p)), path) == want, (case, path.read_text())
         errors += want[0] == "error"
     assert 40 <= errors <= 220  # both outcomes are exercised
 
@@ -165,6 +175,32 @@ def test_repeated_column_is_rejected_at_row_one(tmp_path):
         read_records_csv(path)
     with pytest.raises(InputFileError, match=r"row 1, field 'ETA': column repeats in the header"):
         list(read_csv_rows(path, ["PROGRESSIVO"], ()))
+
+
+def test_short_first_row_sets_the_preprocess_columns(tmp_path):
+    """A first row cut to 20 cells makes those columns, with the derived
+    DURATA, the ones ``preprocess`` cleans and prunes, as the first record's
+    keys did when records were dicts."""
+    path = tmp_path / "records.csv"
+    write_records_csv(RecordTable.from_records(generate_synthetic_dataset(SyntheticConfig(n_rows=300), seed=3)), path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1] = rows[1][:20]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    table = read_records_csv(path)
+    assert table.widths[:2] == [20, len(RECORD_COLUMNS)]
+    clean, log = preprocess(table, seed=0)
+    assert clean.kept_features == [
+        "PROGRESSIVO", "TIPORICOVERO", "SESSO", "ETA", "REPARTO", "PRES ANESTES", "STAMP", "CC", "CA", "ANESTLOC",
+        "DIAGNOSI1", "INGRESSOSALA", "REGRICOVERO", "CHIRURGHI_1", "ICD1", "BLOCCO", "DURATA",
+    ]
+    assert [(s.stage, s.rows_in, s.rows_out, s.features_in, s.features_out, s.note) for s in log.stages] == [
+        ("derive_duration", 300, 300, 21, 21, ""),
+        ("group_rare_diagnoses", 300, 300, 21, 21, "23 rows regrouped"),
+        ("iqr_filter", 300, 276, 21, 21, "3 passes to fixpoint"),
+        ("prune_correlated_features", 276, 276, 21, 17, ""),
+    ]
 
 
 # -- encoders ---------------------------------------------------------------------
@@ -217,7 +253,7 @@ def test_numeric_encoding_matches_reference_on_mixed_columns():
     for case in range(60):
         records = _mixed_records(rng, rng.randint(0, 40))
         columns = rng.sample(list(MIXES), rng.randint(1, len(MIXES)))
-        got = _numeric_encoding(records, columns)
+        got = _numeric_encoding(RecordTable.from_records(records), columns)
         assert got.tobytes() == reference_numeric_encoding(records, columns).tobytes(), (case, columns)
 
 
@@ -230,7 +266,7 @@ def test_numeric_encoding_ignores_the_host_time_zone():
         for zone in ("UTC", "America/New_York", "Australia/Lord_Howe"):
             os.environ["TZ"] = zone
             time.tzset()
-            matrices.append(_numeric_encoding(records, columns).tobytes())
+            matrices.append(_numeric_encoding(RecordTable.from_records(records), columns).tobytes())
             local_midsummer.append(datetime(2019, 7, 1).timestamp())
     finally:
         if saved is None:
@@ -270,11 +306,15 @@ def test_encoder_matches_reference_on_mixed_columns():
     kept = ["PROGRESSIVO", "ETA", "SCORE", "DATAINTERVENTO", "REPARTO", "FLAG", "MIXED", "DURATA"]
     for case in range(60):
         records = _dataset(rng, rng.randint(1, 40))
-        X, y, encoder = encode_features(CleanDataset(records, kept))
+        X, y, encoder = encode_features(CleanDataset(RecordTable.from_records(records), kept))
         for column in encoder.categorical_columns:
             want = reference_categories(records, column)
             assert list(encoder.categories[column].items()) == list(want.items()), (case, column)
         assert X.tobytes() == reference_transform(encoder, records).tobytes(), case
         assert y.tobytes() == np.array([float(r["DURATA"]) for r in records]).tobytes()
         unseen = _dataset(rng, rng.randint(0, 20))  # new categories map to the reserved code
-        assert encoder.transform(unseen).tobytes() == reference_transform(encoder, unseen).tobytes(), case
+        table = RecordTable.from_records(unseen)
+        assert encoder.transform(table).tobytes() == reference_transform(encoder, unseen).tobytes(), case
+        rows = [rng.randrange(len(unseen)) for _ in range(rng.randint(0, 25))] if unseen else []
+        picked = [unseen[i] for i in rows]  # in any order, with repeats
+        assert encoder.transform(table, rows).tobytes() == reference_transform(encoder, picked).tobytes(), case
