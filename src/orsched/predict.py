@@ -68,23 +68,20 @@ class FeatureEncoder:
 
     def transform(self, table: RecordTable, rows: Sequence[int] | None = None) -> np.ndarray:
         """The feature matrix of the table's ``rows`` (all by default), in their order."""
-
-        def column(name: str) -> list:
-            values = table.column(name)
-            return values if rows is None else list(map(values.__getitem__, rows))
-
-        out = np.zeros((len(table) if rows is None else len(rows), len(self.feature_names)), dtype=float)
+        if rows is not None:
+            table = table.take(rows, [*self.numeric_columns, *self.timestamp_columns, *self.categorical_columns])
+        out = np.zeros((len(table), len(self.feature_names)), dtype=float)
         j = 0
         for col in self.numeric_columns:
-            out[:, j] = [float(v) if isinstance(v, (int, float)) else 0.0 for v in column(col)]
+            out[:, j] = [float(v) if isinstance(v, (int, float)) else 0.0 for v in table.column(col)]
             j += 1
         for col in self.timestamp_columns:
-            stamps = [v if isinstance(v, datetime) else None for v in column(col)]
+            stamps = [v if isinstance(v, datetime) else None for v in table.column(col)]
             out[:, j] = [0 if v is None else v.hour for v in stamps]
             out[:, j + 1] = [0 if v is None else v.weekday() for v in stamps]
             j += 2
         for col in self.categorical_columns:
-            codes, values = self.categories[col], column(col)
+            codes, values = self.categories[col], table.column(col)
             keys = values if set(map(type, values)) <= {str} else [_category_key(v) for v in values]
             out[:, j] = list(map(codes.get, keys, itertools.repeat(UNSEEN_CATEGORY, len(keys))))
             j += 1
