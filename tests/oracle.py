@@ -524,7 +524,21 @@ def _reject_repeated_columns(path, header) -> None:
 
 
 def reference_read_records_csv(path) -> list[dict]:
-    """A records file parsed cell by cell in file order."""
+    """A records file parsed cell by cell in file order; a byte that is not
+    UTF-8 is reported at the line that holds it."""
+    try:
+        return _reference_records(path)
+    except UnicodeDecodeError:
+        data = open(path, "rb").read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data[: exc.start].count(b"\n") + 1
+            raise InputFileError(path, line, None, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+        raise
+
+
+def _reference_records(path) -> list[dict]:
     from orsched.ingest import INTEGER_COLUMNS, TIMESTAMP_COLUMNS
 
     def parse(column, text):

@@ -125,8 +125,12 @@ def test_records_reader_matches_reference_on_generated_files(tmp_path):
                 for _ in range(rng.randint(0, 12))
             ]
         _write(path, header, rows, rng)
+        if case % 13 == 6:  # a byte that is not UTF-8 opens one of the lines
+            lines = path.read_bytes().split(b"\n")
+            lines[case % len(lines)] = b"\xff" + lines[case % len(lines)]
+            path.write_bytes(b"\n".join(lines))
         want = _outcome(reference_read_records_csv, path)
-        assert _outcome(lambda p: _rows(read_records_csv(p)), path) == want, (case, path.read_text())
+        assert _outcome(lambda p: _rows(read_records_csv(p)), path) == want, (case, path.read_bytes())
         errors += want[0] == "error"
     assert 40 <= errors <= 220  # both outcomes are exercised
 
