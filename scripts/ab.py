@@ -8,12 +8,14 @@ Each side is one worker process with its checkout's ``src/`` as
 with one JSON line. Shared inputs are made once, by ``--change``. The
 subjects, with the digests that must match:
 
-- ``data``: on the imperia synth of seed 1 and its ``train --grid fast``
-  model, the history read (``read_records_csv``), ``preprocess``,
-  ``encode_features``, the week read, and ``cli._build_estimates`` for Pred
-  and for Dep as ``orsched schedule`` calls it (each reads the week again);
-  the sha256 of the feature matrix and target, of the encoder and of each
-  method's estimates, in every run.
+- ``data``: on the imperia synth of seed 1, its ``train --grid fast``
+  model and its VBA schedule at ``--max-restarts 2``, the history read
+  (``read_records_csv``), ``preprocess``, ``encode_features``, the week
+  read, ``cli._build_estimates`` for Pred and for Dep as ``orsched
+  schedule`` calls it (each reads the week again), ``load_instance`` and
+  ``read_schedule_csv``; the sha256 of the feature matrix and target, of
+  the encoder, of each method's estimates, of the instance and of the
+  assignments, in every run.
 - ``fit``: ``regressors.fit`` of boosted 400x5 and 80x3 on the split that
   ``orsched train --seed 1`` fits on the bordighera 2,000-row synth; each
   structure's sha256 (a ``tracemalloc`` peak is printed too).
@@ -89,6 +91,8 @@ def make_inputs(subject: str, data: Path) -> None:
     elif subject == "data":
         run_cli("synth", "--hospital", "imperia", "--rows", "2000", "--seed", str(SEED), "-o", str(data))
         run_cli("train", "--records", str(data / "records.csv"), "--grid", "fast", "--seed", str(SEED), "-o", str(data))
+        instance = ["--registrations", str(data / "registrations.csv"), "--mss", str(data / "mss.csv"), "--shifts", str(data / "shifts.csv")]
+        run_cli("schedule", *instance, "--max-restarts", "2", "--time-limit", str(TIME_LIMIT_S), "--seed", str(SEED), "-o", str(data))
     elif subject == "solve":
         for hospital, seed in itertools.product(HOSPITALS, WEEK_SEEDS):
             out = data / f"{hospital}-{seed}"
@@ -155,8 +159,10 @@ def subject_data(data: Path):
     from orsched.cli import _build_estimates, build_parser
     from orsched.ingest import load_instance, preprocess, read_records_csv
     from orsched.predict import encode_features
+    from orsched.solve import read_schedule_csv
 
-    instance = load_instance(data / "registrations.csv", data / "mss.csv", data / "shifts.csv")
+    paths = (data / "registrations.csv", data / "mss.csv", data / "shifts.csv")
+    instance = load_instance(*paths)
     flags = build_parser().parse_args(
         ["schedule", "--week", str(data / "week.csv"), "--model", str(data / "model.json"), "--seed", str(SEED)]
     )
@@ -176,15 +182,19 @@ def subject_data(data: Path):
         step("read week", read_records_csv, data / "week.csv")
         pred = step("Pred estimates", _build_estimates, flags, ["Pred"], instance)
         dep = step("Dep estimates", _build_estimates, flags, ["Dep"], instance)
+        loaded = step("load instance", load_instance, *paths)
+        assignments = step("read schedule", read_schedule_csv, data / "schedule.csv")
         return times, {
             "feature matrix": hashlib.sha256(X.tobytes()).hexdigest(),
             "target": hashlib.sha256(y.tobytes()).hexdigest(),
             "encoder": sha256(json.dumps(vars(encoder))),
             "Pred estimates": sha256(json.dumps(pred.predicted)),
             "Dep estimates": sha256(json.dumps(dep.department_mean)),
+            "instance": sha256(repr(loaded)),
+            "assignments": sha256(repr(assignments)),
         }
 
-    return f"imperia records, week and estimates, seed {SEED}", {}, {}, run
+    return f"imperia records, week, estimates, instance and VBA schedule, seed {SEED}", {}, {}, run
 
 
 def subject_synth(data: Path):

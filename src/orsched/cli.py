@@ -157,6 +157,10 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _limits(args: argparse.Namespace) -> SolveLimits:
+    if not args.time_limit > 0:
+        raise UsageError("--time-limit must be > 0")
+    if args.max_restarts is not None and args.max_restarts < 1:
+        raise UsageError("--max-restarts must be >= 1")
     return SolveLimits(time_budget_s=args.time_limit, seed=args.seed, max_restarts=args.max_restarts)
 
 
@@ -200,6 +204,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise UsageError("--planning-days must be >= 1")
     if not args.fill_ratio > 0:
         raise UsageError("--fill-ratio must be > 0")
+    if not 0 <= args.noise < math.inf:
+        raise UsageError("--noise must be a finite number >= 0")
     seed = _seed(args)
     out = _outdir(args)
 
@@ -428,11 +434,12 @@ def _solve_and_write(
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     method = _method(args.method)
+    limits = _limits(args)
     instance = _load_week_instance(args)
     estimates = _build_estimates(args, [method], instance)
     out = _outdir(args)
     _, schedule = _solve_and_write(
-        instance, method, estimates, _limits(args), args.solver, out / "schedule.csv", out / "objective.json"
+        instance, method, estimates, limits, args.solver, out / "schedule.csv", out / "objective.json"
     )
     print(
         f"{method}: assigned {len(schedule.assignments)}/{len(instance.registrations)} "
@@ -487,13 +494,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    out = _outdir(args)
     methods = [_method(m) for m in args.methods.split(",") if m]
     if not methods:
         raise UsageError("empty method list")
     twice = next((m for i, m in enumerate(methods) if m in methods[:i]), None)
     if twice is not None:
         raise UsageError(f"--methods names method {twice} twice")
+    limits = _limits(args)
+    out = _outdir(args)
 
     # each stage reads the files the stages before it wrote into ``out``
     args.records, args.week, args.model = str(out / "records.csv"), str(out / "week.csv"), str(out / "model.json")
@@ -502,7 +510,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     cmd_train(args)
     instance = _load_week_instance(args)
     estimates = _build_estimates(args, methods, instance)
-    limits = _limits(args)
     reports: list[MethodReport] = []
     for method in methods:
         method_instance, schedule = _solve_and_write(

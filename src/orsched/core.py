@@ -1,6 +1,6 @@
 """Domain types shared across the toolkit, plus structural instance validation,
-the CSV row reader that every input file goes through and the CSV writer that
-every output table goes through.
+the column table that the one CSV reader, which every input file goes through,
+returns, and the CSV writer that every output table goes through.
 
 All types are immutable value objects. Invariants are *not* enforced at
 construction time: malformed data is representable on purpose, and
@@ -10,9 +10,12 @@ construction time: malformed data is representable on purpose, and
 from __future__ import annotations
 
 import csv
+import itertools
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 PRIORITIES = (1, 2, 3, 4)
 
@@ -162,51 +165,137 @@ def not_utf8(path: str | Path) -> InputFileError:
     return InputFileError(path, data.count(b"\n") + 1, None, f"byte {data[-1]:#04x} is not UTF-8")
 
 
-def header_index(path: str | Path, header: Sequence[str]) -> dict[str, int]:
-    """Position of each column of a header; a repeated name raises
-    ``InputFileError`` at row 1."""
-    index: dict[str, int] = {}
-    for at, name in enumerate(header):
-        if index.setdefault(name, at) != at:
-            raise InputFileError(path, 1, name, "column repeats in the header")
-    return index
+@dataclass(frozen=True)
+class RecordTable:
+    """Rows as columns: ``columns`` maps each name, in order, to one value
+    per row. ``lines`` holds each row's line in its file, for error
+    messages, and ``widths`` how many of the header's columns the row had
+    cells for. ``len`` is the row count. No table is changed in place, so
+    derived tables share the value lists they do not change."""
+
+    columns: dict[str, list]
+    lines: list[int]
+    widths: list[int]
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    @classmethod
+    def from_records(cls, records: Sequence[Mapping[str, Any]]) -> RecordTable:
+        """Dicts as a table, with every key of any record as a column, in
+        order of first appearance; a record's absent keys read None. Row i
+        gets line i + 2, as if written below a header."""
+        names = dict.fromkeys(itertools.chain.from_iterable(records))
+        columns = {name: [rec.get(name) for rec in records] for name in names}
+        return cls(columns, list(range(2, len(records) + 2)), [len(names)] * len(records))
+
+    def column(self, name: str) -> list:
+        """The values of ``name``, all None where the table lacks it."""
+        return self.columns[name] if name in self.columns else [None] * len(self)
+
+    def take(self, rows: Sequence[int] | None, names: Sequence[str] | None = None) -> RecordTable:
+        """The ``rows``, in their order (None: every row), of the columns
+        ``names`` (all of them by default; a name the table lacks reads
+        None). A row keeps its width only when every column is taken."""
+
+        def pick(values: list) -> list:
+            return values if rows is None else list(map(values.__getitem__, rows))
+
+        columns = {name: pick(self.column(name)) for name in (self.columns if names is None else names)}
+        lines = pick(self.lines)
+        return RecordTable(columns, lines, pick(self.widths) if names is None else [len(columns)] * len(lines))
+
+    def with_column(self, name: str, values: list) -> RecordTable:
+        """This table with ``name``'s values replaced, or appended as its last column."""
+        return RecordTable({**self.columns, name: values}, self.lines, self.widths)
 
 
-def read_csv_rows(
-    path: str | Path, columns: Sequence[str], integers: Sequence[str], optional: Sequence[str] = ()
-) -> Iterator[dict[str, Any]]:
-    """Rows of a CSV file as dicts of ``columns``, with the ``integers``
-    parsed; blank lines are skipped. A column in ``optional`` may be absent
-    or empty and then reads None. Raises ``InputFileError`` at a repeated or
-    missing column, at the first missing value or malformed integer, or at
-    a byte that is not UTF-8."""
+def read_csv_table(
+    path: str | Path,
+    columns: Sequence[str] | None = None,
+    parsers: Mapping[str, Callable[[str], Any]] = {},
+    optional: Sequence[str] = (),
+) -> RecordTable:
+    """A CSV file as a table of ``columns`` (None: the header's, each
+    optional, and a file without a header is an error), one row per line
+    after the header, blank lines skipped and long rows cut. ``parsers``
+    (``int`` or ``datetime.fromisoformat``) parse their columns as a whole.
+    An ``optional`` column may be absent, and its empty cells read None.
+    Raises ``InputFileError`` at a repeated column, a required one missing
+    from the header, a byte that is not UTF-8, a cell over ``csv``'s field
+    limit, or the first bad cell by row, then column order: a required cell
+    past the row's end, a parsed one that does not parse, or an integer
+    that no float holds."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            index = header_index(path, next(reader, []))
-            for column in columns:
-                if column not in optional and column not in index:
-                    raise InputFileError(path, 1, column, "column missing from the header")
-            kinds = [(column, index.get(column), column in optional, column in integers) for column in columns]
+            header = next(reader, None)
+            if header is None and columns is None:
+                raise InputFileError(path, 1, "header", "empty records file")
+            index: dict[str, int] = {}
+            for at, name in enumerate(header or ()):
+                if index.setdefault(name, at) != at:
+                    raise InputFileError(path, 1, name, "column repeats in the header")
+            if columns is None:
+                columns = optional = header
+            for name in columns:
+                if name not in index and name not in optional:
+                    raise InputFileError(path, 1, name, "column missing from the header")
+            rows, lines = [], []
             for row in reader:
-                if not row:
-                    continue
-                values: dict[str, Any] = {}
-                for column, at, is_optional, is_integer in kinds:
-                    value = row[at] if at is not None and at < len(row) else None
-                    if is_optional and not value:
-                        value = None
-                    elif value is None:
-                        raise InputFileError(path, reader.line_num, column, "value missing")
-                    elif is_integer:
-                        try:
-                            value = int(value)
-                        except ValueError:
-                            raise InputFileError(path, reader.line_num, column, f"{value!r} is not an integer") from None
-                    values[column] = value
-                yield values
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except UnicodeDecodeError:
         raise not_utf8(path) from None
+    except csv.Error as exc:  # a cell longer than the field limit
+        raise InputFileError(path, reader.line_num, None, str(exc)) from None
+    n = len(index)
+    widths = list(map(len, rows))
+    ragged = widths.count(n) != len(widths)
+    if ragged:  # cut or pad each row to the header, a missing cell as None
+        rows = [row[:n] + [None] * (n - len(row)) for row in rows]
+        widths = [min(width, n) for width in widths]
+    ranks = {name: rank for rank, name in enumerate(columns)}
+    table, bad = {}, []  # bad: (row, column rank, problem) of each column's first bad cell
+    for name, texts in zip(index, zip(*rows)):  # in header order, one column's cells at a time
+        rank = ranks.get(name)
+        if rank is None:
+            continue
+        if name in optional:
+            holes = ragged or "" in texts
+            values = [text or None for text in texts] if holes else list(texts)
+        else:
+            holes = ragged and None in texts
+            if holes:
+                bad.append((texts.index(None), rank, "value missing"))
+            values = list(texts)
+        parse = parsers.get(name)
+        if parse is not None:
+            try:
+                values = [None if v is None else parse(v) for v in values] if holes else list(map(parse, values))
+                if parse is int:
+                    math.fsum(filter(None, values))  # takes each integer as a float
+            except ValueError:
+                i = next(i for i, v in enumerate(values) if v is not None and not _parses(parse, v))
+                bad.append((i, rank, f"{values[i]!r} is not {'an integer' if parse is int else 'a timestamp'}"))
+            except OverflowError:  # an integer, or the column's sum, beyond a float's range
+                beyond = [i for i, v in enumerate(values) if v and abs(v) > sys.float_info.max]
+                bad += [(i, rank, f"{texts[i]!r} is beyond a float's range") for i in beyond[:1]]
+        table[name] = values
+    if bad:
+        i, rank, problem = min(bad)
+        raise InputFileError(path, lines[i], columns[rank], problem)
+    table = {name: table[name] if name in table else [None] * len(lines) for name in columns}  # in the order asked
+    return RecordTable(table, lines, widths)
+
+
+def _parses(parse: Callable[[str], Any], text: str) -> bool:
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
 
 
 def write_csv_rows(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[Any]]) -> None:

@@ -7,7 +7,6 @@ problem-instance assembly from the scheduling input files.
 from __future__ import annotations
 
 import bisect
-import csv
 import itertools
 import json
 import math
@@ -24,12 +23,11 @@ from orsched.core import (
     InputFileError,
     MssSlot,
     ProblemInstance,
+    RecordTable,
     Registration,
     Shift,
     Violation,
-    header_index,
-    not_utf8,
-    read_csv_rows,
+    read_csv_table,
     validate_instance,
     write_csv_rows,
 )
@@ -91,52 +89,6 @@ INTEGER_COLUMNS = frozenset({"ETA", "DURATA"})
 SurgicalRecord = dict[str, Any]
 
 
-@dataclass(frozen=True)
-class RecordTable:
-    """Records as columns: ``columns`` maps each name, in header order, to
-    one value per row, None for an empty cell or one past a short row's end.
-    ``lines`` holds each row's line in its file, for error messages, and
-    ``widths`` how many of the header's columns the row had cells for.
-    ``len`` is the row count. No table is changed in place, so derived
-    tables share the value lists they do not change."""
-
-    columns: dict[str, list]
-    lines: list[int]
-    widths: list[int]
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-    @classmethod
-    def from_records(cls, records: Sequence[SurgicalRecord]) -> RecordTable:
-        """Dicts as a table, with every key of any record as a column, in
-        order of first appearance; a record's absent keys read None. Row i
-        gets line i + 2, as if written below a header."""
-        names = dict.fromkeys(itertools.chain.from_iterable(records))
-        columns = {name: [rec.get(name) for rec in records] for name in names}
-        return cls(columns, list(range(2, len(records) + 2)), [len(names)] * len(records))
-
-    def column(self, name: str) -> list:
-        """The values of ``name``, all None where the table lacks it."""
-        return self.columns[name] if name in self.columns else [None] * len(self)
-
-    def take(self, rows: Sequence[int] | None, names: Sequence[str] | None = None) -> RecordTable:
-        """The ``rows``, in their order (None: every row), of the columns
-        ``names`` (all of them by default; a name the table lacks reads
-        None). A row keeps its width only when every column is taken."""
-
-        def pick(values: list) -> list:
-            return values if rows is None else list(map(values.__getitem__, rows))
-
-        columns = {name: pick(self.column(name)) for name in (self.columns if names is None else names)}
-        lines = pick(self.lines)
-        return RecordTable(columns, lines, pick(self.widths) if names is None else [len(columns)] * len(lines))
-
-    def with_column(self, name: str, values: list) -> RecordTable:
-        """This table with ``name``'s values replaced, or appended as its last column."""
-        return RecordTable({**self.columns, name: values}, self.lines, self.widths)
-
-
 class IngestError(Exception):
     """Raised for unrecoverable data problems (empty survivors, bad schema)."""
 
@@ -176,9 +128,14 @@ class PreprocessLog:
 
 
 def derive_duration(entry_ts: datetime, exit_ts: datetime) -> int | None:
-    """Whole minutes between OR entry and exit; None rejects the record
-    (zero or negative difference, a data-entry artefact)."""
-    minutes = int((exit_ts - entry_ts).total_seconds() // 60)
+    """Whole minutes between OR entry and exit, a naive timestamp read as UTC
+    when the other has a time zone; None rejects the record (zero or
+    negative difference, a data-entry artefact)."""
+    try:
+        delta = exit_ts - entry_ts
+    except TypeError:  # one is naive
+        delta = exit_ts.replace(tzinfo=exit_ts.tzinfo or timezone.utc) - entry_ts.replace(tzinfo=entry_ts.tzinfo or timezone.utc)
+    minutes = int(delta.total_seconds() // 60)
     return minutes if minutes >= 1 else None
 
 
@@ -725,56 +682,13 @@ def write_records_csv(table: RecordTable, path: str | Path, columns: Sequence[st
     write_csv_rows(path, names, zip(*(table.column(name) for name in names)))
 
 
+_RECORD_PARSERS = {**dict.fromkeys(TIMESTAMP_COLUMNS, datetime.fromisoformat), **dict.fromkeys(INTEGER_COLUMNS, int)}
+
+
 def read_records_csv(path: str | Path) -> RecordTable:
-    """Read a records file as a table, one row per line after the header
-    (blank lines are skipped, a short row's missing cells read None and a
-    long row's extra cells are dropped). Empty cells read None; each
-    timestamp and integer column is parsed as a whole. Raises
-    ``InputFileError`` at a repeated column, at a byte that is not UTF-8 or
-    at the first cell, in file order, that does not parse."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise InputFileError(path, 1, "header", "empty records file")
-            header_index(path, header)
-            rows, lines = [], []
-            for row in reader:
-                if row:
-                    rows.append(row)
-                    lines.append(reader.line_num)
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
-    n = len(header)
-    widths = list(map(len, rows))
-    if any(width != n for width in widths):
-        rows = [row[:n] + [""] * (n - len(row)) for row in rows]
-        widths = [min(width, n) for width in widths]
-    columns, bad = {}, []  # bad: (row, column position) of each column's first cell that does not parse
-    for at, (name, texts) in enumerate(zip(header, zip(*rows) if rows else [()] * n)):
-        empty = "" in texts
-        values = [text or None for text in texts] if empty else list(texts)
-        parse = datetime.fromisoformat if name in TIMESTAMP_COLUMNS else int if name in INTEGER_COLUMNS else None
-        if parse is not None:
-            try:
-                values = [None if v is None else parse(v) for v in values] if empty else list(map(parse, values))
-            except ValueError:
-                bad.append((next(i for i, v in enumerate(values) if v is not None and not _parses(parse, v)), at))
-        columns[name] = values
-    if bad:
-        i, at = min(bad)
-        kind = "a timestamp" if header[at] in TIMESTAMP_COLUMNS else "an integer"
-        raise InputFileError(path, lines[i], header[at], f"{rows[i][at]!r} is not {kind}")
-    return RecordTable(columns, lines, widths)
-
-
-def _parses(parse, text: str) -> bool:
-    try:
-        parse(text)
-    except ValueError:
-        return False
-    return True
+    """A records file as a table of every header column, the timestamp and
+    integer ones parsed (``read_csv_table``)."""
+    return read_csv_table(path, parsers=_RECORD_PARSERS)
 
 
 REGISTRATION_HEADER = ["id", "priority", "specialty", "duration_min", "actual_duration_min", "confidence"]
@@ -789,14 +703,8 @@ def write_registrations_csv(registrations: Iterable[Registration], path: str | P
 
 
 def read_registrations_csv(path: str | Path) -> list[Registration]:
-    """Read a file written by ``write_registrations_csv``; raises
-    ``InputFileError`` at the first missing column or malformed value."""
-    out = []
-    integers = ("priority", "duration_min", "actual_duration_min", "confidence")
-    for row in read_csv_rows(path, REGISTRATION_HEADER, integers, optional=("actual_duration_min", "confidence")):
-        confidence = row.pop("confidence")
-        out.append(Registration(**row, confidence=None if confidence is None else ConfidenceLevel(confidence)))
-    return out
+    """A file written by ``write_registrations_csv`` (``read_csv_table`` raises at a malformed one)."""
+    return _read_instance_file(path, 0)[0]
 
 
 MSS_HEADER = ["or_id", "specialty", "shift_id", "day"]
@@ -807,9 +715,8 @@ def write_mss_csv(slots: Iterable[MssSlot], path: str | Path) -> None:
 
 
 def read_mss_csv(path: str | Path) -> list[MssSlot]:
-    """Read a file written by ``write_mss_csv``; raises ``InputFileError``
-    at the first missing column or malformed value."""
-    return [MssSlot(**row) for row in read_csv_rows(path, MSS_HEADER, ("day",))]
+    """A file written by ``write_mss_csv`` (``read_csv_table`` raises at a malformed one)."""
+    return _read_instance_file(path, 1)[0]
 
 
 SHIFT_HEADER = ["shift_id", "capacity_min"]
@@ -820,9 +727,28 @@ def write_shifts_csv(shifts: Iterable[Shift], path: str | Path) -> None:
 
 
 def read_shifts_csv(path: str | Path) -> list[Shift]:
-    """Read a file written by ``write_shifts_csv``; raises ``InputFileError``
-    at the first missing column or malformed value."""
-    return [Shift(**row) for row in read_csv_rows(path, SHIFT_HEADER, ("capacity_min",))]
+    """A file written by ``write_shifts_csv`` (``read_csv_table`` raises at a malformed one)."""
+    return _read_instance_file(path, 2)[0]
+
+
+# each instance file's columns, integer columns, optional columns and row type (0 registrations, 1 MSS, 2 shifts)
+_INSTANCE_FILES = (
+    (
+        REGISTRATION_HEADER,
+        ("priority", "duration_min", "actual_duration_min", "confidence"),
+        ("actual_duration_min", "confidence"),
+        lambda *row: Registration(*row[:5], None if row[5] is None else ConfidenceLevel(row[5])),
+    ),
+    (MSS_HEADER, ("day",), (), MssSlot),
+    (SHIFT_HEADER, ("capacity_min",), (), Shift),
+)
+
+
+def _read_instance_file(path: str | Path, which: int) -> tuple[list, list[int]]:
+    """An instance file's rows as its row type, and the line of each."""
+    columns, integers, optional, row_type = _INSTANCE_FILES[which]
+    table = read_csv_table(path, columns, dict.fromkeys(integers, int), optional)
+    return list(itertools.starmap(row_type, zip(*table.columns.values()))), table.lines
 
 
 # the input (0 registrations, 1 MSS, 2 shifts) and field of each violation found in a file
@@ -843,23 +769,15 @@ def load_instance(
 ) -> ProblemInstance:
     """Read and validate an instance; a violation in a file raises ``InputFileError`` at its row."""
     paths = (registrations_path, mss_path, shifts_path)
+    files = [_read_instance_file(path, which) for which, path in enumerate(paths)]
     try:
-        return build_instance(
-            read_registrations_csv(registrations_path),
-            read_mss_csv(mss_path),
-            read_shifts_csv(shifts_path),
-            planning_days=planning_days,
-            emergency_or_id=emergency_or_id,
-        )
+        return build_instance(*(rows for rows, _ in files), planning_days=planning_days, emergency_or_id=emergency_or_id)
     except IngestError as exc:
         first = exc.report[0]
         if first.code not in _VIOLATION_AT:
             raise
         which, column = _VIOLATION_AT[first.code]
-        with open(paths[which], newline="", encoding="utf-8") as fh:  # find the row's line as the reader counts
-            reader = csv.reader(fh)
-            next(itertools.islice(filter(None, reader), first.index + 1, None))  # blank lines skipped, as read
-            raise InputFileError(paths[which], reader.line_num, column, f"{first.code}: {first.detail}") from None
+        raise InputFileError(paths[which], files[which][1][first.index], column, f"{first.code}: {first.detail}") from None
 
 
 def write_preprocess_log(log: PreprocessLog, path: str | Path) -> None:

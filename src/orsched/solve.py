@@ -17,6 +17,7 @@ the confidence aggregates, empty cells with sum 0.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -33,7 +34,7 @@ from orsched.core import (
     Registration,
     Schedule,
     Violation,
-    read_csv_rows,
+    read_csv_table,
     validate_instance,
     write_csv_rows,
 )
@@ -834,9 +835,9 @@ def write_schedule_csv(schedule: Schedule, path: str | Path) -> None:
 
 
 def read_schedule_csv(path: str | Path) -> tuple[Assignment, ...]:
-    """Read a file written by ``write_schedule_csv``; raises
-    ``InputFileError`` at the first missing column or malformed value."""
-    return tuple(Assignment(**row) for row in read_csv_rows(path, SCHEDULE_HEADER, ("priority", "day")))
+    """A file written by ``write_schedule_csv`` (``read_csv_table`` raises at a malformed one)."""
+    table = read_csv_table(path, SCHEDULE_HEADER, {"priority": int, "day": int})
+    return tuple(itertools.starmap(Assignment, zip(*table.columns.values())))
 
 
 def write_objective_json(schedule: Schedule, proven_optimal: bool, wall_time_s: float, path: str | Path) -> None:

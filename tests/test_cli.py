@@ -670,6 +670,21 @@ MALFORMED_INPUT = {
     ),
     "model_base_infinite": lambda ws, tmp: _model_values(ws, tmp, "pred", lambda d: d["structure"].update(base=float("inf"))),
     "model_base_nan": lambda ws, tmp: _model_values(ws, tmp, "conf", lambda d: d["structure"].update(base=float("nan"))),
+    "synth_infinite_noise": lambda ws, tmp: (["synth", "--rows", "50", "--noise", "inf"], "--noise"),
+    "synth_nan_noise": lambda ws, tmp: (["synth", "--rows", "50", "--noise", "nan"], "--noise"),
+    "pipeline_negative_noise": lambda ws, tmp: (_pipeline("--noise", "-0.5"), "--noise"),
+    "synth_nan_noise_in_config": lambda ws, tmp: (
+        ["synth", "--rows", "50", "--config", _written(tmp / "noise.json", b'{"noise": NaN}')], "--noise"
+    ),
+    "schedule_zero_time_limit": lambda ws, tmp: (_schedule(ws, "--time-limit", "0"), "--time-limit"),
+    "schedule_negative_time_limit": lambda ws, tmp: (_schedule(ws, "--time-limit", "-1"), "--time-limit"),
+    "schedule_nan_time_limit": lambda ws, tmp: (_schedule(ws, "--time-limit", "nan"), "--time-limit"),
+    "schedule_negative_max_restarts": lambda ws, tmp: (_schedule(ws, "--max-restarts", "-5"), "--max-restarts"),
+    "schedule_zero_time_limit_in_config": lambda ws, tmp: (
+        _schedule(ws, "--config", _written(tmp / "limit.json", b'{"time_limit": 0}')), "--time-limit"
+    ),
+    "pipeline_zero_time_limit": lambda ws, tmp: (_pipeline("--time-limit", "0"), "--time-limit"),
+    "pipeline_zero_max_restarts": lambda ws, tmp: (_pipeline("--max-restarts", "0"), "--max-restarts"),
     "week_repeated_id": lambda ws, tmp: _week(
         ws, tmp, _repeat_first_record, "row 3, field 'PROGRESSIVO': id 'W0000' repeats row 2"
     ),
@@ -685,6 +700,12 @@ def test_malformed_input_is_one_usage_line(workspace, tmp_path, capsys, case):
     assert orsched.cli.main([*argv, "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and expected in err, err
+
+
+@pytest.mark.parametrize("flags", [["--time-limit", "nan"], ["--max-restarts", "0"], ["--noise", "inf"]])
+def test_pipeline_with_a_bad_bound_writes_nothing(tmp_path, flags):
+    assert orsched.cli.main([*_pipeline(*flags), "-o", str(tmp_path / "out")]) == 2
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
 def test_config_null_takes_the_default(tmp_path, capsys):

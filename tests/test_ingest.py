@@ -56,6 +56,11 @@ def test_negative_duration_rejected():
     assert derive_duration(ts("2019-03-04 09:30"), ts("2019-03-04 09:00")) is None
 
 
+def test_naive_timestamp_is_read_as_utc_beside_a_zoned_one():
+    assert derive_duration(ts("2019-03-04 08:00"), ts("2019-03-04T10:45+02:00")) == 45
+    assert derive_duration(ts("2019-03-04T08:00-01:00"), ts("2019-03-04 09:30")) == 30
+
+
 # -- iqr_filter -------------------------------------------------------------------
 
 

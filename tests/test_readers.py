@@ -19,7 +19,7 @@ from oracle import (
     reference_transform,
 )
 
-from orsched.core import InputFileError, read_csv_rows
+from orsched.core import InputFileError, read_csv_table
 from orsched.ingest import (
     RECORD_COLUMNS,
     CleanDataset,
@@ -50,6 +50,12 @@ def _rows(table):
     first ``width`` columns."""
     header = list(table.columns)
     return [{name: table.columns[name][i] for name in header[:width]} for i, width in enumerate(table.widths)]
+
+
+def _read_csv_rows(path, columns, integers, optional):
+    """``read_csv_table``'s rows as dicts of every column asked for."""
+    table = read_csv_table(path, columns, dict.fromkeys(integers, int), optional)
+    return [dict(zip(table.columns, row)) for row in zip(*table.columns.values())]
 
 
 def _write(path, header, rows, rng):
@@ -167,7 +173,7 @@ def test_csv_rows_reader_matches_reference_on_generated_files(tmp_path):
         _write(path, header, rows, rng)
         args = (path, CSV_COLUMNS, CSV_INTEGERS, CSV_OPTIONAL)
         want = _outcome(reference_read_csv_rows, *args)
-        assert _outcome(lambda *a: list(read_csv_rows(*a)), *args) == want, (case, path.read_text())
+        assert _outcome(_read_csv_rows, *args) == want, (case, path.read_text())
         errors += want[0] == "error"
     assert 40 <= errors <= 220
 
@@ -178,7 +184,30 @@ def test_repeated_column_is_rejected_at_row_one(tmp_path):
     with pytest.raises(InputFileError, match=r"row 1, field 'ETA': column repeats in the header"):
         read_records_csv(path)
     with pytest.raises(InputFileError, match=r"row 1, field 'ETA': column repeats in the header"):
-        list(read_csv_rows(path, ["PROGRESSIVO"], ()))
+        read_csv_table(path, ["PROGRESSIVO"])
+
+
+def test_cell_over_the_field_limit_is_rejected_at_its_line(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("PROGRESSIVO,NOTE\nP1,a\n\nP2," + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(InputFileError, match=r"row 4: field larger than field limit"):
+        read_records_csv(path)
+    with pytest.raises(InputFileError, match=r"row 4: field larger than field limit"):
+        read_csv_table(path, ["PROGRESSIVO"])
+
+
+def test_integer_beyond_float_range_is_rejected_at_its_cell(tmp_path):
+    """Durations, ages and the like go through floats: an integer no float
+    holds is an input error, not an ``OverflowError`` later."""
+    huge = "9" * 309
+    path = tmp_path / "records.csv"
+    path.write_text(f"ETA,DURATA\n7,{'1' + '0' * 308}\n,{huge}\nx,-{huge}\n")
+    with pytest.raises(InputFileError, match=rf"row 3, field 'DURATA': '{huge}' is beyond a float's range"):
+        read_records_csv(path)
+    with pytest.raises(InputFileError, match=r"row 3, field 'DURATA'"):  # before row 4's 'x'
+        read_csv_table(path, ["ETA", "DURATA"], {"ETA": int, "DURATA": int}, optional=["ETA"])
+    path.write_text(f"day\n{'9' * 308}\n-{'9' * 308}\n")
+    assert read_csv_table(path, ["day"], {"day": int}).columns["day"] == [int("9" * 308), -int("9" * 308)]
 
 
 def test_short_first_row_sets_the_preprocess_columns(tmp_path):
