@@ -14,7 +14,8 @@ subjects, with the digests that must match:
   read, ``cli._build_estimates`` for Pred and for Dep as ``orsched
   schedule`` calls it (each reads the week again), ``load_instance`` and
   ``read_schedule_csv``; the sha256 of the feature matrix and target, of
-  the encoder, of each method's estimates, of the instance and of the
+  the encoder, of the registrations each of Pred and Dep plans with
+  (``evaluate.apply_method_durations``), of the instance and of the
   assignments, in every run.
 - ``fit``: ``regressors.fit`` of boosted 400x5 and 80x3 on the split that
   ``orsched train --seed 1`` fits on the bordighera 2,000-row synth; each
@@ -157,6 +158,7 @@ def subject_solve(data: Path):
 
 def subject_data(data: Path):
     from orsched.cli import _build_estimates, build_parser
+    from orsched.evaluate import apply_method_durations
     from orsched.ingest import load_instance, preprocess, read_records_csv
     from orsched.predict import encode_features
     from orsched.solve import read_schedule_csv
@@ -188,8 +190,8 @@ def subject_data(data: Path):
             "feature matrix": hashlib.sha256(X.tobytes()).hexdigest(),
             "target": hashlib.sha256(y.tobytes()).hexdigest(),
             "encoder": sha256(json.dumps(vars(encoder))),
-            "Pred estimates": sha256(json.dumps(pred.predicted)),
-            "Dep estimates": sha256(json.dumps(dep.department_mean)),
+            "Pred planned": sha256(repr(apply_method_durations(instance, "Pred", pred).registrations)),
+            "Dep planned": sha256(repr(apply_method_durations(instance, "Dep", dep).registrations)),
             "instance": sha256(repr(loaded)),
             "assignments": sha256(repr(assignments)),
         }

@@ -20,10 +20,10 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
-from orsched.core import InputFileError, ObjectiveVector, ProblemInstance, Schedule, write_csv_rows
+from orsched.core import InputFileError, ObjectiveVector, ProblemInstance, Registration, Schedule, write_csv_rows
 from orsched.evaluate import (
     METHODS,
-    DurationEstimates,
+    SOURCES,
     EvaluateError,
     MethodReport,
     evaluate_schedule,
@@ -34,7 +34,9 @@ from orsched.evaluate import (
 )
 from orsched.ingest import (
     HOSPITAL_SHAPES,
+    CleanDataset,
     IngestError,
+    PreprocessLog,
     RecordTable,
     SyntheticConfig,
     generate_hospitalizations,
@@ -157,8 +159,8 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _limits(args: argparse.Namespace) -> SolveLimits:
-    if not args.time_limit > 0:
-        raise UsageError("--time-limit must be > 0")
+    if not 0 < args.time_limit < math.inf:
+        raise UsageError("--time-limit must be a finite number > 0")
     if args.max_restarts is not None and args.max_restarts < 1:
         raise UsageError("--max-restarts must be >= 1")
     return SolveLimits(time_budget_s=args.time_limit, seed=args.seed, max_restarts=args.max_restarts)
@@ -191,6 +193,25 @@ def _method(name: str) -> str:
         return normalize_method(name)
     except EvaluateError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _require_actuals(args: argparse.Namespace, registrations: Sequence[Registration], why: str) -> None:
+    """A usage error naming the ``--registrations`` file if one of
+    ``registrations`` lacks its actual duration."""
+    lacking = [r.id for r in registrations if r.actual_duration_min is None]
+    if lacking:
+        raise UsageError(f"{args.registrations}: field 'actual_duration_min' is empty for {', '.join(lacking[:5])}; {why}")
+
+
+def _clean_history(path: str, seed: int) -> tuple[CleanDataset, PreprocessLog]:
+    """``preprocess`` of the records file at ``path``, whose header must hold
+    the columns a duration is derived from."""
+    records = read_records_csv(path)
+    lacking = [c for c in ("INGRESSOSALA", "USCITASALA", "DURATA") if c not in records.columns]
+    if "DURATA" in lacking and len(lacking) > 1:
+        problem = f"cannot derive durations: the header lacks {', '.join(lacking)} (needs INGRESSOSALA and USCITASALA, or DURATA)"
+        raise InputFileError(path, 1, None, problem)
+    return preprocess(records, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +258,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_preprocess(args: argparse.Namespace) -> int:
     records_path = _require(args.records, "--records")
     out = _outdir(args)
-    clean, log = preprocess(read_records_csv(records_path), seed=_seed(args))
+    clean, log = _clean_history(records_path, _seed(args))
     write_records_csv(clean.records, out / "cleaned.csv", columns=clean.kept_features)
     write_preprocess_log(log, out / "preprocess_log.json")
     last = log.stages[-1]
@@ -281,7 +302,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     grid = _resolve_grid(args.grid)
     seed = _seed(args)
     out = _outdir(args)
-    clean, log = preprocess(read_records_csv(records_path), seed=seed)
+    clean, log = _clean_history(records_path, seed)
     write_preprocess_log(log, out / "preprocess_log.json")
     X, y, encoder = encode_features(clean)
     train_idx, test_idx = stratified_split(y, test_fraction=0.2, n_bins=10, seed=seed)
@@ -341,66 +362,68 @@ def _load_week_instance(args: argparse.Namespace) -> ProblemInstance:
         raise UsageError(str(exc)) from None
 
 
-def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance: ProblemInstance) -> DurationEstimates:
-    """The duration estimates ``methods`` plan with: ``--week`` is read and
-    ``--model`` loaded at most once, and only the maps the methods use are
-    built."""
-    needing = [m for m in methods if m != "VBA"]
-    if not needing:
-        return DurationEstimates()
-    if args.week is None:
-        raise UsageError(f"method {needing[0]} needs --week with the operating list's feature records")
-    week = read_records_csv(_input(args.week, "--week"))
+def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance: ProblemInstance) -> dict[str, list[float]]:
+    """The durations ``methods`` plan with, by source (``SOURCES``), one per
+    registration in instance order: ``--week`` is read and ``--model`` loaded
+    at most once, and only the sources the methods use are built."""
     regs = instance.registrations
+    # VBA plans with the actual durations and Conf rates its predictions by them
+    rater = next((m for m in methods if m in ("VBA", "Conf")), None)
+    if rater is not None:
+        _require_actuals(args, regs, f"method {rater} needs it")
+    wanted = {SOURCES[m] for m in methods}
+    sources = [s for s in dict.fromkeys(SOURCES.values()) if s in wanted and s != "actual"]  # in the order they are computed
+    if not sources:
+        return {}
+
+    def first(*using: str) -> str:
+        return next(m for m in methods if SOURCES[m] in using)
+
+    if args.week is None:
+        raise UsageError(f"method {first(*sources)} needs --week with the operating list's feature records")
+    week = read_records_csv(_input(args.week, "--week"))
     row_of = _week_rows(args.week, week)
     missing = [r.id for r in regs if r.id not in row_of]
     if missing:
         raise UsageError(f"week records missing for registrations: {', '.join(missing[:5])}")
     rows = [row_of[r.id] for r in regs]
 
-    predictive = [m for m in needing if m in ("Pred", "Conf")]
-    means = [m for m in needing if m in ("Dep", "Surg")]
-    if predictive and args.model is None:
-        raise UsageError(f"method {predictive[0]} needs --model with a trained artifact")
-    if "Conf" in predictive:
-        lacking = [r.id for r in regs if r.actual_duration_min is None]
-        if lacking:
-            raise UsageError("Conf derives confidence from actual durations, missing for: " + ", ".join(lacking[:5]))
+    if "predicted" in sources and args.model is None:
+        raise UsageError(f"method {first('predicted')} needs --model with a trained artifact")
     try:
         loaded = load_model(_input(args.model, "--model")) if args.model is not None else None
     except PredictError as exc:  # every one is about the file's content
         raise UsageError(str(exc)) from None
+    means = [s for s in sources if s != "predicted"]
     if means:
         if loaded is not None:
             baselines = loaded[2]
             if not baselines:
                 raise UsageError("model artifact carries no baselines; pass --records instead")
         elif args.records is not None:
-            clean, _ = preprocess(read_records_csv(_input(args.records, "--records")), seed=_seed(args))
-            baselines = {key: baseline_mean_estimator(clean.records, key) for key in ("department", "procedure_type")}
+            clean, _ = _clean_history(_input(args.records, "--records"), _seed(args))
+            baselines = {s: baseline_mean_estimator(clean.records, s) for s in means}
         else:
-            raise UsageError(f"method {means[0]} needs --model or --records for the historical means")
+            raise UsageError(f"method {first(*means)} needs --model or --records for the historical means")
 
     # ``load_model`` checks the artifact's shape; its values show only here,
     # where the model is applied (means from --records are always finite)
-    ids = [r.id for r in regs]
-    predicted = department = procedure = None
+    estimates = {}
     try:
-        if predictive:
-            model, encoder, _ = loaded
-            predicted = dict(zip(ids, predict(model, encoder.transform(week, rows)).tolist()))
-        if "Dep" in means:
-            department = dict(zip(ids, baselines["department"].estimates(week, rows)))
-        if "Surg" in means:
-            procedure = dict(zip(ids, baselines["procedure_type"].estimates(week, rows)))
-        for values in (predicted, department, procedure):
-            for rid, value in (values or {}).items():
+        for source in sources:
+            if source == "predicted":
+                model, encoder, _ = loaded
+                estimates[source] = predict(model, encoder.transform(week, rows)).tolist()
+            else:
+                estimates[source] = baselines[source].estimates(week, rows)
+        for values in estimates.values():
+            for reg, value in zip(regs, values):
                 if not math.isfinite(value):
-                    raise ValueError(f"estimate {value} for registration {rid} is not a finite number")
+                    raise ValueError(f"estimate {value} for registration {reg.id} is not a finite number")
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         problem = f"key {exc.args[0]!r} missing" if isinstance(exc, KeyError) else exc
         raise UsageError(f"{args.model}: malformed model values: {problem}") from None
-    return DurationEstimates(predicted=predicted, department_mean=department, procedure_mean=procedure)
+    return estimates
 
 
 def _week_rows(path: str, week: RecordTable) -> dict[str, int]:
@@ -418,7 +441,7 @@ def _week_rows(path: str, week: RecordTable) -> dict[str, int]:
 def _solve_and_write(
     instance: ProblemInstance,
     method: str,
-    estimates: DurationEstimates,
+    estimates: dict[str, list[float]],
     limits: SolveLimits,
     prefer: str | None,
     schedule_path: Path,
@@ -482,6 +505,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for violation in is_feasible(schedule, instance):
             if violation.code != "capacity_exceeded":
                 raise UsageError(f"{path}: {violation.code}: {violation.detail}")
+        assigned = {a.registration_id for a in schedule.assignments}
+        _require_actuals(args, [r for r in instance.registrations if r.id in assigned], f"the replay of {path} needs it")
         reports.append(evaluate_schedule(method, schedule, instance))
     write_report_json(args.hospital, reports, out / "report.json")
     write_report_txt(args.hospital, reports, out / "report.txt")

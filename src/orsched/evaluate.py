@@ -15,7 +15,11 @@ from orsched.core import ConfidenceLevel, ProblemInstance, Registration, Schedul
 from orsched.predict import ape, confidence_level
 from orsched.solve import CellKey, SolveLimits, solve_auto
 
-METHODS = ("VBA", "Conf", "Pred", "Dep", "Surg")
+# the durations each method plans with: the actual ones, the model's
+# predictions, or the historical mean of the registration's department or
+# procedure type (the keys of the model artifact's baselines)
+SOURCES = {"VBA": "actual", "Conf": "predicted", "Pred": "predicted", "Dep": "department", "Surg": "procedure_type"}
+METHODS = tuple(SOURCES)
 
 _METHOD_ALIASES = {m.lower(): m for m in METHODS}
 
@@ -123,53 +127,25 @@ def occupancy_stats(table: OccupancyTable) -> OccupancyStats:
 # per-method durations and solves
 
 
-@dataclass(frozen=True)
-class DurationEstimates:
-    """Per-registration duration estimates feeding the non-VBA methods.
-
-    ``predicted`` comes from the trained model; the mean maps from the
-    historical baselines. Only the maps needed by the requested methods are
-    required.
-    """
-
-    predicted: Mapping[str, float] | None = None
-    department_mean: Mapping[str, float] | None = None
-    procedure_mean: Mapping[str, float] | None = None
-
-
-def _estimates_for(method: str, registrations: Sequence[Registration], estimates: DurationEstimates) -> list[float]:
-    """The duration estimate ``method`` plans each registration with, in order."""
-    if method == "VBA":
-        for reg in registrations:
-            if reg.actual_duration_min is None:
-                raise EvaluateError(f"VBA needs the actual duration of {reg.id!r}")
-        return [float(reg.actual_duration_min) for reg in registrations]
-    source = {
-        "Conf": estimates.predicted,
-        "Pred": estimates.predicted,
-        "Dep": estimates.department_mean,
-        "Surg": estimates.procedure_mean,
-    }[method]
-    for reg in registrations:
-        if source is None or reg.id not in source:
-            raise EvaluateError(f"method {method} lacks a duration estimate for {reg.id!r}")
-    return [float(source[reg.id]) for reg in registrations]
-
-
 def apply_method_durations(
-    instance: ProblemInstance, method: str, estimates: DurationEstimates
+    instance: ProblemInstance, method: str, estimates: Mapping[str, Sequence[float]]
 ) -> ProblemInstance:
-    """The instance the given method actually solves, with its planned
-    durations: actual ones for VBA, model predictions for Conf and Pred,
-    historical means for Dep and Surg. Conf and Pred, which plan with
-    predictions, get each prediction's confidence level from its APE
-    against the actual duration, known only in hindsight (a registration
-    without an actual keeps its own confidence). VBA, Dep and Surg keep the
-    registration's own confidence, None when it has none."""
+    """The instance the given method actually solves, planned with its
+    source's durations (``SOURCES``): the actual ones, or ``estimates[source]``,
+    one per registration in instance order. A method that plans with
+    predictions gets each prediction's confidence level from its APE against
+    the actual duration, known only in hindsight (a registration without an
+    actual keeps its own confidence). The others keep the registration's own
+    confidence, None when it has none."""
     method = normalize_method(method)
-    with_ape = method in ("Conf", "Pred")
+    source = SOURCES[method]
+    regs = instance.registrations
+    values = [reg.actual_duration_min for reg in regs] if source == "actual" else estimates.get(source, ())
+    if len(values) != len(regs) or None in values:
+        raise EvaluateError(f"method {method} needs one {source} duration for each of the {len(regs)} registrations")
+    with_ape = source == "predicted"
     registrations = []
-    for reg, estimate in zip(instance.registrations, _estimates_for(method, instance.registrations, estimates)):
+    for reg, estimate in zip(regs, values):
         actual = reg.actual_duration_min
         confidence: ConfidenceLevel | None = reg.confidence
         if with_ape and actual is not None:
@@ -204,7 +180,7 @@ def evaluate_schedule(method: str, schedule: Schedule, instance: ProblemInstance
 def solve_method(
     instance: ProblemInstance,
     method: str,
-    estimates: DurationEstimates,
+    estimates: Mapping[str, Sequence[float]],
     limits: SolveLimits = SolveLimits(),
     solver: str | None = None,
 ) -> tuple[ProblemInstance, Schedule, bool]:

@@ -4,7 +4,7 @@ comparison loop the evaluation and acceptance tests run."""
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from orsched.core import (
     ConfidenceLevel,
@@ -15,7 +15,6 @@ from orsched.core import (
 )
 from orsched.evaluate import (
     METHODS,
-    DurationEstimates,
     EvaluateError,
     MethodReport,
     evaluate_schedule,
@@ -117,7 +116,7 @@ def random_instance(
 
 def run_method_comparison(
     instance: ProblemInstance,
-    estimates: DurationEstimates,
+    estimates: Mapping[str, Sequence[float]],
     methods: Sequence[str] = METHODS,
     limits: SolveLimits = SolveLimits(),
     solver: str | None = None,

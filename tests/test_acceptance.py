@@ -16,7 +16,7 @@ from helpers import random_instance, run_method_comparison
 from oracle import brute_force_best, brute_force_optimal_patterns, compare_lex, schedule_pattern
 
 from orsched.core import ObjectiveVector
-from orsched.evaluate import DurationEstimates, EvaluateError
+from orsched.evaluate import EvaluateError
 from orsched.ingest import (
     HOSPITAL_SHAPES,
     RecordTable,
@@ -110,7 +110,7 @@ def test_criterion_3_vba_overbooking_zero():
         )
         inst = type(inst)(regs, inst.mss, inst.shifts, inst.planning_days, inst.emergency_or_id)
         try:
-            reports = run_method_comparison(inst, DurationEstimates(), methods=["VBA"], limits=limits, solver="heuristic")
+            reports = run_method_comparison(inst, {}, methods=["VBA"], limits=limits, solver="heuristic")
         except InfeasibleInstanceError:
             continue
         except EvaluateError:
@@ -122,7 +122,7 @@ def test_criterion_3_vba_overbooking_zero():
         _, regs, mss, shifts = generate_week(cfg, seed=3, shape=shape)
         inst = build_instance(regs, mss, shifts)
         reports = run_method_comparison(
-            inst, DurationEstimates(), methods=["VBA"], limits=SolveLimits(time_budget_s=5.0, max_restarts=3), solver="heuristic"
+            inst, {}, methods=["VBA"], limits=SolveLimits(time_budget_s=5.0, max_restarts=3), solver="heuristic"
         )
         assert reports[0].overbooked == 0
         checked += 1
@@ -198,7 +198,7 @@ def test_criterion_7_confidence_lowers_overbooking_in_aggregate():
         )
         inst = build_instance(regs, mss, shifts)
         yhat = predict(model, encoder.transform(RecordTable.from_records(week)))
-        estimates = DurationEstimates(predicted={r.id: float(p) for r, p in zip(regs, yhat)})
+        estimates = {"predicted": [float(p) for p in yhat]}
         limits = SolveLimits(time_budget_s=10.0, max_restarts=8, seed=seed)
         conf_rep, pred_rep = run_method_comparison(
             inst, estimates, methods=["Conf", "Pred"], limits=limits, solver="heuristic"

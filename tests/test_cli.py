@@ -10,6 +10,9 @@ import sys
 import pytest
 
 import orsched.cli
+import orsched.evaluate
+from orsched.ingest import preprocess, read_records_csv
+from orsched.predict import baseline_mean_estimator, load_model
 
 
 def run_cli(*argv, cwd=None):
@@ -176,6 +179,27 @@ def test_schedule_dep_needs_model_or_records(workspace, tmp_path):
         "--week", str(workspace / "week.csv"), "-o", str(tmp_path),
     )
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("method, key", [("dep", "department"), ("surg", "procedure_type")])
+def test_schedule_means_from_records_are_the_whole_cleaned_history(workspace, tmp_path, monkeypatch, method, key):
+    """With --records and no --model, Dep and Surg plan each registration with
+    the mean of its department or procedure over every cleaned record, not
+    over the training split the model's baselines keep."""
+    planned = []
+    solve_auto = orsched.evaluate.solve_auto
+    monkeypatch.setattr(orsched.evaluate, "solve_auto", lambda inst, *a, **k: planned.append(inst) or solve_auto(inst, *a, **k))
+    argv = _schedule(workspace, "--method", method, "--records", str(workspace / "records.csv"), "--seed", "3")
+    assert orsched.cli.main([*argv, "-o", str(tmp_path)]) == 0
+
+    week = read_records_csv(workspace / "week.csv")
+    row_of = {rid: i for i, rid in enumerate(week.columns["PROGRESSIVO"])}
+    rows = [row_of[r.id] for r in planned[0].registrations]
+    clean, _ = preprocess(read_records_csv(workspace / "records.csv"), seed=3)
+    means = baseline_mean_estimator(clean.records, key).estimates(week, rows)
+    assert [r.duration_min for r in planned[0].registrations] == [max(1, round(m)) for m in means]
+    split_means = load_model(workspace / "model.json")[2][key].estimates(week, rows)
+    assert means != split_means
 
 
 def test_schedule_infeasible_p1_reports_certificate(tmp_path):
@@ -558,16 +582,22 @@ def _schedule(ws, *flags):
     return ["schedule", *instance_flags(ws), "--week", str(ws / "week.csv"), "--max-restarts", "1", *flags]
 
 
+def _rewritten(ws, tmp, name, change):
+    """The workspace's file ``name`` copied into ``tmp`` with its rows (header
+    first) changed in place by ``change``, and the rows."""
+    with open(ws / name, newline="") as fh:
+        rows = list(csv.reader(fh))
+    change(rows)
+    with open(tmp / name, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return tmp / name, rows
+
+
 def _week(ws, tmp, change, problem):
     """``schedule --method dep`` with the workspace's week.csv, its rows
     (header first) changed by ``change``, and the error line's text: the
     file's path, then ``problem``."""
-    with open(ws / "week.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    change(rows)
-    path = tmp / "week.csv"
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    path, _ = _rewritten(ws, tmp, "week.csv", change)
     argv = ["schedule", *instance_flags(ws), "--week", str(path), "--model", str(ws / "model.json"), "--method", "dep"]
     return argv, f"{path}: {problem}"
 
@@ -586,6 +616,43 @@ def _drop_column(name):
             del row[at]
 
     return change
+
+
+def _without_actual(ws, tmp, method, *flags):
+    """``schedule --method`` with the workspace's registrations.csv, the
+    actual duration of its second registration blanked, and the error line's
+    text: the file, the field and that registration."""
+
+    def blank(rows):
+        rows[2][rows[0].index("actual_duration_min")] = ""
+
+    path, rows = _rewritten(ws, tmp, "registrations.csv", blank)
+    argv = ["schedule", "--registrations", str(path), "--mss", str(ws / "mss.csv"), "--shifts", str(ws / "shifts.csv")]
+    return [*argv, "--week", str(ws / "week.csv"), "--max-restarts", "1", "--method", method, *flags], (
+        f"{path}: field 'actual_duration_min' is empty for {rows[2][0]}"
+    )
+
+
+def _evaluate_without_actual(tmp):
+    """``evaluate`` of a schedule that assigns a registration without an
+    actual duration, and the error line's text."""
+    flags = _tiny_week(tmp)
+    regs = tmp / "registrations.csv"
+    regs.write_text(regs.read_text().replace("a,1,GEN,300,300,", "a,1,GEN,300,,"))
+    schedule = _written(tmp / "schedule.csv", b"registration_id,priority,or_id,day,shift_id\na,1,OR1,0,MAIN\n")
+    return ["evaluate", *flags, "--schedule", f"vba={schedule}"], f"{regs}: field 'actual_duration_min' is empty for a"
+
+
+def _records_without_durations(ws, tmp, argv):
+    """``argv(path)``, with ``path`` the workspace's records.csv without the
+    columns a duration is derived from, and the error line's text."""
+
+    def drop(rows):
+        for name in ("INGRESSOSALA", "USCITASALA", "DURATA"):
+            _drop_column(name)(rows)
+
+    path, _ = _rewritten(ws, tmp, "records.csv", drop)
+    return argv(str(path)), f"{path}: row 1: cannot derive durations"
 
 
 def _pipeline(*flags):
@@ -685,6 +752,23 @@ MALFORMED_INPUT = {
     ),
     "pipeline_zero_time_limit": lambda ws, tmp: (_pipeline("--time-limit", "0"), "--time-limit"),
     "pipeline_zero_max_restarts": lambda ws, tmp: (_pipeline("--max-restarts", "0"), "--max-restarts"),
+    "schedule_infinite_time_limit": lambda ws, tmp: (_schedule(ws, "--time-limit", "inf"), "--time-limit"),
+    "schedule_infinite_time_limit_in_config": lambda ws, tmp: (
+        _schedule(ws, "--config", _written(tmp / "limit.json", b'{"time_limit": Infinity}')), "--time-limit"
+    ),
+    "pipeline_infinite_time_limit": lambda ws, tmp: (_pipeline("--time-limit", "inf"), "--time-limit"),
+    "schedule_vba_without_actual": lambda ws, tmp: _without_actual(ws, tmp, "vba"),
+    "schedule_conf_without_actual": lambda ws, tmp: _without_actual(ws, tmp, "conf", "--model", str(ws / "model.json")),
+    "evaluate_without_actual": lambda ws, tmp: _evaluate_without_actual(tmp),
+    "preprocess_records_without_durations": lambda ws, tmp: _records_without_durations(
+        ws, tmp, lambda path: ["preprocess", "--records", path]
+    ),
+    "train_records_without_durations": lambda ws, tmp: _records_without_durations(
+        ws, tmp, lambda path: ["train", "--records", path, "--grid", "fast"]
+    ),
+    "schedule_dep_records_without_durations": lambda ws, tmp: _records_without_durations(
+        ws, tmp, lambda path: _schedule(ws, "--method", "dep", "--records", path)
+    ),
     "week_repeated_id": lambda ws, tmp: _week(
         ws, tmp, _repeat_first_record, "row 3, field 'PROGRESSIVO': id 'W0000' repeats row 2"
     ),
@@ -702,7 +786,9 @@ def test_malformed_input_is_one_usage_line(workspace, tmp_path, capsys, case):
     assert err.count("\n") == 1 and "Traceback" not in err and expected in err, err
 
 
-@pytest.mark.parametrize("flags", [["--time-limit", "nan"], ["--max-restarts", "0"], ["--noise", "inf"]])
+@pytest.mark.parametrize(
+    "flags", [["--time-limit", "nan"], ["--max-restarts", "0"], ["--noise", "inf"], ["--time-limit", "inf"]]
+)
 def test_pipeline_with_a_bad_bound_writes_nothing(tmp_path, flags):
     assert orsched.cli.main([*_pipeline(*flags), "-o", str(tmp_path / "out")]) == 2
     assert not [path for path in tmp_path.rglob("*") if path.is_file()]

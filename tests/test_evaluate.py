@@ -12,7 +12,6 @@ from helpers import instance, reg, run_method_comparison, single_cell_instance
 from orsched.core import Assignment, ConfidenceLevel, ObjectiveVector, Schedule
 from orsched.evaluate import (
     CellOccupancy,
-    DurationEstimates,
     EvaluateError,
     OccupancyTable,
     apply_method_durations,
@@ -131,10 +130,10 @@ def week_instance():
 
 def full_estimates(inst, jitter=0):
     rng = random.Random(3)
-    predicted = {r.id: r.actual_duration_min + (rng.randint(-jitter, jitter) if jitter else 0) for r in inst.registrations}
-    dep = {r.id: 50.0 for r in inst.registrations}
-    surg = {r.id: 52.0 for r in inst.registrations}
-    return DurationEstimates(predicted=predicted, department_mean=dep, procedure_mean=surg)
+    predicted = [r.actual_duration_min + (rng.randint(-jitter, jitter) if jitter else 0) for r in inst.registrations]
+    dep = [50.0 for r in inst.registrations]
+    surg = [52.0 for r in inst.registrations]
+    return {"predicted": predicted, "department": dep, "procedure_type": surg}
 
 
 def test_method_name_normalization():
@@ -146,7 +145,7 @@ def test_method_name_normalization():
 
 def test_vba_uses_actual_durations():
     inst = week_instance()
-    est = DurationEstimates()
+    est = {}
     vba_inst = apply_method_durations(inst, "VBA", est)
     for r in vba_inst.registrations:
         assert r.duration_min == r.actual_duration_min
@@ -156,8 +155,8 @@ def test_pred_uses_predictions_and_attaches_confidence():
     inst = week_instance()
     est = full_estimates(inst, jitter=20)
     pred_inst = apply_method_durations(inst, "Pred", est)
-    for r in pred_inst.registrations:
-        assert r.duration_min == max(1, round(est.predicted[r.id]))
+    for r, predicted in zip(pred_inst.registrations, est["predicted"]):
+        assert r.duration_min == max(1, round(predicted))
         assert r.confidence is not None
 
 
@@ -197,7 +196,17 @@ def test_all_five_methods_produce_reports():
 def test_missing_estimate_is_error():
     inst = week_instance()
     with pytest.raises(EvaluateError, match="Pred"):
-        run_method_comparison(inst, DurationEstimates(), methods=["Pred"])
+        run_method_comparison(inst, {}, methods=["Pred"])
+
+
+def test_apply_method_durations_needs_one_estimate_per_registration():
+    inst = week_instance()
+    dep = full_estimates(inst)["department"]
+    with pytest.raises(EvaluateError, match="Surg"):
+        apply_method_durations(inst, "Surg", {"department": dep})
+    for wrong in (dep[:-1], dep + [50.0]):
+        with pytest.raises(EvaluateError, match="Dep"):
+            apply_method_durations(inst, "Dep", {"department": wrong})
 
 
 def test_report_generation_is_pure():
