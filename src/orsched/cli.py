@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or input validation, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -205,13 +206,22 @@ def _require_actuals(args: argparse.Namespace, registrations: Sequence[Registrat
 
 def _clean_history(path: str, seed: int) -> tuple[CleanDataset, PreprocessLog]:
     """``preprocess`` of the records file at ``path``, whose header must hold
-    the columns a duration is derived from."""
+    the columns a duration is derived from; so must the first record's
+    cells, as its width sets the columns ``preprocess`` reads."""
     records = read_records_csv(path)
-    lacking = [c for c in ("INGRESSOSALA", "USCITASALA", "DURATA") if c not in records.columns]
-    if "DURATA" in lacking and len(lacking) > 1:
-        problem = f"cannot derive durations: the header lacks {', '.join(lacking)} (needs INGRESSOSALA and USCITASALA, or DURATA)"
-        raise InputFileError(path, 1, None, problem)
+    header = list(records.columns)
+    _require_duration_columns(path, 1, None, "the header lacks", header)
+    if len(records) and records.widths[0] < len(header):
+        width = records.widths[0]
+        _require_duration_columns(path, records.lines[0], header[width], "the first record ends here, without", header[:width])
     return preprocess(records, seed=seed)
+
+
+def _require_duration_columns(path: str, row: int, field: str | None, what: str, names: Sequence[str]) -> None:
+    lacking = [c for c in ("INGRESSOSALA", "USCITASALA", "DURATA") if c not in names]
+    if "DURATA" in lacking and len(lacking) > 1:
+        problem = f"{what} {', '.join(lacking)} (needs INGRESSOSALA and USCITASALA, or DURATA)"
+        raise InputFileError(path, row, field, f"cannot derive durations: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +241,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = _outdir(args)
 
     config = SyntheticConfig(n_rows=args.rows, noise=args.noise)
-    records = generate_synthetic_dataset(config, seed=seed)
+    # the history is written, and freed, before the week's pool is drawn;
+    # the two draws have seeds of their own, so their order is free
+    write_records_csv(RecordTable.from_records(generate_synthetic_dataset(config, seed=seed)), out / "records.csv")
     week_records, registrations, mss, shifts = generate_week(
         config,
         seed=seed,
@@ -239,7 +251,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         planning_days=args.planning_days,
         fill_ratio=args.fill_ratio,
     )
-    write_records_csv(RecordTable.from_records(records), out / "records.csv")
     write_records_csv(RecordTable.from_records(week_records), out / "week.csv")
     write_registrations_csv(registrations, out / "registrations.csv")
     write_mss_csv(mss, out / "mss.csv")
@@ -624,14 +635,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process and shared by every ``main``."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            # the file's values become the command's defaults, which flags override
-            args.command_parser.set_defaults(**_load_config(args.config, args.command_parser))
-            args = parser.parse_args(argv)
+            # the file's values become the command's defaults, which flags
+            # override, for this call only: the shared parser gets its own back
+            command = args.command_parser
+            settings = _load_config(args.config, command)
+            saved = {a.dest: a.default for a in command._actions if a.dest in settings}
+            command.set_defaults(**settings)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                command.set_defaults(**saved)
         return args.func(args)
     except (UsageError, InputFileError, FileNotFoundError) as exc:  # a missing input file is a usage error
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,13 @@
 the column table that the one CSV reader, which every input file goes through,
 returns, and the CSV writer that every output table goes through.
 
-All types are immutable value objects. Invariants are *not* enforced at
-construction time: malformed data is representable on purpose, and
-``validate_instance`` reports every violation as data rather than raising.
+All types are immutable value objects. The row records (``Registration``,
+``Assignment``, ``MssSlot``, ``Shift``, ``ConfidenceLevel``), of which a week
+builds thousands, are ``NamedTuple``s: built by position, changed with
+``_replace``, and equal to a plain tuple of their fields. Invariants are
+*not* enforced at construction time: malformed data is representable on
+purpose, and ``validate_instance`` reports every violation as data rather
+than raising.
 """
 
 from __future__ import annotations
@@ -14,22 +18,21 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 PRIORITIES = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True)
-class ConfidenceLevel:
+class ConfidenceLevel(NamedTuple):
     """Discrete reliability bucket of a duration prediction (1=High,
     2=Moderate, 3=Low, 4=Very Low)."""
 
     level: int
 
 
-@dataclass(frozen=True)
-class Registration:
+class Registration(NamedTuple):
     """A waiting-list entry: one requested surgical procedure.
 
     ``duration_min`` is the estimate the scheduler plans with; its source
@@ -45,8 +48,7 @@ class Registration:
     confidence: ConfidenceLevel | None = None
 
 
-@dataclass(frozen=True)
-class MssSlot:
+class MssSlot(NamedTuple):
     """One cell of the master surgical schedule: a specialty's claim on an
     (OR, shift, day) slot."""
 
@@ -56,8 +58,7 @@ class MssSlot:
     day: int
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(NamedTuple):
     """A shift type and its capacity in minutes."""
 
     shift_id: str
@@ -79,9 +80,14 @@ class ProblemInstance:
     planning_days: int
     emergency_or_id: str | None = None
 
+    @cached_property
+    def registration_of(self) -> dict[str, Registration]:
+        """Each registration by its id (a repeated id keeps its last), built
+        at first use; every check and replay of the instance shares it."""
+        return {r.id: r for r in self.registrations}
 
-@dataclass(frozen=True)
-class Assignment:
+
+class Assignment(NamedTuple):
     """Placement of one registration into one MSS cell."""
 
     registration_id: str

@@ -79,7 +79,7 @@ def replay(schedule: Schedule, instance: ProblemInstance) -> OccupancyTable:
     Only cells with at least one assignment appear; structurally empty cells
     say nothing about booking quality.
     """
-    regs = {r.id: r for r in instance.registrations}
+    regs = instance.registration_of
     missing = sorted(
         a.registration_id
         for a in schedule.assignments
@@ -89,16 +89,16 @@ def replay(schedule: Schedule, instance: ProblemInstance) -> OccupancyTable:
         raise EvaluateError(f"missing actual durations for: {', '.join(missing)}")
 
     capacity = {s.shift_id: s.capacity_min for s in instance.shifts}
-    planned: dict[CellKey, int] = {}
-    actual: dict[CellKey, int] = {}
+    planned: dict[tuple[str, int, str], int] = {}  # by cell, as a CellKey's fields
+    actual: dict[tuple[str, int, str], int] = {}
     for a in schedule.assignments:
-        key = CellKey(a.or_id, a.day, a.shift_id)
+        key = (a.or_id, a.day, a.shift_id)
         reg = regs[a.registration_id]
         planned[key] = planned.get(key, 0) + reg.duration_min
         actual[key] = actual.get(key, 0) + (reg.actual_duration_min or 0)
 
     cells = tuple(
-        CellOccupancy(key, planned[key], actual[key], capacity[key.shift_id])
+        CellOccupancy(CellKey(*key), planned[key], actual[key], capacity[key[2]])
         for key in sorted(planned)
     )
     return OccupancyTable(cells)

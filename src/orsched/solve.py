@@ -21,7 +21,7 @@ import itertools
 import json
 import random
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -90,7 +90,7 @@ class IncompleteSearchError(SolverError):
 def is_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violation]:
     """Check every hard constraint; empty list means the schedule is feasible."""
     violations: list[Violation] = []
-    regs = {r.id: r for r in instance.registrations}
+    regs = instance.registration_of
     cells = {CellKey(s.or_id, s.day, s.shift_id): s for s in instance.mss}
     capacity = {s.shift_id: s.capacity_min for s in instance.shifts}
 
@@ -107,14 +107,14 @@ def is_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violation
         if reg is None or reg.priority != a.priority:
             violations.append(Violation("unknown_registration", f"assignment references {a.registration_id!r} (priority {a.priority})"))
             continue
-        key = CellKey(a.or_id, a.day, a.shift_id)
+        key = (a.or_id, a.day, a.shift_id)  # looks up the CellKey it equals
         slot = cells.get(key)
         if slot is None:
-            violations.append(Violation("unknown_cell", f"assignment {a.registration_id!r} targets missing cell {key}"))
+            violations.append(Violation("unknown_cell", f"assignment {a.registration_id!r} targets missing cell {CellKey(*key)}"))
             continue
         if slot.specialty != reg.specialty:
             violations.append(
-                Violation("specialty_mismatch", f"registration {a.registration_id!r} ({reg.specialty}) in {slot.specialty} cell {key}")
+                Violation("specialty_mismatch", f"registration {a.registration_id!r} ({reg.specialty}) in {slot.specialty} cell {CellKey(*key)}")
             )
         loads[key] += reg.duration_min
         if instance.emergency_or_id is not None and a.or_id == instance.emergency_or_id:
@@ -174,9 +174,12 @@ class _Model:
         )
         self.dur = [r.duration_min for r in self.regs]
         self.prio = [r.priority for r in self.regs]
+        # the index of the first registration of each priority p (5: the count)
+        self.tier_start = [bisect_left(self.prio, p) for p in range(6)]
         self.conf = [
             (r.confidence.level * confidence_scale) if r.confidence is not None else 0 for r in self.regs
         ]
+        self.conf_values = sorted(set(self.conf))
         # the cells of each specialty, in index order; registrations of one
         # specialty share its list and set, which nothing mutates
         by_specialty: dict[str, list[int]] = {}
@@ -416,15 +419,16 @@ class _ConfTiers:
         self.mx, self.mn, self.current = mx, mn, (mx, mx - mn)
 
     def hot_cells(self) -> set[int]:
-        """Cells of which a relocate or swap must touch one to lower the tiers:
-        the only cell at the max and the only cell at the min, where unique.
+        """Cells of which a move must touch one to lower the tiers: the only
+        cell at the max and the only cell at the min, where unique.
 
         A move lowers (max, spread) only if it touches every cell at the max
         or every cell at the min: with an untouched cell at each, the max
-        cannot fall, and at an unchanged max the min cannot rise. Relocates
-        and swaps change two cells and keep their total, so touching two
-        cells at the max leaves one of them at it or above, and touching two
-        at the min leaves one at it or below.
+        cannot fall, and at an unchanged max the min cannot rise. A replace
+        changes one cell, so that cell must be the only one at the max or at
+        the min. Relocates and swaps change two cells and keep their total,
+        so touching two cells at the max leaves one of them at it or above,
+        and touching two at the min leaves one at it or below.
         """
         hot: set[int] = set()
         for value in (self.mx, self.mn):
@@ -473,7 +477,6 @@ class _Heuristic:
         by_tier: dict[int, list[int]] = {1: [], 2: [], 3: [], 4: []}
         for ri in range(len(self.m.regs)):
             by_tier[self.m.prio[ri]].append(ri)
-        retry: list[int] = []
         for tier in (1, 2, 3, 4):
             order = by_tier[tier]
             if rng is not None:
@@ -481,13 +484,11 @@ class _Heuristic:
                 rng.shuffle(order)
             for ri in order:
                 if not self._best_fit(state, ri, rng) and tier == 1:
-                    if not self._repair_p1(state, ri, retry):
+                    if not self._repair_p1(state, ri):
                         raise InfeasibleInstanceError(
                             self.m.p1_ids(),
                             f"greedy repair could not place priority-1 registration {self.m.regs[ri].id!r}",
                         )
-        for ri in retry:
-            self._best_fit(state, ri, rng)
         return state
 
     def _best_fit(self, state: _HeurState, ri: int, rng: random.Random | None) -> bool:
@@ -514,9 +515,11 @@ class _Heuristic:
         state.place(ri, best_ci)
         return True
 
-    def _repair_p1(self, state: _HeurState, ri: int, retry: list[int]) -> bool:
+    def _repair_p1(self, state: _HeurState, ri: int) -> bool:
+        """Place priority-1 ``ri`` by moving one occupant of a compatible cell
+        to another cell. It runs while priority 1 is being placed, when every
+        occupant is of priority 1, so no occupant may be ejected instead."""
         dur = self.m.dur[ri]
-        # first try relocating a single occupant to make room
         for ci in self.m.compat[ri]:
             cell = self.m.cells[ci]
             if cell.emergency and state.em_used > 0:
@@ -526,44 +529,13 @@ class _Heuristic:
                 if free + self.m.dur[occ] < dur:
                     continue
                 state.remove(occ)
-                moved = False
                 for ci2 in self.m.compat[occ]:
                     if ci2 != ci and state.can_place(occ, ci2):
                         state.place(occ, ci2)
-                        moved = True
-                        break
-                if moved:
-                    state.place(ri, ci)
-                    return True
+                        state.place(ri, ci)
+                        return True
                 state.place(occ, ci)
-        # then eject the smallest sufficient set of lower-priority occupants
-        best = None
-        for ci in self.m.compat[ri]:
-            cell = self.m.cells[ci]
-            if cell.emergency and state.em_used > 0:
-                continue
-            free = cell.capacity - state.loads[ci]
-            ejectable = sorted(
-                (occ for occ in state.occupants(ci) if self.m.prio[occ] > 1),
-                key=lambda occ: (self.m.prio[occ], self.m.dur[occ], self.m.regs[occ].id),
-                reverse=True,
-            )
-            chosen, gained = [], 0
-            for occ in ejectable:
-                if free + gained >= dur:
-                    break
-                chosen.append(occ)
-                gained += self.m.dur[occ]
-            if free + gained >= dur and (best is None or len(chosen) < len(best[1])):
-                best = (ci, chosen)
-        if best is None:
-            return False
-        ci, chosen = best
-        for occ in chosen:
-            state.remove(occ)
-            retry.append(occ)
-        state.place(ri, ci)
-        return True
+        return False
 
     # -- local search ---------------------------------------------------------
 
@@ -597,11 +569,18 @@ class _Heuristic:
         # cell that takes it; the occupants that qualify do not depend on the
         # newcomer, so each cell's list is built once per pass
         def movers(ci: int) -> list[tuple[int, int]]:
+            # every occupant has ci's specialty, so all of them share one list
+            # of cells, and one longer than the roomiest of those stays put
             found = []
             left = em_used - em[ci]
-            for occ in by_cell[ci]:
-                for ci2 in compat[occ]:
-                    if ci2 != ci and free[ci2] >= dur[occ] and (not em[ci2] or left == 0):
+            occs = by_cell[ci]
+            targets = [ci2 for ci2 in (compat[occs[0]] if occs else ()) if ci2 != ci and (not em[ci2] or left == 0)]
+            roomiest = max((free[ci2] for ci2 in targets), default=0)
+            for occ in occs:
+                if dur[occ] > roomiest:
+                    continue
+                for ci2 in targets:
+                    if free[ci2] >= dur[occ]:
                         if not em[ci] or left + em[ci2] == 0:
                             found.append((occ, ci2))
                         break
@@ -625,31 +604,41 @@ class _Heuristic:
         # replace an assigned registration by an unassigned one: a higher
         # priority always improves, a lower one never does, and an equal one
         # only through the confidence tiers; the first occupant in index order
-        # is taken, whichever cell holds it. The pass leaves the state as it
-        # is, so whether a (cell, confidence change) lowers the tiers is
-        # judged once per pass
-        improves: dict[tuple[int, int], bool] = {}
+        # is taken, whichever cell holds it. Index order is by priority, then
+        # by decreasing duration: a cell's occupants of the newcomer's
+        # priority form one run, whose scan ends at the first too short to
+        # make room, and those of lower priority follow it. A change to one
+        # cell's sum lowers the confidence tiers only in a hot cell (see
+        # ``_ConfTiers.hot_cells``), and the pass leaves the state as it is,
+        # so for each (hot cell, newcomer confidence) the occupant
+        # confidences whose replacement lowers them are found once per pass
+        hot = tiers.hot_cells() if tiers is not None else set()
+        lowering: dict[tuple[int, int], set[int]] = {}
         for ri in unassigned:
-            pr, first = prio[ri], None
+            pr, first, c = prio[ri], None, conf[ri]
+            if pr == 4 and tiers is None:
+                continue  # only a lower-priority occupant could give way, and none is below 4
             for ci in compat[ri]:
                 if em[ci] and em_used - em[ci] != 0:
                     continue
                 need = dur[ri] - free[ci]
-                for occ in by_cell[ci]:
+                occs = by_cell[ci]
+                lower = bisect_left(occs, m.tier_start[pr + 1])
+                if ci in hot:
+                    wanted = lowering.get((ci, c))
+                    if wanted is None:
+                        wanted = lowering[ci, c] = {c2 for c2 in m.conf_values if c2 != c and tiers.improves_one(ci, c - c2)}
+                    if wanted:
+                        for occ in occs[bisect_left(occs, m.tier_start[pr]) : lower]:
+                            if (first is not None and occ > first) or dur[occ] < need:
+                                break
+                            if conf[occ] in wanted:
+                                first = occ
+                                break
+                for occ in occs[lower:]:
                     if first is not None and occ > first:
                         break
-                    if dur[occ] < need or prio[occ] < pr:
-                        continue
-                    if prio[occ] > pr:
-                        first = occ
-                        break
-                    if tiers is None or conf[occ] == conf[ri]:
-                        continue
-                    move = (ci, conf[ri] - conf[occ])
-                    better = improves.get(move)
-                    if better is None:
-                        better = improves[move] = tiers.improves_one(*move)
-                    if better:
+                    if dur[occ] >= need:
                         first = occ
                         break
             if first is not None:
@@ -657,9 +646,6 @@ class _Heuristic:
                 state.place(ri, ci)
                 return True
 
-        if tiers is None:
-            return False
-        hot = tiers.hot_cells()
         if not hot:
             return False
         assigned = [ri for ri in range(len(m.regs)) if choice[ri] is not None]

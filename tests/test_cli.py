@@ -655,6 +655,18 @@ def _records_without_durations(ws, tmp, argv):
     return argv(str(path)), f"{path}: row 1: cannot derive durations"
 
 
+def _records_with_short_first_record(ws, tmp, argv):
+    """``argv(path)``, with ``path`` the workspace's records.csv with its
+    first record cut to 5 cells, and the error line's text: the record's
+    line and the first field it lacks."""
+
+    def cut(rows):
+        rows[1] = rows[1][:5]
+
+    path, rows = _rewritten(ws, tmp, "records.csv", cut)
+    return argv(str(path)), f"{path}: row 2, field {rows[0][5]!r}: cannot derive durations"
+
+
 def _pipeline(*flags):
     return ["pipeline", "--rows", "200", "--grid", "fast", "--max-restarts", "1", "--time-limit", "5", *flags]
 
@@ -769,6 +781,12 @@ MALFORMED_INPUT = {
     "schedule_dep_records_without_durations": lambda ws, tmp: _records_without_durations(
         ws, tmp, lambda path: _schedule(ws, "--method", "dep", "--records", path)
     ),
+    "preprocess_records_with_short_first_record": lambda ws, tmp: _records_with_short_first_record(
+        ws, tmp, lambda path: ["preprocess", "--records", path]
+    ),
+    "train_records_with_short_first_record": lambda ws, tmp: _records_with_short_first_record(
+        ws, tmp, lambda path: ["train", "--records", path, "--grid", "fast"]
+    ),
     "week_repeated_id": lambda ws, tmp: _week(
         ws, tmp, _repeat_first_record, "row 3, field 'PROGRESSIVO': id 'W0000' repeats row 2"
     ),
@@ -822,6 +840,23 @@ def test_flags_win_over_config(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert [row["method"] for row in report] == ["Pred"]
+
+
+def test_config_values_last_one_call(tmp_path, capsys):
+    """``main`` builds its parser once per process, so a config file's values
+    must not become a later call's defaults: after a call whose config sets
+    ``time_limit``, a call without a config plans with the parser's default."""
+    flags = _tiny_week(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"time_limit": 0}))
+    assert orsched.cli.main(["schedule", *flags, "--config", str(config), "-o", str(tmp_path / "a")]) == 2
+    assert "--time-limit" in capsys.readouterr().err
+    assert orsched.cli.main(["schedule", *flags, "--max-restarts", "1", "-o", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    for argv in (["schedule"], ["evaluate"]):
+        got, want = vars(orsched.cli._parser().parse_args(argv)), vars(orsched.cli.build_parser().parse_args(argv))
+        del got["command_parser"], want["command_parser"]
+        assert got == want, argv
 
 
 # each case: (workspace, a directory) -> argv that reads the directory as an input file

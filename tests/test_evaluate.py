@@ -164,7 +164,7 @@ def test_methods_without_predictions_keep_own_confidence():
     """Only Conf and Pred plan with predictions, so only they get the
     predictions' confidence; VBA, Dep and Surg keep the registration's."""
     base = week_instance()
-    regs = tuple(replace(r, confidence=ConfidenceLevel(3) if i % 2 else None) for i, r in enumerate(base.registrations))
+    regs = tuple(r._replace(confidence=ConfidenceLevel(3) if i % 2 else None) for i, r in enumerate(base.registrations))
     inst = replace(base, registrations=regs)
     est = full_estimates(inst, jitter=20)
     for method in ("VBA", "Dep", "Surg"):

@@ -1,6 +1,5 @@
 """Preprocessing pipeline, synthetic generator, and file-format tests."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -352,7 +351,7 @@ def _assert_same_rows(got, want):
             assert [type(v) for v in a.values()] == [type(v) for v in b.values()]
         else:
             assert a == b
-            assert [type(v) for v in dataclasses.astuple(a)] == [type(v) for v in dataclasses.astuple(b)]
+            assert [type(v) for v in tuple(a)] == [type(v) for v in tuple(b)]
 
 
 _REFERENCE_CONFIGS = (

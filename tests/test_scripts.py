@@ -1,5 +1,7 @@
 """The experiment scripts, run as a user runs them."""
 
+import importlib
+import importlib.util
 import os
 import signal
 import subprocess
@@ -37,6 +39,43 @@ def _session_alive(pgid):
     except ProcessLookupError:
         return False
     return True
+
+
+def _lookup(module_name, attr):
+    value = sys.modules[module_name]
+    for part in attr.split("."):
+        value = getattr(value, part)
+    return value
+
+
+def test_traced_benchmark_wraps_names_that_exist(monkeypatch):
+    """``weekbench/spans.py`` swaps each name in ``WRAPPED`` for a tracing
+    wrapper and back, so a refactor that drops or renames one of them fails
+    the traced benchmark: every name must resolve, be wrapped, and be put
+    back by ``uninstall`` wherever the package holds it."""
+    spec = importlib.util.spec_from_file_location("weekbench_spans", ROOT / "weekbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    importlib.import_module("orsched.cli")  # imports every module the tracer patches
+    names = [(module_name, attr) for module_name, attr, _, _ in spans.WRAPPED]
+    originals = [_lookup(*name) for name in names]  # an AttributeError names the dropped one
+    assert all(map(callable, originals))
+    # every binding of the package's modules and of the classes whose methods are wrapped
+    spaces = [m for n, m in sys.modules.items() if n.startswith("orsched") and m is not None]
+    spaces += [_lookup(module_name, attr.rsplit(".", 1)[0]) for module_name, attr in names if "." in attr]
+    before = [dict(vars(space)) for space in spaces]
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        wrapped = [_lookup(*name) for name in names]
+    finally:
+        tracer.uninstall()
+    assert [name for name, a, b in zip(names, originals, wrapped) if a is b] == []
+    for space, bindings in zip(spaces, before):
+        assert vars(space).keys() == bindings.keys(), space
+        assert [k for k, v in bindings.items() if vars(space)[k] is not v] == [], space
 
 
 def test_ab_synth_against_this_checkout_is_identical():
