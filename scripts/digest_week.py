@@ -8,8 +8,9 @@ Runs the pipeline for one hospital week at a fixed ``--seed`` and
 then for the training outputs ``model.json``, ``metrics.json`` and
 ``predictions.csv``. Then comes ``model_best.json``: ``orsched train`` with
 the ``best`` grid preset (boosted 400 trees of depth 5) on the same history.
-Last comes the pipeline's ``preprocess_log.json``, the rows and features
-each cleaning stage kept.
+Then comes the pipeline's ``preprocess_log.json``, the rows and features
+each cleaning stage kept. Last come the synth's inputs, ``SYNTH_FILES``, so
+a change to the generators shows in their own lines.
 Two versions of the code whose digests match wrote byte-identical outputs,
 so a change to the solvers or to training that must not alter results can
 be checked by running this before and after it.
@@ -37,6 +38,7 @@ from orsched.ingest import HOSPITAL_SHAPES
 GRID = "fast"
 BEST_GRID = "best"
 TIME_LIMIT_S = "3600"
+SYNTH_FILES = ("records.csv", "week.csv", "registrations.csv", "mss.csv", "shifts.csv", "hospitalizations.csv")
 
 
 def digests(out: Path) -> list[tuple[str, str]]:
@@ -87,6 +89,7 @@ def main() -> int:
         rows.append((hashlib.sha256((best / "model.json").read_bytes()).hexdigest(), "model_best.json"))
         log = Path(tmp) / "preprocess_log.json"
         rows.append((hashlib.sha256(log.read_bytes()).hexdigest(), log.name))
+        rows += [(hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest(), name) for name in SYNTH_FILES]
         for digest, name in rows:
             print(f"{digest}  {name}")
     return 0

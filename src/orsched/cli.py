@@ -15,6 +15,9 @@ import argparse
 import functools
 import json
 import math
+import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import asdict
@@ -239,27 +242,73 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise UsageError("--noise must be a finite number >= 0")
     seed = _seed(args)
     out = _outdir(args)
-
     config = SyntheticConfig(n_rows=args.rows, noise=args.noise)
-    # the history is written, and freed, before the week's pool is drawn;
-    # the two draws have seeds of their own, so their order is free
-    write_records_csv(RecordTable.from_records(generate_synthetic_dataset(config, seed=seed)), out / "records.csv")
-    week_records, registrations, mss, shifts = generate_week(
-        config,
-        seed=seed,
-        shape=HOSPITAL_SHAPES[args.hospital],
-        planning_days=args.planning_days,
-        fill_ratio=args.fill_ratio,
-    )
-    write_records_csv(RecordTable.from_records(week_records), out / "week.csv")
-    write_registrations_csv(registrations, out / "registrations.csv")
-    write_mss_csv(mss, out / "mss.csv")
-    write_shifts_csv(shifts, out / "shifts.csv")
+
+    def history() -> None:
+        write_records_csv(RecordTable.from_records(generate_synthetic_dataset(config, seed=seed)), out / "records.csv")
+
+    def week() -> int:
+        shape = HOSPITAL_SHAPES[args.hospital]
+        week_records, registrations, mss, shifts = generate_week(config, seed, shape, args.planning_days, args.fill_ratio)
+        write_records_csv(RecordTable.from_records(week_records), out / "week.csv")
+        write_registrations_csv(registrations, out / "registrations.csv")
+        write_mss_csv(mss, out / "mss.csv")
+        write_shifts_csv(shifts, out / "shifts.csv")
+        return len(registrations)
+
+    # the two draws have seeds of their own, so the week is drawn beside the history
+    try:
+        _, registrations = _beside(history, week)
+    except OverflowError as exc:  # a noise draw too large for a date or an integer
+        raise UsageError(f"--noise {args.noise}: a drawn duration is out of range ({exc})") from None
     columns = ["patient_id", "admission", "discharge"]
     stays = ([stay[c] for c in columns] for stay in generate_hospitalizations(seed))
     write_csv_rows(out / "hospitalizations.csv", columns, stays)
-    print(f"wrote {args.rows} historical rows, {len(registrations)} registrations to {out}")
+    print(f"wrote {args.rows} historical rows, {registrations} registrations to {out}")
     return EXIT_OK
+
+
+def _beside(here, there):
+    """``(here(), there())``, with ``there`` run in a forked child while this
+    process runs ``here``, where the platform can fork. The child sends back
+    its result or its exception, pickled, and ends with ``os._exit``, so it
+    flushes none of this process's buffers. This process reads the pipe to
+    its end and reaps the child on every path; ``here``'s exception comes
+    first, then ``there``'s, unchanged, as if the two had run in order.
+    ``there`` must call no BLAS code, whose threads a fork does not copy."""
+    if not hasattr(os, "fork"):
+        return here(), there()
+    reader, writer = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(reader)
+            try:
+                reply = (True, there())
+            except BaseException as exc:
+                reply = (False, exc)
+            payload = pickle.dumps(reply)
+            pickle.loads(payload)  # what the parent cannot load is not sent
+            with open(writer, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(writer)
+    try:
+        result = here()
+    finally:
+        with open(reader, "rb") as pipe:
+            payload = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not payload:
+        how = f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0 else f"exited with code {code}"
+        raise ChildProcessError(f"the child process drawing the week {how} before it reported")
+    done, value = pickle.loads(payload)
+    if not done:
+        raise value
+    return result, value
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,15 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int) -> list[Surgi
     regressor to beat the historical means. The output is fixed by the order
     of its draws; ``tests/oracle.py`` holds the one-call-per-draw reference,
     and a change to the draws changes every workload's data."""
+    start = date.fromisoformat(config.start_date)
+    return [_record(row, f"P{i:06d}", f"N{i:06d}", start) for i, row in enumerate(_draw_rows(config, seed))]
+
+
+def _draw_rows(config: SyntheticConfig, seed: int) -> list[tuple]:
+    """Each row's drawn values, in the order they consume the bit stream:
+    ``(department, duration, procedure, diagnosis, age, anaesthesia,
+    admission, urgency, PRES ANESTES, the 18 bounded integers)``, which
+    ``_record`` turns into a record."""
     rng = np.random.default_rng(seed)
     catalog_rng = np.random.default_rng(config.world_seed)
     depts = list(config.departments)
@@ -472,8 +481,7 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int) -> list[Surgi
     proc_weights = np.array([1.0 / (j + 1) for j in range(config.procedures_per_department)])
     proc_cdf = _choice_cdf(proc_weights / proc_weights.sum())
 
-    start = date.fromisoformat(config.start_date)
-    records: list[SurgicalRecord] = []
+    rows = []
     for i in range(config.n_rows):
         dept = depts[int(rng.integers(len(depts)))]
         proc = f"{dept}-ICD{bisect.bisect_right(proc_cdf, rng.random()):02d}"
@@ -496,47 +504,52 @@ def generate_synthetic_dataset(config: SyntheticConfig, seed: int) -> list[Surgi
             draws += rng.integers(_ROW_LOW[4:], _ROW_HIGH[4:]).tolist()
         else:
             draws, anesthetist = rng.integers(_ROW_LOW, _ROW_HIGH).tolist(), "SI"
-        d1, d2, minute, sex, stamp, cc, ca, surgeon, block, birthday, room, *offsets = draws
-        day = start + timedelta(days=d1 // 5 * 7 + d2 % 5)
-        entry = datetime(day.year, day.month, day.day, 7, 30) + timedelta(minutes=minute)
-        exit_ = entry + timedelta(minutes=duration)
-        records.append(
-            {
-                "PROGRESSIVO": f"P{i:06d}",
-                "TIPORICOVERO": urgency,
-                "SESSO": "FM"[sex],
-                "ETA": age,
-                "REPARTO": dept,
-                "PRES ANESTES": anesthetist,
-                "STAMP": str(stamp),
-                "CC": str(cc),
-                "CA": str(ca),
-                "ANESTLOC": "SI" if anesthesia == "LOCALE" else "NO",
-                "DIAGNOSI1": diagnosis,
-                "DESCDIAGNOSI1": f"DESC {diagnosis}",
-                "INGRESSOSALA": entry,
-                "USCITASALA": exit_,
-                "REGRICOVERO": admission,
-                "CHIRURGHI_1": f"{dept}-SURG{surgeon}",
-                "ICD1": proc,
-                "DESCICD1": f"DESC {proc}",
-                "BLOCCO": f"BL{1 + block}",
-                "DATANASCITA": datetime(day.year - age, 1, 1) + timedelta(days=birthday),
-                "NOSOLOGICO": f"N{i:06d}",
-                "DATAINTERVENTO": datetime(day.year, day.month, day.day),
-                "SALA": f"SALA{1 + room:02d}",
-                "TIPOANESTESIA": anesthesia,
-                "INGRESSOBLOCCOOP": entry - timedelta(minutes=offsets[0]),
-                "PREPARAZIONEPAZIENTE": entry - timedelta(minutes=offsets[1]),
-                "INIZIOANESTESIA": entry + timedelta(minutes=offsets[2]),
-                "INIZIOINTERVENTO": entry + timedelta(minutes=offsets[3]),
-                "FINEINTERVENTO": exit_ - timedelta(minutes=offsets[4]),
-                "FINEASSANESTINSALA": exit_ - timedelta(minutes=offsets[5]),
-                "USCITABLOCCOOP": exit_ + timedelta(minutes=offsets[6]),
-                "DURATA": duration,
-            }
-        )
-    return records
+        rows.append((dept, duration, proc, diagnosis, age, anesthesia, admission, urgency, anesthetist, draws))
+    return rows
+
+
+def _record(row: tuple, progressivo: str, nosologico: str, start: date) -> SurgicalRecord:
+    """One drawn row (``_draw_rows``) as a record of every schema column,
+    its days counted from ``start``."""
+    dept, duration, proc, diagnosis, age, anesthesia, admission, urgency, anesthetist, draws = row
+    d1, d2, minute, sex, stamp, cc, ca, surgeon, block, birthday, room, *offsets = draws
+    day = start + timedelta(days=d1 // 5 * 7 + d2 % 5)
+    entry = datetime(day.year, day.month, day.day, 7, 30) + timedelta(minutes=minute)
+    exit_ = entry + timedelta(minutes=duration)
+    return {
+        "PROGRESSIVO": progressivo,
+        "TIPORICOVERO": urgency,
+        "SESSO": "FM"[sex],
+        "ETA": age,
+        "REPARTO": dept,
+        "PRES ANESTES": anesthetist,
+        "STAMP": str(stamp),
+        "CC": str(cc),
+        "CA": str(ca),
+        "ANESTLOC": "SI" if anesthesia == "LOCALE" else "NO",
+        "DIAGNOSI1": diagnosis,
+        "DESCDIAGNOSI1": f"DESC {diagnosis}",
+        "INGRESSOSALA": entry,
+        "USCITASALA": exit_,
+        "REGRICOVERO": admission,
+        "CHIRURGHI_1": f"{dept}-SURG{surgeon}",
+        "ICD1": proc,
+        "DESCICD1": f"DESC {proc}",
+        "BLOCCO": f"BL{1 + block}",
+        "DATANASCITA": datetime(day.year - age, 1, 1) + timedelta(days=birthday),
+        "NOSOLOGICO": nosologico,
+        "DATAINTERVENTO": datetime(day.year, day.month, day.day),
+        "SALA": f"SALA{1 + room:02d}",
+        "TIPOANESTESIA": anesthesia,
+        "INGRESSOBLOCCOOP": entry - timedelta(minutes=offsets[0]),
+        "PREPARAZIONEPAZIENTE": entry - timedelta(minutes=offsets[1]),
+        "INIZIOANESTESIA": entry + timedelta(minutes=offsets[2]),
+        "INIZIOINTERVENTO": entry + timedelta(minutes=offsets[3]),
+        "FINEINTERVENTO": exit_ - timedelta(minutes=offsets[4]),
+        "FINEASSANESTINSALA": exit_ - timedelta(minutes=offsets[5]),
+        "USCITABLOCCOOP": exit_ + timedelta(minutes=offsets[6]),
+        "DURATA": duration,
+    }
 
 
 @dataclass(frozen=True)
@@ -573,12 +586,11 @@ def generate_week(
     rng = np.random.default_rng(seed ^ 0x5EED)
     capacity = shape.n_ors * planning_days * shape.shift_minutes
     pool_config = replace(config, n_rows=max(128, capacity // 6), rare_fraction=0.0, start_date="2019-03-04")
-    pool = generate_synthetic_dataset(pool_config, seed=int(rng.integers(1 << 31)))
+    pool = _draw_rows(pool_config, seed=int(rng.integers(1 << 31)))
 
     # the operating list mirrors the cleaned historical distribution: weekly
     # elective lists do not carry the extreme-duration tail
-    kept = iqr_filter([rec["DURATA"] for rec in pool])
-    pool = [pool[i] for i in kept]
+    kept = iqr_filter([row[1] for row in pool])
 
     depts = list(config.departments)
     slots = []
@@ -598,32 +610,26 @@ def generate_week(
     week_records: list[SurgicalRecord] = []
     registrations: list[Registration] = []
     priority_cdf = _choice_cdf([w for _, w in _PRIORITY_WEIGHTS])
-    for rec in pool:
-        specialty = rec["REPARTO"]
+    start = date.fromisoformat(pool_config.start_date)
+    # only the rows the week takes become records
+    for row in map(pool.__getitem__, kept):
+        specialty, duration = row[0], row[1]
         if specialty not in spec_capacity or demand[specialty] >= fill_ratio * spec_capacity[specialty]:
             if all(d >= fill_ratio * spec_capacity[sp] for sp, d in demand.items()):
                 break
             continue
         priority = _PRIORITY_WEIGHTS[bisect.bisect_right(priority_cdf, rng.random())][0]
         # keep mandatory demand well inside its specialty's capacity
-        if priority == 1 and p1_demand[specialty] + rec["DURATA"] > 0.4 * spec_capacity[specialty]:
+        if priority == 1 and p1_demand[specialty] + duration > 0.4 * spec_capacity[specialty]:
             priority = 2
         if priority == 1:
-            p1_demand[specialty] += rec["DURATA"]
-        rec = dict(rec)
-        rec["PROGRESSIVO"] = f"W{len(week_records):04d}"
-        rec["NOSOLOGICO"] = f"WN{len(week_records):04d}"
-        week_records.append(rec)
+            p1_demand[specialty] += duration
+        rid = f"W{len(week_records):04d}"
+        week_records.append(_record(row, rid, f"WN{len(week_records):04d}", start))
         registrations.append(
-            Registration(
-                id=rec["PROGRESSIVO"],
-                priority=priority,
-                specialty=specialty,
-                duration_min=rec["DURATA"],
-                actual_duration_min=rec["DURATA"],
-            )
+            Registration(id=rid, priority=priority, specialty=specialty, duration_min=duration, actual_duration_min=duration)
         )
-        demand[specialty] += rec["DURATA"]
+        demand[specialty] += duration
     return week_records, registrations, slots, shifts
 
 

@@ -1,9 +1,13 @@
-"""Shared builders for solver and evaluation tests, and the method
-comparison loop the evaluation and acceptance tests run."""
+"""Shared builders for solver and evaluation tests, the method comparison
+loop the evaluation and acceptance tests run, and a runner for commands
+that must leave no process behind."""
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import subprocess
 from typing import Mapping, Sequence
 
 from orsched.core import (
@@ -130,3 +134,27 @@ def run_method_comparison(
         method_instance, schedule, _ = solve_method(instance, method, estimates, limits, solver)
         reports.append(evaluate_schedule(method, schedule, method_instance))
     return reports
+
+
+def run_in_own_session(argv: Sequence[str], timeout: float, env: Mapping[str, str] | None = None):
+    """``argv`` in a session of its own, which must hold no process once it
+    has exited; its exit code, stdout and stderr."""
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True, env=env
+    ) as process:
+        try:
+            out, err = process.communicate(timeout=timeout)
+        finally:
+            left = _session_alive(process.pid)
+            if left:
+                os.killpg(process.pid, signal.SIGKILL)
+    assert not left, f"{argv[:3]} left a process behind"
+    return process.returncode, out, err
+
+
+def _session_alive(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True

@@ -4,10 +4,14 @@ import contextlib
 import csv
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 
 import pytest
+
+from helpers import run_in_own_session
 
 import orsched.cli
 import orsched.evaluate
@@ -62,6 +66,124 @@ def test_synth_is_deterministic(tmp_path):
     assert run_cli("synth", "--rows", "80", "--seed", "5", "-o", str(b)).returncode == 0
     for name in ("records.csv", "week.csv", "registrations.csv", "mss.csv", "shifts.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# -- synth's second process ------------------------------------------------------
+# ``synth`` draws the week in a forked child beside the history. These check
+# that the child never outlives the command, that its output and its errors
+# are those of the two draws run in order, and that without ``os.fork`` they
+# do run in order.
+
+
+def test_synth_leaves_no_process_behind(tmp_path):
+    argv = [sys.executable, "-m", "orsched", "synth", "--hospital", "imperia", "--seed", "1", "-o", str(tmp_path)]
+    code, out, err = run_in_own_session(argv, timeout=60)
+    assert code == 0, err
+    assert out == f"wrote 2000 historical rows, 913 registrations to {tmp_path}\n" and err == ""
+
+
+def test_synth_child_flushes_none_of_the_parents_output(tmp_path):
+    """Text still in the parent's stdout buffer when it forks is written
+    once, by the parent: the child ends without flushing its copy."""
+    script = "import sys; from orsched.cli import main; print('before'); sys.exit(main(sys.argv[1:]))"
+    buffered = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    argv = [sys.executable, "-c", script, "synth", "--rows", "50", "-o", str(tmp_path)]
+    code, out, err = run_in_own_session(argv, timeout=60, env=buffered)
+    assert code == 0, err
+    assert out.splitlines()[0] == "before" and out.count("before") == 1 and out.count("wrote") == 1
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids that ``os.fork`` returns to this process during the test."""
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+# each case: (outputs made as directories first, argv, exit code, the one
+# stderr line, ``{out}`` the output directory); the directory cases print
+# what they printed before the week had a process of its own
+SYNTH_FAILURES = {
+    "week_csv_is_a_directory": (
+        ["week.csv"], ["synth", "--rows", "50"], 1, "error: [Errno 21] Is a directory: '{out}/week.csv'"
+    ),
+    "records_csv_is_a_directory": (
+        ["records.csv"], ["synth", "--rows", "50"], 1, "error: [Errno 21] Is a directory: '{out}/records.csv'"
+    ),
+    "both_are_directories": (  # the history's error, as when the history was drawn first
+        ["records.csv", "week.csv"], ["synth", "--rows", "50"], 1, "error: [Errno 21] Is a directory: '{out}/records.csv'"
+    ),
+    "noise_overflows_in_the_history": (
+        [], ["synth", "--seed", "2", "--noise", "3"], 2,
+        "error: --noise 3.0: a drawn duration is out of range (date value out of range)",
+    ),
+    "noise_overflows_in_the_week": (  # the one history row draws in range
+        [], ["synth", "--rows", "1", "--seed", "3", "--noise", "1e308"], 2,
+        "error: --noise 1e+308: a drawn duration is out of range (cannot convert float infinity to integer)",
+    ),
+}
+
+
+@pytest.mark.parametrize("with_fork", [True, False], ids=["forked", "in_order"])
+@pytest.mark.parametrize("case", list(SYNTH_FAILURES))
+def test_synth_failure_is_one_line_and_leaves_no_process(tmp_path, capsys, monkeypatch, forked, case, with_fork):
+    if not with_fork:
+        monkeypatch.delattr(os, "fork")
+    directories, argv, code, line = SYNTH_FAILURES[case]
+    for name in directories:
+        (tmp_path / name).mkdir()
+    assert orsched.cli.main([*argv, "-o", str(tmp_path)]) == code
+    assert capsys.readouterr().err == line.format(out=tmp_path) + "\n"
+    assert len(forked) == with_fork and all(map(_reaped, forked))
+
+
+def test_synth_noise_overflow_in_the_week_is_the_childs(tmp_path, capsys, forked):
+    """The history is written and the week is not: the error line came
+    through the pipe from the child."""
+    assert orsched.cli.main(["synth", "--rows", "1", "--seed", "3", "--noise", "1e308", "-o", str(tmp_path)]) == 2
+    assert "--noise 1e+308" in capsys.readouterr().err
+    assert (tmp_path / "records.csv").is_file() and not (tmp_path / "week.csv").exists()
+    assert len(forked) == 1 and _reaped(forked[0])
+
+
+def test_synth_child_killed_by_a_signal_is_one_runtime_line(tmp_path, capsys, monkeypatch, forked):
+    monkeypatch.setattr(orsched.cli, "generate_week", lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL))
+    assert orsched.cli.main(["synth", "--rows", "50", "-o", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "signal 9" in err, err
+    assert len(forked) == 1 and _reaped(forked[0])
+
+
+@pytest.mark.parametrize("hospital", ["bordighera", "imperia"])
+def test_synth_without_fork_writes_the_same_files(tmp_path, capsys, monkeypatch, hospital):
+    argv = ["synth", "--rows", "300", "--seed", "4", "--hospital", hospital, "-o"]
+    outputs = []
+    for name in ("forked", "in_order"):
+        if name == "in_order":
+            monkeypatch.delattr(os, "fork")
+        assert orsched.cli.main([*argv, str(tmp_path / name)]) == 0
+        outputs.append(capsys.readouterr().out.replace(str(tmp_path / name), "OUT"))
+    assert outputs[0] == outputs[1]
+    files = sorted(path.name for path in (tmp_path / "forked").iterdir())
+    assert files == sorted(path.name for path in (tmp_path / "in_order").iterdir()) and len(files) == 6
+    for name in files:
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "in_order" / name).read_bytes(), name
 
 
 # -- preprocess ----------------------------------------------------------------
@@ -667,6 +789,10 @@ def _records_with_short_first_record(ws, tmp, argv):
     return argv(str(path)), f"{path}: row 2, field {rows[0][5]!r}: cannot derive durations"
 
 
+def _noise_overflow(argv, noise):
+    return [*argv, "--noise", noise], f"--noise {float(noise)}: a drawn duration is out of range"
+
+
 def _pipeline(*flags):
     return ["pipeline", "--rows", "200", "--grid", "fast", "--max-restarts", "1", "--time-limit", "5", *flags]
 
@@ -752,6 +878,12 @@ MALFORMED_INPUT = {
     "synth_infinite_noise": lambda ws, tmp: (["synth", "--rows", "50", "--noise", "inf"], "--noise"),
     "synth_nan_noise": lambda ws, tmp: (["synth", "--rows", "50", "--noise", "nan"], "--noise"),
     "pipeline_negative_noise": lambda ws, tmp: (_pipeline("--noise", "-0.5"), "--noise"),
+    # a draw too large for a date or an integer; the week's is the forked child's
+    "synth_noise_overflows_a_date": lambda ws, tmp: _noise_overflow(["synth", "--seed", "2"], "3"),
+    "synth_noise_overflows_an_integer": lambda ws, tmp: _noise_overflow(["synth"], "50"),
+    "synth_noise_overflows_a_float": lambda ws, tmp: _noise_overflow(["synth"], "1e308"),
+    "synth_noise_overflows_in_the_week": lambda ws, tmp: _noise_overflow(["synth", "--rows", "1", "--seed", "3"], "1e308"),
+    "pipeline_noise_overflows": lambda ws, tmp: _noise_overflow(_pipeline("--seed", "2"), "3"),
     "synth_nan_noise_in_config": lambda ws, tmp: (
         ["synth", "--rows", "50", "--config", _written(tmp / "noise.json", b'{"noise": NaN}')], "--noise"
     ),

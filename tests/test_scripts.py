@@ -2,13 +2,12 @@
 
 import importlib
 import importlib.util
-import os
-import signal
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import run_in_own_session
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -16,29 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def run_ab(*argv, timeout):
     """``scripts/ab.py`` in a session of its own, which must hold no process
     once the script has exited."""
-    with subprocess.Popen(
-        [sys.executable, str(ROOT / "scripts" / "ab.py"), *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
-    ) as ab:
-        try:
-            out, err = ab.communicate(timeout=timeout)
-        finally:
-            left = _session_alive(ab.pid)
-            if left:
-                os.killpg(ab.pid, signal.SIGKILL)
-    assert not left, "ab.py left a process behind"
-    return ab.returncode, out, err
-
-
-def _session_alive(pgid):
-    try:
-        os.killpg(pgid, 0)
-    except ProcessLookupError:
-        return False
-    return True
+    return run_in_own_session([sys.executable, str(ROOT / "scripts" / "ab.py"), *argv], timeout)
 
 
 def _lookup(module_name, attr):
