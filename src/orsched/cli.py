@@ -365,7 +365,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     clean, log = _clean_history(records_path, seed)
     write_preprocess_log(log, out / "preprocess_log.json")
     X, y, encoder = encode_features(clean)
-    train_idx, test_idx = stratified_split(y, test_fraction=0.2, n_bins=10, seed=seed)
+    try:
+        train_idx, test_idx = stratified_split(y, test_fraction=0.2, n_bins=10, seed=seed)
+    except PredictError:  # fewer rows than quantile bins
+        test_idx = ()
+    if not len(test_idx):
+        raise PredictError(f"{records_path}: preprocessing kept {len(y)} rows, too few to hold out a test set")
 
     if len(grid) == 1:
         best = grid[0]
@@ -410,6 +415,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_week_instance(args: argparse.Namespace) -> ProblemInstance:
+    if args.planning_days is not None and args.planning_days < 1:
+        raise UsageError("--planning-days must be >= 1")
     try:
         return load_instance(
             _require(args.registrations, "--registrations"),
@@ -565,6 +572,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for violation in is_feasible(schedule, instance):
             if violation.code != "capacity_exceeded":
                 raise UsageError(f"{path}: {violation.code}: {violation.detail}")
+        if not schedule.assignments:
+            raise UsageError(f"{path}: assigns no registration; the report needs at least one used cell")
         assigned = {a.registration_id for a in schedule.assignments}
         _require_actuals(args, [r for r in instance.registrations if r.id in assigned], f"the replay of {path} needs it")
         reports.append(evaluate_schedule(method, schedule, instance))

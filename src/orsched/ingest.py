@@ -26,7 +26,6 @@ from orsched.core import (
     RecordTable,
     Registration,
     Shift,
-    Violation,
     read_csv_table,
     validate_instance,
     write_csv_rows,
@@ -91,10 +90,6 @@ SurgicalRecord = dict[str, Any]
 
 class IngestError(Exception):
     """Raised for unrecoverable data problems (empty survivors, bad schema)."""
-
-    def __init__(self, message: str, report: list[Violation] | None = None):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -647,37 +642,6 @@ def generate_hospitalizations(seed: int, n_rows: int = 40) -> list[dict[str, str
 
 
 # ---------------------------------------------------------------------------
-# instance assembly
-
-
-def build_instance(
-    registrations: Iterable[Registration],
-    mss_slots: Iterable[MssSlot],
-    shifts: Iterable[Shift],
-    planning_days: int | None = None,
-    emergency_or_id: str | None = None,
-) -> ProblemInstance:
-    """Assemble and validate a problem instance; raises with every
-    violation when the parts do not fit together."""
-    mss = tuple(mss_slots)
-    days = planning_days if planning_days is not None else (max((s.day for s in mss), default=0) + 1)
-    instance = ProblemInstance(
-        registrations=tuple(registrations),
-        mss=mss,
-        shifts=tuple(shifts),
-        planning_days=days,
-        emergency_or_id=emergency_or_id,
-    )
-    report = validate_instance(instance)
-    if report:
-        raise IngestError(
-            "instance validation failed: " + "; ".join(f"{v.code}: {v.detail}" for v in report),
-            report=report,
-        )
-    return instance
-
-
-# ---------------------------------------------------------------------------
 # CSV formats
 
 
@@ -708,21 +672,11 @@ def write_registrations_csv(registrations: Iterable[Registration], path: str | P
     write_csv_rows(path, REGISTRATION_HEADER, rows)
 
 
-def read_registrations_csv(path: str | Path) -> list[Registration]:
-    """A file written by ``write_registrations_csv`` (``read_csv_table`` raises at a malformed one)."""
-    return _read_instance_file(path, 0)[0]
-
-
 MSS_HEADER = ["or_id", "specialty", "shift_id", "day"]
 
 
 def write_mss_csv(slots: Iterable[MssSlot], path: str | Path) -> None:
     write_csv_rows(path, MSS_HEADER, ([s.or_id, s.specialty, s.shift_id, s.day] for s in slots))
-
-
-def read_mss_csv(path: str | Path) -> list[MssSlot]:
-    """A file written by ``write_mss_csv`` (``read_csv_table`` raises at a malformed one)."""
-    return _read_instance_file(path, 1)[0]
 
 
 SHIFT_HEADER = ["shift_id", "capacity_min"]
@@ -732,12 +686,7 @@ def write_shifts_csv(shifts: Iterable[Shift], path: str | Path) -> None:
     write_csv_rows(path, SHIFT_HEADER, ([s.shift_id, s.capacity_min] for s in shifts))
 
 
-def read_shifts_csv(path: str | Path) -> list[Shift]:
-    """A file written by ``write_shifts_csv`` (``read_csv_table`` raises at a malformed one)."""
-    return _read_instance_file(path, 2)[0]
-
-
-# each instance file's columns, integer columns, optional columns and row type (0 registrations, 1 MSS, 2 shifts)
+# each instance file's columns, integer columns, optional columns and row type, in ``load_instance``'s order
 _INSTANCE_FILES = (
     (
         REGISTRATION_HEADER,
@@ -748,14 +697,6 @@ _INSTANCE_FILES = (
     (MSS_HEADER, ("day",), (), MssSlot),
     (SHIFT_HEADER, ("capacity_min",), (), Shift),
 )
-
-
-def _read_instance_file(path: str | Path, which: int) -> tuple[list, list[int]]:
-    """An instance file's rows as its row type, and the line of each."""
-    columns, integers, optional, row_type = _INSTANCE_FILES[which]
-    table = read_csv_table(path, columns, dict.fromkeys(integers, int), optional)
-    return list(itertools.starmap(row_type, zip(*table.columns.values()))), table.lines
-
 
 # the input (0 registrations, 1 MSS, 2 shifts) and field of each violation found in a file
 _VIOLATION_AT = {
@@ -773,17 +714,27 @@ def load_instance(
     planning_days: int | None = None,
     emergency_or_id: str | None = None,
 ) -> ProblemInstance:
-    """Read and validate an instance; a violation in a file raises ``InputFileError`` at its row."""
+    """Read a week's instance and validate it, the one place it is validated
+    (the days run to the MSS's last day by default). The first violation in
+    a file raises ``InputFileError`` at its row; one in no file, an
+    emergency OR in no MSS cell, raises ``IngestError``."""
     paths = (registrations_path, mss_path, shifts_path)
-    files = [_read_instance_file(path, which) for which, path in enumerate(paths)]
-    try:
-        return build_instance(*(rows for rows, _ in files), planning_days=planning_days, emergency_or_id=emergency_or_id)
-    except IngestError as exc:
-        first = exc.report[0]
+    parts, lines = [], []
+    for path, (columns, integers, optional, row_type) in zip(paths, _INSTANCE_FILES):
+        table = read_csv_table(path, columns, dict.fromkeys(integers, int), optional)
+        parts.append(tuple(itertools.starmap(row_type, zip(*table.columns.values()))))
+        lines.append(table.lines)
+    registrations, mss, shifts = parts
+    days = planning_days if planning_days is not None else max((s.day for s in mss), default=0) + 1
+    instance = ProblemInstance(registrations, mss, shifts, days, emergency_or_id)
+    report = validate_instance(instance)
+    if report:
+        first = report[0]
         if first.code not in _VIOLATION_AT:
-            raise
+            raise IngestError("instance validation failed: " + "; ".join(f"{v.code}: {v.detail}" for v in report))
         which, column = _VIOLATION_AT[first.code]
-        raise InputFileError(paths[which], files[which][1][first.index], column, f"{first.code}: {first.detail}") from None
+        raise InputFileError(paths[which], lines[which][first.index], column, f"{first.code}: {first.detail}")
+    return instance
 
 
 def write_preprocess_log(log: PreprocessLog, path: str | Path) -> None:

@@ -142,7 +142,7 @@ def stratified_split(
     """Split the indices of ``y`` preserving the target distribution.
 
     Targets are bucketed into quantile bins; each bin contributes its rounded
-    share to the test set. Bins with fewer than two samples stay in train.
+    share to the test set, none for a bin of one or two samples at 0.2.
     """
     n = len(y)
     if not 1 <= n_bins <= n:
@@ -157,7 +157,7 @@ def stratified_split(
         n_test = int(round(test_fraction * len(members))) if len(members) >= 2 else 0
         test.extend(members[:n_test])
         train.extend(members[n_test:])
-    return np.array(sorted(train)), np.array(sorted(test))
+    return np.array(sorted(train), dtype=np.intp), np.array(sorted(test), dtype=np.intp)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from orsched.core import (
     Schedule,
     Violation,
     read_csv_table,
-    validate_instance,
     write_csv_rows,
 )
 
@@ -151,9 +150,6 @@ class _Model:
     """Instance unpacked into index-based arrays for search."""
 
     def __init__(self, instance: ProblemInstance, confidence_scale: int):
-        violations = validate_instance(instance)
-        if violations:
-            raise ValueError(f"instance fails validation: {[v.code for v in violations]}")
         capacity = {s.shift_id: s.capacity_min for s in instance.shifts}
         cells = [
             _Cell(
@@ -396,6 +392,7 @@ def solve_exact(
     the time or node budget runs out first. Deterministic for a fixed
     instance: ties are broken by the smallest sorted assignment tuple
     sequence, so the result does not depend on registration order.
+    The instance must be valid (``validate_instance``); it is not checked again.
     """
     model = _Model(instance, confidence_scale)
     return _ExactSearch(model, limits, confidence_objective).run()
@@ -776,6 +773,7 @@ def solve_heuristic(
     good as the canonical greedy construction. Reproducible for a fixed seed
     when ``max_restarts`` bounds the run (a purely time-bounded run is
     deterministic only in the number of restarts that complete).
+    The instance must be valid (``validate_instance``); it is not checked again.
     """
     model = _Model(instance, confidence_scale)
     return _Heuristic(model, limits, confidence_objective).run()
@@ -793,6 +791,7 @@ def solve_auto(
     ``prefer`` forces "exact" or "heuristic"; the default sends small
     instances to branch-and-bound. An exact run that exhausts its budget
     degrades to its incumbent (or a heuristic run) with the proof flag off.
+    The instance must be valid (``validate_instance``); it is not checked again.
     """
     if prefer not in (None, "exact", "heuristic"):
         raise ValueError(f"prefer must be 'exact', 'heuristic' or None, got {prefer!r}")

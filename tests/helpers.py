@@ -1,6 +1,7 @@
 """Shared builders for solver and evaluation tests, the method comparison
-loop the evaluation and acceptance tests run, and a runner for commands
-that must leave no process behind."""
+loop the evaluation and acceptance tests run, a loader of a week's parts
+through its files, and a runner for commands that must leave no process
+behind."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import os
 import random
 import signal
 import subprocess
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from orsched.core import (
@@ -24,6 +26,7 @@ from orsched.evaluate import (
     evaluate_schedule,
     solve_method,
 )
+from orsched.ingest import load_instance, write_mss_csv, write_registrations_csv, write_shifts_csv
 from orsched.solve import SolveLimits
 
 
@@ -64,6 +67,16 @@ def instance(
         planning_days=days,
         emergency_or_id=emergency_or_id,
     )
+
+
+def load_week(directory: Path, registrations, mss, shifts, **options) -> ProblemInstance:
+    """The instance ``orsched schedule`` reads from these parts: their three
+    files written into ``directory``, then read and validated by
+    ``load_instance`` with ``options``."""
+    paths = [directory / "registrations.csv", directory / "mss.csv", directory / "shifts.csv"]
+    for write, rows, path in zip((write_registrations_csv, write_mss_csv, write_shifts_csv), (registrations, mss, shifts), paths):
+        write(rows, path)
+    return load_instance(*paths, **options)
 
 
 def single_cell_instance(registrations, capacity: int = 10, specialty: str = "GEN") -> ProblemInstance:

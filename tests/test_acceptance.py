@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance, run_method_comparison
+from helpers import load_week, random_instance, run_method_comparison
 from oracle import brute_force_best, brute_force_optimal_patterns, compare_lex, schedule_pattern
 
 from orsched.core import ObjectiveVector
@@ -21,7 +21,6 @@ from orsched.ingest import (
     HOSPITAL_SHAPES,
     RecordTable,
     SyntheticConfig,
-    build_instance,
     generate_synthetic_dataset,
     generate_week,
     iqr_filter,
@@ -97,7 +96,7 @@ def test_criterion_2_heuristic_feasibility_suite():
     passed(2, f"{produced} feasible schedules, {errored} honest infeasibility errors, 0 violations")
 
 
-def test_criterion_3_vba_overbooking_zero():
+def test_criterion_3_vba_overbooking_zero(tmp_path):
     """Scheduling with actual durations never overbooks at replay."""
     rng = random.Random(5150)
     limits = SolveLimits(time_budget_s=2.0, max_restarts=2, seed=1)
@@ -120,7 +119,7 @@ def test_criterion_3_vba_overbooking_zero():
     for shape in HOSPITAL_SHAPES.values():
         cfg = SyntheticConfig(n_rows=400, world_seed=3)
         _, regs, mss, shifts = generate_week(cfg, seed=3, shape=shape)
-        inst = build_instance(regs, mss, shifts)
+        inst = load_week(tmp_path, regs, mss, shifts)
         reports = run_method_comparison(
             inst, {}, methods=["VBA"], limits=SolveLimits(time_budget_s=5.0, max_restarts=3), solver="heuristic"
         )
@@ -178,7 +177,7 @@ def test_criterion_6_predictor_beats_baselines():
 
 
 @pytest.mark.slow
-def test_criterion_7_confidence_lowers_overbooking_in_aggregate():
+def test_criterion_7_confidence_lowers_overbooking_in_aggregate(tmp_path):
     """Across 30 seeded weeks with heterogeneous confidence, Conf's total
     replayed overbooking does not exceed Pred's, and its confidence spread
     is at least as small in most weeks."""
@@ -196,7 +195,7 @@ def test_criterion_7_confidence_lowers_overbooking_in_aggregate():
         week, regs, mss, shifts = generate_week(
             cfg, seed=seed, shape=HOSPITAL_SHAPES["bordighera"], fill_ratio=0.95
         )
-        inst = build_instance(regs, mss, shifts)
+        inst = load_week(tmp_path, regs, mss, shifts)
         yhat = predict(model, encoder.transform(RecordTable.from_records(week)))
         estimates = {"predicted": [float(p) for p in yhat]}
         limits = SolveLimits(time_budget_s=10.0, max_restarts=8, seed=seed)

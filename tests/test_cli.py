@@ -244,6 +244,35 @@ def test_train_empty_records_file_is_input_error(tmp_path):
     assert str(empty) in r.stderr and "row 1" in r.stderr
 
 
+def _distinct_durations(rows):
+    """The header and the first 16 records whose durations all differ."""
+    at, first = rows[0].index("DURATA"), {}
+    for row in rows[1:]:
+        first.setdefault(row[at], row)
+    rows[1:] = list(first.values())[:16]
+
+
+@pytest.mark.parametrize(
+    "case, kept",
+    [
+        # no quantile bin holds the three rows it needs to give the test set one
+        ("distinct_durations", 14),
+        # fewer rows survive than there are quantile bins
+        ("synth_12_rows", 9),
+    ],
+)
+def test_train_on_too_short_history_is_one_line(workspace, tmp_path, capsys, case, kept):
+    if case == "synth_12_rows":
+        assert orsched.cli.main(["synth", "--rows", "12", "--seed", "1", "-o", str(tmp_path)]) == 0
+        records = tmp_path / "records.csv"
+    else:
+        records, _ = _rewritten(workspace, tmp_path, "records.csv", _distinct_durations)
+    capsys.readouterr()
+    assert orsched.cli.main(["train", "--records", str(records), "--grid", "fast", "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {records}: preprocessing kept {kept} rows, too few to hold out a test set\n"
+
+
 def test_train_skips_blank_records_line(workspace, tmp_path):
     """A blank line right after the header is skipped, not read as an empty
     record whose missing columns would stop preprocessing."""
@@ -765,6 +794,17 @@ def _evaluate_without_actual(tmp):
     return ["evaluate", *flags, "--schedule", f"vba={schedule}"], f"{regs}: field 'actual_duration_min' is empty for a"
 
 
+def _evaluate_empty_schedule(tmp):
+    """``evaluate`` of a schedule file that holds only its header, in a week
+    without priority-1 registrations (so it leaves none out), and the error
+    line's text."""
+    flags = _tiny_week(tmp)
+    regs = tmp / "registrations.csv"
+    regs.write_text(regs.read_text().replace("a,1,GEN", "a,2,GEN"))
+    schedule = _written(tmp / "schedule.csv", b"registration_id,priority,or_id,day,shift_id\n")
+    return ["evaluate", *flags, "--schedule", f"vba={schedule}"], f"{schedule}: assigns no registration"
+
+
 def _records_without_durations(ws, tmp, argv):
     """``argv(path)``, with ``path`` the workspace's records.csv without the
     columns a duration is derived from, and the error line's text."""
@@ -919,6 +959,12 @@ MALFORMED_INPUT = {
     "train_records_with_short_first_record": lambda ws, tmp: _records_with_short_first_record(
         ws, tmp, lambda path: ["train", "--records", path, "--grid", "fast"]
     ),
+    "schedule_zero_planning_days": lambda ws, tmp: (_schedule(ws, "--planning-days", "0"), "--planning-days must be >= 1"),
+    "evaluate_negative_planning_days": lambda ws, tmp: (
+        ["evaluate", *instance_flags(ws), "--schedule", f"vba={tmp / 'x.csv'}", "--planning-days", "-3"],
+        "--planning-days must be >= 1",
+    ),
+    "evaluate_schedule_without_assignments": lambda ws, tmp: _evaluate_empty_schedule(tmp),
     "week_repeated_id": lambda ws, tmp: _week(
         ws, tmp, _repeat_first_record, "row 3, field 'PROGRESSIVO': id 'W0000' repeats row 2"
     ),

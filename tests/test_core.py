@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import instance, reg
+from helpers import instance, load_week, reg
 
 from orsched.core import (
     ConfidenceLevel,
@@ -12,14 +12,6 @@ from orsched.core import (
     Registration,
     Shift,
     validate_instance,
-)
-from orsched.ingest import (
-    read_mss_csv,
-    read_registrations_csv,
-    read_shifts_csv,
-    write_mss_csv,
-    write_registrations_csv,
-    write_shifts_csv,
 )
 
 
@@ -131,15 +123,8 @@ def test_valid_instances_validate_clean(inst):
 @settings(max_examples=40)
 def test_csv_round_trip_preserves_structure(tmp_path_factory, inst):
     out = tmp_path_factory.mktemp("roundtrip")
-    write_registrations_csv(inst.registrations, out / "registrations.csv")
-    write_mss_csv(inst.mss, out / "mss.csv")
-    write_shifts_csv(inst.shifts, out / "shifts.csv")
-    rebuilt = ProblemInstance(
-        registrations=tuple(read_registrations_csv(out / "registrations.csv")),
-        mss=tuple(read_mss_csv(out / "mss.csv")),
-        shifts=tuple(read_shifts_csv(out / "shifts.csv")),
-        planning_days=inst.planning_days,
-        emergency_or_id=inst.emergency_or_id,
+    rebuilt = load_week(
+        out, inst.registrations, inst.mss, inst.shifts, planning_days=inst.planning_days, emergency_or_id=inst.emergency_or_id
     )
     assert rebuilt == inst
 

@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from orsched.core import MssSlot, Shift
+from helpers import load_week
+from orsched.core import InputFileError, MssSlot, Shift
 from orsched.ingest import (
     RECORD_COLUMNS,
     CleanDataset,
@@ -19,7 +20,6 @@ from orsched.ingest import (
     IngestError,
     RecordTable,
     SyntheticConfig,
-    build_instance,
     derive_duration,
     generate_hospitalizations,
     generate_synthetic_dataset,
@@ -30,9 +30,7 @@ from orsched.ingest import (
     preprocess,
     prune_correlated_features,
     read_records_csv,
-    read_registrations_csv,
     write_records_csv,
-    write_registrations_csv,
 )
 
 
@@ -393,30 +391,36 @@ def test_week_matches_one_call_per_draw_reference(shape, fill_ratio, seed_offset
         _assert_same_rows(part, ref)
 
 
-# -- build_instance -------------------------------------------------------------------
+# -- load_instance ---------------------------------------------------------------------
 
 
-def test_bordighera_shape():
+def test_bordighera_shape(tmp_path):
     cfg = SyntheticConfig()
     week, regs, mss, shifts = generate_week(cfg, seed=3, shape=HOSPITAL_SHAPES["bordighera"])
-    inst = build_instance(regs, mss, shifts)
+    inst = load_week(tmp_path, regs, mss, shifts)
     assert {s.or_id for s in inst.mss} == {"OR1", "OR2"}
     assert inst.shifts[0].capacity_min == 360
     assert len(week) == len(regs)
 
 
-def test_imperia_shape_capacity():
+def test_imperia_shape_capacity(tmp_path):
     cfg = SyntheticConfig()
     _, regs, mss, shifts = generate_week(cfg, seed=3, shape=HOSPITAL_SHAPES["imperia"])
-    inst = build_instance(regs, mss, shifts)
+    inst = load_week(tmp_path, regs, mss, shifts)
     assert len({s.or_id for s in inst.mss}) == 5
     assert inst.shifts[0].capacity_min == 750
 
 
-def test_unknown_shift_reference_is_error():
+def test_unknown_shift_reference_is_error(tmp_path):
+    with pytest.raises(InputFileError) as err:
+        load_week(tmp_path, [], [MssSlot("OR1", "CHIR", "S9", 0)], [Shift("S1", 100)])
+    assert str(err.value) == f"{tmp_path / 'mss.csv'}: row 2, field 'shift_id': dangling_shift_id: MSS cell references unknown shift 'S9'"
+
+
+def test_emergency_or_in_no_cell_is_error_of_no_file(tmp_path):
     with pytest.raises(IngestError) as err:
-        build_instance([], [MssSlot("OR1", "CHIR", "S9", 0)], [Shift("S1", 100)])
-    assert any(v.code == "dangling_shift_id" for v in err.value.report)
+        load_week(tmp_path, [], [MssSlot("OR1", "CHIR", "S1", 0)], [Shift("S1", 100)], emergency_or_id="OR9")
+    assert str(err.value) == "instance validation failed: emergency_or_not_in_mss: emergency OR 'OR9' appears in no MSS cell"
 
 
 # -- CSV round trips ----------------------------------------------------------------
@@ -430,7 +434,5 @@ def test_records_csv_round_trip(tmp_path):
 
 
 def test_registrations_csv_round_trip(tmp_path):
-    _, regs, _, _ = generate_week(SyntheticConfig(), seed=8)
-    path = tmp_path / "registrations.csv"
-    write_registrations_csv(regs, path)
-    assert read_registrations_csv(path) == regs
+    _, regs, mss, shifts = generate_week(SyntheticConfig(), seed=8)
+    assert load_week(tmp_path, regs, mss, shifts).registrations == tuple(regs)

@@ -1,6 +1,7 @@
 """Solver tests: feasibility, objective semantics, exact and heuristic search."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from oracle import (
     schedule_pattern,
 )
 
-from orsched.core import Assignment, ObjectiveVector, Schedule
+from orsched.core import Assignment, ObjectiveVector, Schedule, validate_instance
 from orsched.solve import (
     IncompleteSearchError,
     InfeasibleInstanceError,
@@ -205,6 +206,19 @@ def test_infeasible_joint_p1_demand():
     with pytest.raises(InfeasibleInstanceError):
         solve_exact(inst, FAST)
     assert brute_force_best(inst) is None
+
+
+def test_random_instances_are_valid():
+    """The solvers trust their input (``load_instance`` validates a week), so
+    every instance ``random_instance`` draws, at the seeds and sizes these
+    tests and the acceptance tests use, must be valid."""
+    seeds = (3, 5, 7, 11, 17, 42, 77, 99, 123, 515, 999, 1107, 2024, 5150, 20260810)
+    sizes = itertools.product((5, 6, 7, 8, 9, 10, 12, 14, 16, 20, 28), (2, 3, 4, 5, 6, 8))
+    for (max_regs, max_cells), seed in itertools.product(sizes, seeds):
+        rng = random.Random(seed)
+        for _ in range(10):
+            inst = random_instance(rng, max_regs, max_cells, with_confidence=rng.random() < 0.5)
+            assert validate_instance(inst) == [], (seed, max_regs, max_cells)
 
 
 def test_exact_result_invariant_under_registration_permutation():
