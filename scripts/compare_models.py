@@ -14,7 +14,7 @@ import argparse
 import time
 
 from orsched.cli import GRID_PRESETS
-from orsched.ingest import RecordTable, SyntheticConfig, generate_synthetic_dataset, preprocess
+from orsched.ingest import SyntheticConfig, generate_synthetic_dataset, preprocess
 from orsched.predict import (
     baseline_mean_estimator,
     encode_features,
@@ -33,7 +33,7 @@ def main() -> None:
     args = parser.parse_args()
 
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=args.rows, noise=args.noise), seed=args.seed)
-    clean, log = preprocess(RecordTable.from_records(records), seed=args.seed)
+    clean, log = preprocess(records, seed=args.seed)
     X, y, _ = encode_features(clean)
     train, test = stratified_split(y, test_fraction=0.2, n_bins=10, seed=args.seed)
     print(

@@ -109,7 +109,7 @@ def _load_config(path: str, command: argparse.ArgumentParser) -> dict:
     checked against its choices, as the flag's text would be. A null leaves
     the option's default."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -157,8 +157,15 @@ class _Repeat(argparse.Action):
 
 
 def _outdir(args: argparse.Namespace) -> Path:
+    """The ``-o`` directory, made if absent; a file in its place is a usage
+    error (one that cannot be written stays a runtime failure)."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise UsageError(f"-o {args.out}: is a file, not a directory") from None
+    except NotADirectoryError:
+        raise UsageError(f"-o {args.out}: a parent of it is a file, not a directory") from None
     return out
 
 
@@ -245,12 +252,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = SyntheticConfig(n_rows=args.rows, noise=args.noise)
 
     def history() -> None:
-        write_records_csv(RecordTable.from_records(generate_synthetic_dataset(config, seed=seed)), out / "records.csv")
+        write_records_csv(generate_synthetic_dataset(config, seed=seed), out / "records.csv")
 
     def week() -> int:
         shape = HOSPITAL_SHAPES[args.hospital]
         week_records, registrations, mss, shifts = generate_week(config, seed, shape, args.planning_days, args.fill_ratio)
-        write_records_csv(RecordTable.from_records(week_records), out / "week.csv")
+        write_records_csv(week_records, out / "week.csv")
         write_registrations_csv(registrations, out / "registrations.csv")
         write_mss_csv(mss, out / "mss.csv")
         write_shifts_csv(shifts, out / "shifts.csv")
@@ -336,7 +343,7 @@ def _resolve_grid(name: str) -> list[ModelSpec]:
     if name in GRID_PRESETS:
         return GRID_PRESETS[name]
     try:
-        entries = json.loads(Path(name).read_text(encoding="utf-8"))
+        entries = json.loads(Path(name).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"--grid {name}: not a preset ({sorted(GRID_PRESETS)}) nor a JSON grid file: {exc}") from exc
     if not isinstance(entries, list) or not entries:

@@ -233,7 +233,7 @@ def read_csv_table(
     past the row's end, a parsed one that does not parse, or an integer
     that no float holds."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # as Excel saves UTF-8, with a byte-order mark
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None and columns is None:

@@ -13,6 +13,7 @@ import math
 import zlib
 from dataclasses import asdict, dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -141,17 +142,31 @@ def derive_duration(entry_ts: datetime, exit_ts: datetime) -> int | None:
 def iqr_filter(values: Sequence[float], multiplier: float = 1.5) -> list[int]:
     """Indices of values inside the quartile fences.
 
-    Quartiles use linear interpolation between order statistics; the fence is
-    [Q1 - m*IQR, Q3 + m*IQR] with IQR = Q3 - Q1.
+    Quartiles use linear interpolation between order statistics, bit for
+    bit as ``np.quantile``'s default method, whose first call would import
+    ``numpy.ma``; the fence is [Q1 - m*IQR, Q3 + m*IQR] with IQR = Q3 - Q1.
+    A NaN value keeps every index.
     """
     if len(values) == 0:
         raise IngestError("iqr_filter needs at least one value")
     arr = np.asarray(values, dtype=float)
-    q1, q3 = (float(q) for q in np.quantile(arr, [0.25, 0.75]))
+    ordered = np.sort(arr).tolist()
+    if math.isnan(ordered[-1]):
+        return list(range(len(values)))
+    q1, q3 = (_lerp_quantile(ordered, q) for q in (0.25, 0.75))
     span = multiplier * (q3 - q1)
     if not math.isfinite(span):
         return list(range(len(values)))
     return np.flatnonzero((q1 - span <= arr) & (arr <= q3 + span)).tolist()
+
+
+def _lerp_quantile(ordered: list[float], q: float) -> float:
+    """The ``q`` quantile of sorted values, as ``np.quantile`` interpolates."""
+    at = (len(ordered) - 1) * q
+    below = math.floor(at)
+    g = at - below
+    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 def kmeans(points: Sequence[Sequence[float]], k: int, seed: int) -> list[int]:
@@ -435,27 +450,30 @@ def _choice_cdf(p: Sequence[float]) -> list[float]:
 
 
 # each row's bounded integers after its noise draw, which one integers() call draws in turn: two days,
-# entry minute, sex; then (after a LOCALE row's PRES ANESTES draw) STAMP to room and the 7 offsets
-_ROW_LOW = np.array([0, 0, 0, 0] + [0] * 7 + [10, 5, 2, 8, 2, 0, 5])
-_ROW_HIGH = np.array([40, 40, 390, 2] + [2, 2, 2, 4, 2, 365, 3, 30, 15, 8, 16, 8, 3, 20])
+# entry minute, sex; then (after a LOCALE row's PRES ANESTES draw) STAMP to room and the 7 offsets. A
+# row holds each one less its low: numpy draws a bounded value from its range alone, and a scalar low
+# costs no array bound check
+_ROW_LOW = (0, 0, 0, 0) + (0,) * 7 + (10, 5, 2, 8, 2, 0, 5)
+_ROW_SPAN = np.array([40, 40, 390, 2] + [2, 2, 2, 4, 2, 365, 3, 30, 15, 8, 16, 8, 3, 20]) - _ROW_LOW
 _NOISE_CDF, _ANESTHESIA_CDF, _URGENCY_CDF = map(_choice_cdf, ([0.35, 0.40, 0.25], [0.45, 0.2, 0.35], [0.85, 0.15]))
 
 
-def generate_synthetic_dataset(config: SyntheticConfig, seed: int) -> list[SurgicalRecord]:
+def generate_synthetic_dataset(config: SyntheticConfig, seed: int) -> RecordTable:
     """Deterministic per seed. Every schema column is populated with
     plausible values, and the duration carries enough feature signal for a
     regressor to beat the historical means. The output is fixed by the order
     of its draws; ``tests/oracle.py`` holds the one-call-per-draw reference,
     and a change to the draws changes every workload's data."""
+    ids = range(config.n_rows)
     start = date.fromisoformat(config.start_date)
-    return [_record(row, f"P{i:06d}", f"N{i:06d}", start) for i, row in enumerate(_draw_rows(config, seed))]
+    return _record_table(_draw_rows(config, seed), [f"P{i:06d}" for i in ids], [f"N{i:06d}" for i in ids], start)
 
 
 def _draw_rows(config: SyntheticConfig, seed: int) -> list[tuple]:
     """Each row's drawn values, in the order they consume the bit stream:
     ``(department, duration, procedure, diagnosis, age, anaesthesia,
-    admission, urgency, PRES ANESTES, the 18 bounded integers)``, which
-    ``_record`` turns into a record."""
+    admission, urgency, PRES ANESTES, the 18 bounded integers less their
+    lows)``, which ``_record_table`` turns into records."""
     rng = np.random.default_rng(seed)
     catalog_rng = np.random.default_rng(config.world_seed)
     depts = list(config.departments)
@@ -494,57 +512,83 @@ def _draw_rows(config: SyntheticConfig, seed: int) -> list[tuple]:
         duration = max(1, round(signal))
 
         if anesthesia == "LOCALE":
-            draws = rng.integers(_ROW_LOW[:4], _ROW_HIGH[:4]).tolist()
+            draws = rng.integers(_ROW_SPAN[:4]).tolist()
             anesthetist = "SI" if rng.random() < 0.3 else "NO"
-            draws += rng.integers(_ROW_LOW[4:], _ROW_HIGH[4:]).tolist()
+            draws += rng.integers(_ROW_SPAN[4:]).tolist()
         else:
-            draws, anesthetist = rng.integers(_ROW_LOW, _ROW_HIGH).tolist(), "SI"
+            draws, anesthetist = rng.integers(_ROW_SPAN).tolist(), "SI"
         rows.append((dept, duration, proc, diagnosis, age, anesthesia, admission, urgency, anesthetist, draws))
     return rows
 
 
-def _record(row: tuple, progressivo: str, nosologico: str, start: date) -> SurgicalRecord:
-    """One drawn row (``_draw_rows``) as a record of every schema column,
-    its days counted from ``start``."""
-    dept, duration, proc, diagnosis, age, anesthesia, admission, urgency, anesthetist, draws = row
-    d1, d2, minute, sex, stamp, cc, ca, surgeon, block, birthday, room, *offsets = draws
-    day = start + timedelta(days=d1 // 5 * 7 + d2 % 5)
-    entry = datetime(day.year, day.month, day.day, 7, 30) + timedelta(minutes=minute)
-    exit_ = entry + timedelta(minutes=duration)
-    return {
-        "PROGRESSIVO": progressivo,
-        "TIPORICOVERO": urgency,
-        "SESSO": "FM"[sex],
-        "ETA": age,
-        "REPARTO": dept,
-        "PRES ANESTES": anesthetist,
-        "STAMP": str(stamp),
-        "CC": str(cc),
-        "CA": str(ca),
-        "ANESTLOC": "SI" if anesthesia == "LOCALE" else "NO",
-        "DIAGNOSI1": diagnosis,
-        "DESCDIAGNOSI1": f"DESC {diagnosis}",
+def _record_table(rows: Sequence[tuple], ids: list[str], nosologici: list[str], start: date) -> RecordTable:
+    """Drawn rows (``_draw_rows``) as a table of every schema column, one
+    column at a time, their days counted from ``start``: the timestamps by
+    ``datetime64`` arithmetic in minutes, as ``datetime``s."""
+    n = len(rows)
+    dept, duration, proc, diagnosis, age, anesthesia, admission, urgency, anesthetist, draws = (
+        zip(*rows) if n else [()] * 10
+    )
+    _check_exits(rows, start)
+    draws = np.array(draws, dtype=np.int64).reshape(n, len(_ROW_LOW)) + _ROW_LOW
+    d1, d2, minute, sex, stamp, cc, ca, surgeon, block, birthday, room, *offsets = draws.T
+    sex, stamp, cc, ca, surgeon, block, room = (v.tolist() for v in (sex, stamp, cc, ca, surgeon, block, room))
+    day = np.datetime64(start, "D") + d1 // 5 * 7 + d2 % 5
+    entry = day.astype("M8[m]") + (7 * 60 + 30) + minute
+    exit_ = entry + np.array(duration, dtype=np.int64)
+    birth_year = day.astype("M8[Y]") - np.array(age, dtype=np.int64)
+    stamps = {
         "INGRESSOSALA": entry,
         "USCITASALA": exit_,
-        "REGRICOVERO": admission,
-        "CHIRURGHI_1": f"{dept}-SURG{surgeon}",
-        "ICD1": proc,
-        "DESCICD1": f"DESC {proc}",
-        "BLOCCO": f"BL{1 + block}",
-        "DATANASCITA": datetime(day.year - age, 1, 1) + timedelta(days=birthday),
-        "NOSOLOGICO": nosologico,
-        "DATAINTERVENTO": datetime(day.year, day.month, day.day),
-        "SALA": f"SALA{1 + room:02d}",
-        "TIPOANESTESIA": anesthesia,
-        "INGRESSOBLOCCOOP": entry - timedelta(minutes=offsets[0]),
-        "PREPARAZIONEPAZIENTE": entry - timedelta(minutes=offsets[1]),
-        "INIZIOANESTESIA": entry + timedelta(minutes=offsets[2]),
-        "INIZIOINTERVENTO": entry + timedelta(minutes=offsets[3]),
-        "FINEINTERVENTO": exit_ - timedelta(minutes=offsets[4]),
-        "FINEASSANESTINSALA": exit_ - timedelta(minutes=offsets[5]),
-        "USCITABLOCCOOP": exit_ + timedelta(minutes=offsets[6]),
-        "DURATA": duration,
+        "DATANASCITA": birth_year.astype("M8[D]") + birthday,
+        "DATAINTERVENTO": day,
+        "INGRESSOBLOCCOOP": entry - offsets[0],
+        "PREPARAZIONEPAZIENTE": entry - offsets[1],
+        "INIZIOANESTESIA": entry + offsets[2],
+        "INIZIOINTERVENTO": entry + offsets[3],
+        "FINEINTERVENTO": exit_ - offsets[4],
+        "FINEASSANESTINSALA": exit_ - offsets[5],
+        "USCITABLOCCOOP": exit_ + offsets[6],
     }
+    columns = {
+        "PROGRESSIVO": ids,
+        "TIPORICOVERO": list(urgency),
+        "SESSO": list(map("FM".__getitem__, sex)),
+        "ETA": list(age),
+        "REPARTO": list(dept),
+        "PRES ANESTES": list(anesthetist),
+        "STAMP": list(map(str, stamp)),
+        "CC": list(map(str, cc)),
+        "CA": list(map(str, ca)),
+        "ANESTLOC": ["SI" if a == "LOCALE" else "NO" for a in anesthesia],
+        "DIAGNOSI1": list(diagnosis),
+        "DESCDIAGNOSI1": ["DESC " + d for d in diagnosis],
+        "REGRICOVERO": list(admission),
+        "CHIRURGHI_1": [f"{d}-SURG{s}" for d, s in zip(dept, surgeon)],
+        "ICD1": list(proc),
+        "DESCICD1": ["DESC " + p for p in proc],
+        "BLOCCO": [f"BL{1 + b}" for b in block],
+        "NOSOLOGICO": nosologici,
+        "SALA": [f"SALA{1 + r:02d}" for r in room],
+        "TIPOANESTESIA": list(anesthesia),
+        "DURATA": list(duration),
+    }
+    columns.update((name, values.astype("M8[s]").tolist()) for name, values in stamps.items())
+    return RecordTable({name: columns[name] for name in RECORD_COLUMNS}, list(range(2, n + 2)), [len(RECORD_COLUMNS)] * n)
+
+
+def _check_exits(rows: Iterable[tuple], start: date) -> None:
+    """Raise ``datetime``'s ``OverflowError`` at the first row whose exit
+    or leaving time it cannot hold, as ``datetime`` arithmetic on the row
+    would; ``datetime64`` arithmetic does not raise. A row within 10**6
+    minutes (two years) of its entry is always in range."""
+    for row in rows:
+        duration, draws = row[1], row[9]
+        if duration > 10**6:
+            d1, d2, minute = draws[:3]  # their lows are 0
+            day = start + timedelta(days=d1 // 5 * 7 + d2 % 5)
+            entry = datetime(day.year, day.month, day.day, 7, 30) + timedelta(minutes=minute)
+            entry + timedelta(minutes=duration) + timedelta(minutes=draws[-1] + _ROW_LOW[-1])
 
 
 @dataclass(frozen=True)
@@ -570,7 +614,7 @@ def generate_week(
     shape: HospitalShape = HOSPITAL_SHAPES["bordighera"],
     planning_days: int = 5,
     fill_ratio: float = 1.15,
-) -> tuple[list[SurgicalRecord], list[Registration], list[MssSlot], list[Shift]]:
+) -> tuple[RecordTable, list[Registration], list[MssSlot], list[Shift]]:
     """One operating week: feature records for the waiting list, the derived
     registrations (actual duration attached), the MSS and the shift table.
 
@@ -602,11 +646,9 @@ def generate_week(
     demand = {sp: 0 for sp in spec_capacity}
     p1_demand = {sp: 0 for sp in spec_capacity}
 
-    week_records: list[SurgicalRecord] = []
+    taken: list[tuple] = []
     registrations: list[Registration] = []
     priority_cdf = _choice_cdf([w for _, w in _PRIORITY_WEIGHTS])
-    start = date.fromisoformat(pool_config.start_date)
-    # only the rows the week takes become records
     for row in map(pool.__getitem__, kept):
         specialty, duration = row[0], row[1]
         if specialty not in spec_capacity or demand[specialty] >= fill_ratio * spec_capacity[specialty]:
@@ -619,13 +661,16 @@ def generate_week(
             priority = 2
         if priority == 1:
             p1_demand[specialty] += duration
-        rid = f"W{len(week_records):04d}"
-        week_records.append(_record(row, rid, f"WN{len(week_records):04d}", start))
+        rid = f"W{len(taken):04d}"
+        taken.append(row)
         registrations.append(
             Registration(id=rid, priority=priority, specialty=specialty, duration_min=duration, actual_duration_min=duration)
         )
         demand[specialty] += duration
-    return week_records, registrations, slots, shifts
+    # only the rows the week takes become records
+    ids, nosologici = ([f"{prefix}{i:04d}" for i in range(len(taken))] for prefix in ("W", "WN"))
+    week = _record_table(taken, ids, nosologici, date.fromisoformat(pool_config.start_date))
+    return week, registrations, slots, shifts
 
 
 def generate_hospitalizations(seed: int, n_rows: int = 40) -> list[dict[str, str]]:
@@ -649,7 +694,26 @@ def write_records_csv(table: RecordTable, path: str | Path, columns: Sequence[st
     """Write a table's ``columns`` (all by default) as CSV: timestamps in ISO
     8601 with a space, None as an empty cell."""
     names = list(table.columns) if columns is None else columns
-    write_csv_rows(path, names, zip(*(table.column(name) for name in names)))
+    write_csv_rows(path, names, zip(*(_timestamp_texts(table.column(name)) for name in names)))
+
+
+_UNIX_DAY_ONE = date(1970, 1, 1).toordinal()
+_TZINFO, _MICROSECOND = attrgetter("tzinfo"), attrgetter("microsecond")
+
+
+def _timestamp_texts(values: list) -> list:
+    """``[str(v) for v in values]`` in one numpy pass when every value is a
+    naive ``datetime`` of whole seconds; any other column as it is, for
+    ``csv.writer`` to take each cell's ``str``."""
+    n = len(values)
+    if not n or set(map(type, values)) != {datetime} or {*map(_TZINFO, values)} != {None} or any(map(_MICROSECOND, values)):
+        return values
+    seconds = (np.fromiter(map(datetime.toordinal, values), np.int64, n) - _UNIX_DAY_ONE) * 86400
+    for unit, name in ((3600, "hour"), (60, "minute"), (1, "second")):
+        seconds += unit * np.fromiter(map(attrgetter(name), values), np.int64, n)
+    texts = np.datetime_as_string(seconds.astype("M8[s]"))
+    texts.view(np.uint32).reshape(n, -1)[:, 10] = ord(" ")  # the "T"
+    return texts.tolist()
 
 
 _RECORD_PARSERS = {**dict.fromkeys(TIMESTAMP_COLUMNS, datetime.fromisoformat), **dict.fromkeys(INTEGER_COLUMNS, int)}

@@ -335,7 +335,7 @@ def load_model(path: str | Path) -> tuple[FittedModel, FeatureEncoder, dict[str,
     family or the wrong version. The keys and values ``predict`` reads are
     checked where the model is applied."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         if data["format_version"] != ARTIFACT_VERSION:
             raise PredictError(f"{path}: key 'format_version': unsupported artifact version {data['format_version']!r}")
         if data["family"] not in FAMILIES:

@@ -28,7 +28,8 @@ checked.
 ``reference_generate_hospitalizations`` are the synthetic generators with
 one numpy call per random draw. Synth output is fixed by the order in which
 the draws consume the bit generator, so the batched generators must return
-exactly what these return.
+exactly what these return. ``reference_iqr_filter`` is the outlier filter
+by ``np.quantile``, whose quartiles the filter's own must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -653,6 +654,16 @@ def reference_categories(records, column) -> dict:
         v = rec.get(column)
         table.setdefault("" if v is None else str(v), len(table))
     return table
+
+
+def reference_iqr_filter(values, multiplier: float = 1.5) -> list[int]:
+    """``ingest.iqr_filter`` with its quartiles from ``np.quantile``."""
+    arr = np.asarray(values, dtype=float)
+    q1, q3 = (float(q) for q in np.quantile(arr, [0.25, 0.75]))
+    span = multiplier * (q3 - q1)
+    if not math.isfinite(span):
+        return list(range(len(values)))
+    return np.flatnonzero((q1 - span <= arr) & (arr <= q3 + span)).tolist()
 
 
 def reference_generate_synthetic_dataset(config: SyntheticConfig, seed: int) -> list[SurgicalRecord]:

@@ -150,7 +150,7 @@ def test_criterion_6_predictor_beats_baselines():
     means by at least 15% held-out MAE on a 5,000-row synthetic dataset."""
     start = time.monotonic()
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=5000, noise=0.25), seed=606)
-    clean, _ = preprocess(RecordTable.from_records(records), seed=606)
+    clean, _ = preprocess(records, seed=606)
     X, y, _ = encode_features(clean)
     train_idx, test_idx = stratified_split(y, test_fraction=0.2, n_bins=10, seed=606)
     model = fit(
@@ -188,7 +188,7 @@ def test_criterion_7_confidence_lowers_overbooking_in_aggregate(tmp_path):
     for seed in range(n_seeds):
         cfg = SyntheticConfig(n_rows=1500, noise=0.25, world_seed=seed)
         records = generate_synthetic_dataset(cfg, seed=seed * 7 + 1)
-        clean, _ = preprocess(RecordTable.from_records(records), seed=seed)
+        clean, _ = preprocess(records, seed=seed)
         X, y, encoder = encode_features(clean)
         model = fit(ModelSpec("boosted_trees", {"n_estimators": 200, "max_depth": 4}), X, y, seed=seed)
 
@@ -196,7 +196,7 @@ def test_criterion_7_confidence_lowers_overbooking_in_aggregate(tmp_path):
             cfg, seed=seed, shape=HOSPITAL_SHAPES["bordighera"], fill_ratio=0.95
         )
         inst = load_week(tmp_path, regs, mss, shifts)
-        yhat = predict(model, encoder.transform(RecordTable.from_records(week)))
+        yhat = predict(model, encoder.transform(week))
         estimates = {"predicted": [float(p) for p in yhat]}
         limits = SolveLimits(time_budget_s=10.0, max_restarts=8, seed=seed)
         conf_rep, pred_rep = run_method_comparison(
@@ -245,7 +245,7 @@ def test_criterion_8_preprocessing_fixtures_and_idempotence():
 
     # idempotence on the pipeline's own output
     synthetic = generate_synthetic_dataset(SyntheticConfig(n_rows=900), seed=17)
-    once, _ = preprocess(RecordTable.from_records(synthetic), seed=17)
+    once, _ = preprocess(synthetic, seed=17)
     twice, _ = preprocess(once.records, seed=17)
     assert len(twice.records) == len(once.records)
     assert twice.kept_features == once.kept_features

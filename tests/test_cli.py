@@ -170,6 +170,15 @@ def test_synth_child_killed_by_a_signal_is_one_runtime_line(tmp_path, capsys, mo
     assert len(forked) == 1 and _reaped(forked[0])
 
 
+def test_synth_in_order_imports_no_numpy_ma(tmp_path):
+    """The week's quartiles take no ``np.quantile``, whose first call
+    imports ``numpy.ma``: a forked week would pay that import again."""
+    script = "import os, sys; del os.fork; from orsched.cli import main; main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", script, "synth", "--rows", "200", "-o", str(tmp_path)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("hospital", ["bordighera", "imperia"])
 def test_synth_without_fork_writes_the_same_files(tmp_path, capsys, monkeypatch, hospital):
     argv = ["synth", "--rows", "300", "--seed", "4", "--hospital", hospital, "-o"]
@@ -833,6 +842,12 @@ def _noise_overflow(argv, noise):
     return [*argv, "--noise", noise], f"--noise {float(noise)}: a drawn duration is out of range"
 
 
+def _out_is_a_file(tmp, argv):
+    """``argv``, with the ``-o`` directory the case runs with made a file."""
+    (tmp / "out").write_bytes(b"")
+    return argv, f"-o {tmp / 'out'}: is a file, not a directory"
+
+
 def _pipeline(*flags):
     return ["pipeline", "--rows", "200", "--grid", "fast", "--max-restarts", "1", "--time-limit", "5", *flags]
 
@@ -971,6 +986,8 @@ MALFORMED_INPUT = {
     "week_without_id_column": lambda ws, tmp: _week(
         ws, tmp, _drop_column("PROGRESSIVO"), "row 1, field 'PROGRESSIVO': column missing from the header"
     ),
+    "synth_out_is_a_file": lambda ws, tmp: _out_is_a_file(tmp, ["synth", "--rows", "50"]),
+    "train_out_is_a_file": lambda ws, tmp: _out_is_a_file(tmp, ["train", "--records", str(ws / "records.csv"), "--grid", "fast"]),
 }
 
 
@@ -980,6 +997,67 @@ def test_malformed_input_is_one_usage_line(workspace, tmp_path, capsys, case):
     assert orsched.cli.main([*argv, "-o", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and expected in err, err
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_out_below_a_file_is_one_usage_line(workspace, tmp_path, capsys, command):
+    (tmp_path / "afile").write_bytes(b"")
+    out = tmp_path / "afile" / "sub"
+    argv = ["synth", "--rows", "50"] if command == "synth" else ["train", "--records", str(workspace / "records.csv")]
+    assert orsched.cli.main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: -o {out}: a parent of it is a file, not a directory\n"
+
+
+# -- input files saved with a byte-order mark (Excel's "CSV UTF-8", Notepad) ---
+
+
+def _instance_with(ws, name, path):
+    """The workspace's instance flags with its file ``name`` replaced by ``path``."""
+    return [path if flag == str(ws / name) else flag for flag in instance_flags(ws)]
+
+
+# each input file: (workspace, path of the file to read) -> a command that reads it
+BOM_READERS = {
+    "records.csv": lambda ws, path: ["train", "--records", path, "--grid", "fast", "--seed", "11"],
+    "week.csv": lambda ws, path: [
+        "schedule", *instance_flags(ws), "--week", path, "--model", str(ws / "model.json"), "--method", "pred", "--max-restarts", "1"
+    ],
+    "registrations.csv": lambda ws, path: ["schedule", *_instance_with(ws, "registrations.csv", path), "--max-restarts", "1"],
+    "mss.csv": lambda ws, path: ["schedule", *_instance_with(ws, "mss.csv", path), "--max-restarts", "1"],
+    "shifts.csv": lambda ws, path: ["schedule", *_instance_with(ws, "shifts.csv", path), "--max-restarts", "1"],
+    "schedule.csv": lambda ws, path: ["evaluate", *instance_flags(ws), "--schedule", f"vba={path}"],
+    "model.json": lambda ws, path: _schedule(ws, "--method", "pred", "--model", path),
+    "config.json": lambda ws, path: ["synth", "--config", path],
+    "grid.json": lambda ws, path: ["train", "--records", str(ws / "records.csv"), "--grid", path],
+}
+# the inputs that the workspace lacks
+BOM_SOURCES = {
+    "config.json": b'{"rows": 30, "seed": 2}',
+    "grid.json": b'[{"family": "tree", "hyperparameters": {"max_depth": 3}}]',
+}
+
+
+@pytest.mark.parametrize("name", list(BOM_READERS))
+def test_input_with_a_byte_order_mark_reads_as_without(workspace, tmp_path, capsys, name):
+    """Every file the command writes is the same with the mark as without."""
+    source = workspace / name
+    if name == "schedule.csv":
+        assert orsched.cli.main([*_schedule(workspace), "-o", str(tmp_path)]) == 0
+        source = tmp_path / name
+    elif name in BOM_SOURCES:
+        source = tmp_path / name
+        source.write_bytes(BOM_SOURCES[name])
+    written = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        run = tmp_path / str(len(mark))
+        run.mkdir()
+        path = _written(run / name, mark + source.read_bytes())
+        assert orsched.cli.main([*BOM_READERS[name](workspace, path), "-o", str(run / "out")]) == 0, capsys.readouterr().err
+        files = {p.name: p.read_bytes() for p in (run / "out").iterdir()}
+        if "objective.json" in files:  # all but the solve's wall time
+            files["objective.json"] = {k: v for k, v in json.loads(files["objective.json"]).items() if k != "wall_time_s"}
+        written.append(files)
+    assert written[0] == written[1] and written[0]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import itertools
 import math
 import random
-from datetime import datetime
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import oracle
 from helpers import load_week
-from orsched.core import InputFileError, MssSlot, Shift
+from orsched.cli import main
+from orsched.core import InputFileError, MssSlot, Shift, write_csv_rows
 from orsched.ingest import (
     RECORD_COLUMNS,
     CleanDataset,
@@ -32,6 +33,7 @@ from orsched.ingest import (
     read_records_csv,
     write_records_csv,
 )
+from orsched.ingest import _timestamp_texts
 
 
 def ts(text):
@@ -86,6 +88,24 @@ def test_iqr_huge_multiplier_keeps_everything(values):
     q1, q3 = np.quantile(np.asarray(values, dtype=float), [0.25, 0.75])
     if q3 > q1:  # zero-width quartile range pins the fences regardless of multiplier
         assert iqr_filter(values, multiplier=1e12) == list(range(len(values)))
+
+
+def test_iqr_matches_the_numpy_quantile_reference():
+    rng = np.random.default_rng(12)
+    cases = 0
+    for n in range(1, 61):
+        special = rng.normal(0, 1e300, n)
+        special[rng.random(n) < 0.15] = math.inf
+        special[rng.random(n) < 0.15] = -math.inf
+        with_nan = rng.normal(40, 9, n)
+        with_nan[rng.integers(n)] = math.nan
+        for values in (rng.integers(0, 4, n).tolist(), rng.normal(40, 9, n), rng.lognormal(3, 1, n), special, with_nan):
+            for multiplier in (0.0, 1.5):
+                with np.errstate(invalid="ignore"):  # np.quantile between infinities
+                    want = oracle.reference_iqr_filter(values, multiplier)
+                assert iqr_filter(values, multiplier) == want, (n, values, multiplier)
+                cases += 1
+    assert cases == 600
 
 
 # -- kmeans --------------------------------------------------------------------
@@ -298,7 +318,7 @@ def test_preprocess_missing_duration_columns_is_error():
 
 def test_preprocess_idempotent_for_rows_and_features():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=800), seed=11)
-    clean, _ = preprocess(RecordTable.from_records(records), seed=1)
+    clean, _ = preprocess(records, seed=1)
     again, log = preprocess(clean.records, seed=1)
     assert len(again.records) == len(clean.records)
     assert again.kept_features == clean.kept_features
@@ -314,34 +334,44 @@ def test_same_seed_same_records():
 
 def test_right_skew_median_below_mean():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=1000), seed=2)
-    durations = np.array([r["DURATA"] for r in records])
+    durations = np.array(records.columns["DURATA"])
     assert np.median(durations) < durations.mean()
 
 
 def test_zero_noise_duration_is_function_of_features():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=400, noise=0.0), seed=9)
+    features = ("ICD1", "TIPOANESTESIA", "REGRICOVERO", "TIPORICOVERO", "ETA")
     seen = {}
-    for r in records:
-        key = (r["ICD1"], r["TIPOANESTESIA"], r["REGRICOVERO"], r["TIPORICOVERO"], r["ETA"])
+    for key, duration in zip(zip(*map(records.column, features)), records.column("DURATA")):
         if key in seen:
-            assert seen[key] == r["DURATA"]
-        seen[key] = r["DURATA"]
+            assert seen[key] == duration
+        seen[key] = duration
 
 
 def test_all_schema_columns_populated():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=10), seed=0)
-    for r in records:
-        assert set(r.keys()) == set(RECORD_COLUMNS)
-        assert all(v is not None for v in r.values())
+    assert set(records.columns) == set(RECORD_COLUMNS)
+    assert records.widths == [len(RECORD_COLUMNS)] * 10
+    for values in records.columns.values():
+        assert len(values) == 10 and all(v is not None for v in values)
 
 
 
 # The batched draws of the generators against the one-call-per-draw
-# reference in tests/oracle.py: records equal one for one in values, value
-# types and column order, and registrations, MSS and shifts equal.
+# reference in tests/oracle.py: record tables equal the reference's records
+# column by column in values, value types and column order, and
+# registrations, MSS and shifts equal.
 
 
 def _assert_same_rows(got, want):
+    if isinstance(got, RecordTable):
+        want = RecordTable.from_records(want)
+        assert list(got.columns) == list(want.columns)
+        for name, values in got.columns.items():
+            assert values == want.columns[name], name
+            assert list(map(type, values)) == list(map(type, want.columns[name])), name
+        assert (got.lines, got.widths) == (want.lines, want.widths)
+        return
     assert len(got) == len(want)
     for a, b in zip(got, want):
         if isinstance(a, dict):
@@ -371,6 +401,32 @@ def test_synthetic_dataset_matches_one_call_per_draw_reference(seed):
             generate_synthetic_dataset(config, seed), oracle.reference_generate_synthetic_dataset(config, seed)
         )
     _assert_same_rows(generate_hospitalizations(seed), oracle.reference_generate_hospitalizations(seed))
+
+
+def _generated(generate, *args):
+    """What ``generate`` returned, or its ``OverflowError``'s text."""
+    try:
+        return generate(*args)
+    except OverflowError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("noise", (2.5, 8.0))
+def test_far_durations_match_the_reference(noise):
+    """Durations past 10**6 minutes: the reference's timestamps where a
+    ``datetime`` holds them, and its ``OverflowError`` where one does not."""
+    far = errors = 0
+    for seed in range(12):
+        config = SyntheticConfig(n_rows=60, noise=noise)
+        got = _generated(generate_synthetic_dataset, config, seed)
+        want = _generated(oracle.reference_generate_synthetic_dataset, config, seed)
+        if isinstance(want, str):
+            assert got == want, seed
+            errors += 1
+        else:
+            _assert_same_rows(got, want)
+            far += max(got.columns["DURATA"]) > 10**6
+    assert far >= 1 and (errors >= 9 if noise > 3 else errors == 0)
 
 
 @pytest.mark.parametrize("shape", sorted(HOSPITAL_SHAPES))
@@ -429,8 +485,45 @@ def test_emergency_or_in_no_cell_is_error_of_no_file(tmp_path):
 def test_records_csv_round_trip(tmp_path):
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=25), seed=4)
     path = tmp_path / "records.csv"
-    write_records_csv(RecordTable.from_records(records), path, columns=RECORD_COLUMNS)
-    assert read_records_csv(path) == RecordTable.from_records(records)
+    write_records_csv(records, path, columns=RECORD_COLUMNS)
+    assert read_records_csv(path) == records
+
+
+WHOLE_SECONDS = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(lambda v: v.replace(microsecond=0))
+
+
+@given(st.lists(WHOLE_SECONDS, max_size=40))
+def test_timestamp_column_text_is_str_of_each(values):
+    assert _timestamp_texts(values) == [str(v) for v in values]
+
+
+ODD_CELLS = st.sampled_from([
+    None, "2019-03-04 07:30:00", 7, date(2019, 3, 4), datetime(2019, 3, 4, 7, 30, 0, 1),
+    datetime(2019, 3, 4, 7, 30, tzinfo=timezone.utc),
+])
+
+
+@given(st.lists(WHOLE_SECONDS, min_size=1, max_size=20), ODD_CELLS, st.integers(0, 20))
+def test_column_with_another_cell_is_left_to_str(values, odd, at):
+    values.insert(at % (len(values) + 1), odd)
+    assert _timestamp_texts(values) == values
+
+
+@pytest.mark.parametrize(
+    "rows, noise, hospital",
+    [(1, 0.25, "bordighera"), (300, 0.0, "bordighera"), (300, 0.25, "bordighera"), (300, 0.25, "imperia"), (300, 0.25, "sanremo")],
+)
+def test_synth_record_files_are_the_reference_records_text(tmp_path, capsys, rows, noise, hospital):
+    """``synth``'s records.csv and week.csv, byte for byte, are the
+    reference generators' records written a ``str`` per cell."""
+    argv = ["synth", "--rows", str(rows), "--noise", str(noise), "--hospital", hospital, "--seed", "6"]
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 0
+    config = SyntheticConfig(n_rows=rows, noise=noise)
+    history = oracle.reference_generate_synthetic_dataset(config, 6)
+    week = oracle.reference_generate_week(config, 6, HOSPITAL_SHAPES[hospital])[0]
+    for name, records in (("records.csv", history), ("week.csv", week)):
+        write_csv_rows(tmp_path / name, RECORD_COLUMNS, ([rec[c] for c in RECORD_COLUMNS] for rec in records))
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_registrations_csv_round_trip(tmp_path):

@@ -28,7 +28,7 @@ from orsched.predict import (
 @pytest.fixture(scope="module")
 def clean_dataset():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=400), seed=21)
-    clean, _ = preprocess(RecordTable.from_records(records), seed=21)
+    clean, _ = preprocess(records, seed=21)
     return clean
 
 
@@ -264,7 +264,7 @@ def test_predictions_csv_shape(tmp_path):
 
 def test_boosted_trees_explain_noise_free_target():
     records = generate_synthetic_dataset(SyntheticConfig(n_rows=1200, noise=0.0), seed=13)
-    clean, _ = preprocess(RecordTable.from_records(records), seed=13)
+    clean, _ = preprocess(records, seed=13)
     X, y, _ = encode_features(clean)
     train, test = stratified_split(y, test_fraction=0.2, n_bins=10, seed=13)
     model = fit(

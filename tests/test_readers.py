@@ -215,7 +215,7 @@ def test_short_first_row_sets_the_preprocess_columns(tmp_path):
     DURATA, the ones ``preprocess`` cleans and prunes, as the first record's
     keys did when records were dicts."""
     path = tmp_path / "records.csv"
-    write_records_csv(RecordTable.from_records(generate_synthetic_dataset(SyntheticConfig(n_rows=300), seed=3)), path)
+    write_records_csv(generate_synthetic_dataset(SyntheticConfig(n_rows=300), seed=3), path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     rows[1] = rows[1][:20]
@@ -291,7 +291,7 @@ def test_numeric_encoding_matches_reference_on_mixed_columns():
 
 
 def test_numeric_encoding_ignores_the_host_time_zone():
-    records = generate_synthetic_dataset(SyntheticConfig(n_rows=400), seed=1)
+    table = generate_synthetic_dataset(SyntheticConfig(n_rows=400), seed=1)
     columns = [c for c in RECORD_COLUMNS if c != "DURATA"]
     saved = os.environ.get("TZ")
     matrices, local_midsummer = [], []
@@ -299,7 +299,7 @@ def test_numeric_encoding_ignores_the_host_time_zone():
         for zone in ("UTC", "America/New_York", "Australia/Lord_Howe"):
             os.environ["TZ"] = zone
             time.tzset()
-            matrices.append(_numeric_encoding(RecordTable.from_records(records), columns).tobytes())
+            matrices.append(_numeric_encoding(table, columns).tobytes())
             local_midsummer.append(datetime(2019, 7, 1).timestamp())
     finally:
         if saved is None:
@@ -309,6 +309,7 @@ def test_numeric_encoding_ignores_the_host_time_zone():
         time.tzset()
     assert len(set(local_midsummer)) == 3  # the zones were in force
     assert matrices[0] == matrices[1] == matrices[2]
+    records = [dict(zip(table.columns, row)) for row in zip(*table.columns.values())]
     assert matrices[0] == reference_numeric_encoding(records, columns).tobytes()
 
 
