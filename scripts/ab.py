@@ -16,7 +16,8 @@ subjects, with the digests that must match:
   ``read_schedule_csv``; the sha256 of the feature matrix and target, of
   the encoder, of the registrations each of Pred and Dep plans with
   (``evaluate.apply_method_durations``), of the instance and of the
-  assignments, in every run.
+  assignments, in every run. An instance's digest is of the three files
+  ``ingest``'s writers make of it, its days and its emergency OR.
 - ``fit``: ``regressors.fit`` of boosted 400x5 and 80x3 on the split that
   ``orsched train --seed 1`` fits on the bordighera 2,000-row synth; each
   structure's sha256 (a ``tracemalloc`` peak is printed too).
@@ -146,7 +147,8 @@ def subject_solve(data: Path):
             limits = SolveLimits(time_budget_s=TIME_LIMIT_S, seed=seed, max_restarts=cap)
             _, schedule, proven = solve_method(instance, method, estimates, limits)
             placed = [[a.registration_id, a.priority, a.or_id, a.day, a.shift_id] for a in schedule.assignments]
-            digests[f"{hospital} seed {seed} cap {cap} {method}"] = sha256(json.dumps([placed, list(schedule.objective.as_tuple()), proven]))
+            objective = list(schedule.objective.to_json_dict().values())  # to_json_dict: both checkouts have it
+            digests[f"{hospital} seed {seed} cap {cap} {method}"] = sha256(json.dumps([placed, objective, proven]))
     info = {f"sha256 over {len(digests)} solves": sha256("\n".join(digests.values()))}
     (instance, estimates), limits = week("imperia", SEED), SolveLimits(time_budget_s=TIME_LIMIT_S, seed=SEED, max_restarts=2)
 
@@ -159,9 +161,20 @@ def subject_solve(data: Path):
 def subject_data(data: Path):
     from orsched.cli import _build_estimates, build_parser
     from orsched.evaluate import apply_method_durations
-    from orsched.ingest import load_instance, preprocess, read_records_csv
+    from orsched.ingest import load_instance, preprocess, read_records_csv, write_mss_csv, write_registrations_csv, write_shifts_csv
     from orsched.predict import encode_features
     from orsched.solve import read_schedule_csv
+
+    def instance_sha256(instance) -> str:
+        """The digest of what the writers make of the instance's parts, with its days and emergency OR."""
+        texts = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "part.csv"
+            writers = {write_registrations_csv: instance.registrations, write_mss_csv: instance.mss, write_shifts_csv: instance.shifts}
+            for write, rows in writers.items():
+                write(rows, path)
+                texts.append(path.read_text(encoding="utf-8"))
+        return sha256(json.dumps([*texts, instance.planning_days, instance.emergency_or_id]))
 
     paths = (data / "registrations.csv", data / "mss.csv", data / "shifts.csv")
     instance = load_instance(*paths)
@@ -190,9 +203,9 @@ def subject_data(data: Path):
             "feature matrix": hashlib.sha256(X.tobytes()).hexdigest(),
             "target": hashlib.sha256(y.tobytes()).hexdigest(),
             "encoder": sha256(json.dumps(vars(encoder))),
-            "Pred planned": sha256(repr(apply_method_durations(instance, "Pred", pred).registrations)),
-            "Dep planned": sha256(repr(apply_method_durations(instance, "Dep", dep).registrations)),
-            "instance": sha256(repr(loaded)),
+            "Pred planned": instance_sha256(apply_method_durations(instance, "Pred", pred)),
+            "Dep planned": instance_sha256(apply_method_durations(instance, "Dep", dep)),
+            "instance": instance_sha256(loaded),
             "assignments": sha256(repr(assignments)),
         }
 

@@ -7,7 +7,6 @@ optimization, and evaluates schedule quality by replaying actual durations.
 
 from orsched.core import (
     Assignment,
-    ConfidenceLevel,
     MssSlot,
     ObjectiveVector,
     ProblemInstance,
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "ConfidenceLevel",
     "MssSlot",
     "ObjectiveVector",
     "ProblemInstance",

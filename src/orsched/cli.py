@@ -540,7 +540,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     )
     print(
         f"{method}: assigned {len(schedule.assignments)}/{len(instance.registrations)} "
-        f"registrations, objective {schedule.objective.as_tuple()} -> {out / 'schedule.csv'}"
+        f"registrations, objective {tuple(schedule.objective)} -> {out / 'schedule.csv'}"
     )
     return EXIT_OK
 

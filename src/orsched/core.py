@@ -3,9 +3,10 @@ the column table that the one CSV reader, which every input file goes through,
 returns, and the CSV writer that every output table goes through.
 
 All types are immutable value objects. The row records (``Registration``,
-``Assignment``, ``MssSlot``, ``Shift``, ``ConfidenceLevel``), of which a week
-builds thousands, are ``NamedTuple``s: built by position, changed with
-``_replace``, and equal to a plain tuple of their fields. Invariants are
+``Assignment``, ``MssSlot``, ``Shift``), of which a week builds thousands,
+and the ``ObjectiveVector`` the solvers compare are ``NamedTuple``s: built
+by position, changed with ``_replace``, and equal to a plain tuple of their
+fields. A week file's columns are its record's fields, in order. Invariants are
 *not* enforced at construction time: malformed data is representable on
 purpose, and ``validate_instance`` reports every violation as data rather
 than raising.
@@ -14,7 +15,6 @@ than raising.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,19 +25,14 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 PRIORITIES = (1, 2, 3, 4)
 
 
-class ConfidenceLevel(NamedTuple):
-    """Discrete reliability bucket of a duration prediction (1=High,
-    2=Moderate, 3=Low, 4=Very Low)."""
-
-    level: int
-
-
 class Registration(NamedTuple):
     """A waiting-list entry: one requested surgical procedure.
 
     ``duration_min`` is the estimate the scheduler plans with; its source
     (actual, model prediction, department mean, ...) depends on the method.
     ``actual_duration_min`` is the post-hoc ground truth used for replay.
+    ``confidence`` is the reliability level of the duration's prediction:
+    1 High, 2 Moderate, 3 Low, 4 Very Low.
     """
 
     id: str
@@ -45,7 +40,7 @@ class Registration(NamedTuple):
     specialty: str
     duration_min: int
     actual_duration_min: int | None = None
-    confidence: ConfidenceLevel | None = None
+    confidence: int | None = None
 
 
 class MssSlot(NamedTuple):
@@ -97,8 +92,7 @@ class Assignment(NamedTuple):
     shift_id: str
 
 
-@dataclass(frozen=True)
-class ObjectiveVector:
+class ObjectiveVector(NamedTuple):
     """Lexicographic objective, best-first component order.
 
     The four unassigned counts are the priority tiers (an unassigned
@@ -116,19 +110,8 @@ class ObjectiveVector:
     max_cell_confidence: int
     confidence_spread: int
 
-    def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (
-            self.unassigned_p1,
-            self.unassigned_p2,
-            self.unassigned_p3,
-            self.unassigned_p4,
-            self.max_cell_confidence,
-            self.confidence_spread,
-        )
-
     def to_json_dict(self) -> dict[str, int]:
-        t = self.as_tuple()
-        return {"l6": t[0], "l5": t[1], "l4": t[2], "l3": t[3], "l2": t[4], "l1": t[5]}
+        return dict(zip(("l6", "l5", "l4", "l3", "l2", "l1"), self))
 
 
 @dataclass(frozen=True)
@@ -186,15 +169,6 @@ class RecordTable:
     def __len__(self) -> int:
         return len(self.lines)
 
-    @classmethod
-    def from_records(cls, records: Sequence[Mapping[str, Any]]) -> RecordTable:
-        """Dicts as a table, with every key of any record as a column, in
-        order of first appearance; a record's absent keys read None. Row i
-        gets line i + 2, as if written below a header."""
-        names = dict.fromkeys(itertools.chain.from_iterable(records))
-        columns = {name: [rec.get(name) for rec in records] for name in names}
-        return cls(columns, list(range(2, len(records) + 2)), [len(names)] * len(records))
-
     def column(self, name: str) -> list:
         """The values of ``name``, all None where the table lacks it."""
         return self.columns[name] if name in self.columns else [None] * len(self)
@@ -230,8 +204,8 @@ def read_csv_table(
     Raises ``InputFileError`` at a repeated column, a required one missing
     from the header, a byte that is not UTF-8, a cell over ``csv``'s field
     limit, or the first bad cell by row, then column order: a required cell
-    past the row's end, a parsed one that does not parse, or an integer
-    that no float holds."""
+    empty or past the row's end, a parsed one that does not parse, or an
+    integer that no float holds."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # as Excel saves UTF-8, with a byte-order mark
             reader = csv.reader(fh)
@@ -268,14 +242,10 @@ def read_csv_table(
         rank = ranks.get(name)
         if rank is None:
             continue
-        if name in optional:
-            holes = ragged or "" in texts
-            values = [text or None for text in texts] if holes else list(texts)
-        else:
-            holes = ragged and None in texts
-            if holes:
-                bad.append((texts.index(None), rank, "value missing"))
-            values = list(texts)
+        holes = ragged or "" in texts
+        values = [text or None for text in texts] if holes else list(texts)
+        if holes and name not in optional and None in values:  # an empty cell or one past the row's end
+            bad.append((values.index(None), rank, "value missing"))
         parse = parsers.get(name)
         if parse is not None:
             try:
@@ -335,9 +305,9 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
             violations.append(
                 Violation("non_positive_actual_duration", f"registration {reg.id!r} actual duration {reg.actual_duration_min}", i)
             )
-        if reg.confidence is not None and reg.confidence.level not in PRIORITIES:
+        if reg.confidence is not None and reg.confidence not in PRIORITIES:
             violations.append(
-                Violation("confidence_out_of_range", f"registration {reg.id!r} confidence level {reg.confidence.level}", i)
+                Violation("confidence_out_of_range", f"registration {reg.id!r} confidence level {reg.confidence}", i)
             )
 
     for i, shift in enumerate(instance.shifts):

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from orsched.core import ConfidenceLevel, ProblemInstance, Registration, Schedule
+from orsched.core import ProblemInstance, Registration, Schedule
 from orsched.predict import ape, confidence_level
 from orsched.solve import CellKey, SolveLimits, solve_auto
 
@@ -147,7 +147,7 @@ def apply_method_durations(
     registrations = []
     for reg, estimate in zip(regs, values):
         actual = reg.actual_duration_min
-        confidence: ConfidenceLevel | None = reg.confidence
+        confidence = reg.confidence
         if with_ape and actual is not None:
             confidence = confidence_level(ape(actual, estimate))
         registrations.append(

@@ -15,12 +15,11 @@ from dataclasses import asdict, dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from orsched.core import (
-    ConfidenceLevel,
     InputFileError,
     MssSlot,
     ProblemInstance,
@@ -85,8 +84,6 @@ TIMESTAMP_COLUMNS = frozenset(
 )
 
 INTEGER_COLUMNS = frozenset({"ETA", "DURATA"})
-
-SurgicalRecord = dict[str, Any]
 
 
 class IngestError(Exception):
@@ -725,41 +722,24 @@ def read_records_csv(path: str | Path) -> RecordTable:
     return read_csv_table(path, parsers=_RECORD_PARSERS)
 
 
-REGISTRATION_HEADER = ["id", "priority", "specialty", "duration_min", "actual_duration_min", "confidence"]
-
-
 def write_registrations_csv(registrations: Iterable[Registration], path: str | Path) -> None:
-    rows = (
-        [r.id, r.priority, r.specialty, r.duration_min, r.actual_duration_min, None if r.confidence is None else r.confidence.level]
-        for r in registrations
-    )
-    write_csv_rows(path, REGISTRATION_HEADER, rows)
-
-
-MSS_HEADER = ["or_id", "specialty", "shift_id", "day"]
+    write_csv_rows(path, Registration._fields, registrations)
 
 
 def write_mss_csv(slots: Iterable[MssSlot], path: str | Path) -> None:
-    write_csv_rows(path, MSS_HEADER, ([s.or_id, s.specialty, s.shift_id, s.day] for s in slots))
-
-
-SHIFT_HEADER = ["shift_id", "capacity_min"]
+    write_csv_rows(path, MssSlot._fields, slots)
 
 
 def write_shifts_csv(shifts: Iterable[Shift], path: str | Path) -> None:
-    write_csv_rows(path, SHIFT_HEADER, ([s.shift_id, s.capacity_min] for s in shifts))
+    write_csv_rows(path, Shift._fields, shifts)
 
 
-# each instance file's columns, integer columns, optional columns and row type, in ``load_instance``'s order
+# each instance file's row type (its fields are the file's columns), integer
+# columns and optional columns, in ``load_instance``'s order
 _INSTANCE_FILES = (
-    (
-        REGISTRATION_HEADER,
-        ("priority", "duration_min", "actual_duration_min", "confidence"),
-        ("actual_duration_min", "confidence"),
-        lambda *row: Registration(*row[:5], None if row[5] is None else ConfidenceLevel(row[5])),
-    ),
-    (MSS_HEADER, ("day",), (), MssSlot),
-    (SHIFT_HEADER, ("capacity_min",), (), Shift),
+    (Registration, ("priority", "duration_min", "actual_duration_min", "confidence"), ("actual_duration_min", "confidence")),
+    (MssSlot, ("day",), ()),
+    (Shift, ("capacity_min",), ()),
 )
 
 # the input (0 registrations, 1 MSS, 2 shifts) and field of each violation found in a file
@@ -784,8 +764,8 @@ def load_instance(
     emergency OR in no MSS cell, raises ``IngestError``."""
     paths = (registrations_path, mss_path, shifts_path)
     parts, lines = [], []
-    for path, (columns, integers, optional, row_type) in zip(paths, _INSTANCE_FILES):
-        table = read_csv_table(path, columns, dict.fromkeys(integers, int), optional)
+    for path, (row_type, integers, optional) in zip(paths, _INSTANCE_FILES):
+        table = read_csv_table(path, row_type._fields, dict.fromkeys(integers, int), optional)
         parts.append(tuple(itertools.starmap(row_type, zip(*table.columns.values()))))
         lines.append(table.lines)
     registrations, mss, shifts = parts

@@ -14,7 +14,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from orsched.core import ConfidenceLevel, write_csv_rows
+from orsched.core import write_csv_rows
 from orsched.ingest import CleanDataset, RecordTable
 from orsched.regressors import FAMILIES, FittedModel, ModelSpec, fit, predict  # noqa: F401  (re-exported)
 
@@ -92,18 +92,16 @@ def _category_key(value: Any) -> str:
     return "" if value is None else str(value)
 
 
-def encode_features(
-    dataset: CleanDataset, target_name: str = "DURATA"
-) -> tuple[np.ndarray, np.ndarray, FeatureEncoder]:
-    """Encode a clean dataset into (features, target, fitted encoder).
+def encode_features(dataset: CleanDataset) -> tuple[np.ndarray, np.ndarray, FeatureEncoder]:
+    """Encode a clean dataset into (features, target ``DURATA``, fitted encoder).
 
     Identifier and leakage columns are excluded; remaining columns are typed
     by inspection of their first populated value.
     """
-    if target_name not in dataset.kept_features:
-        raise PredictError(f"target column {target_name!r} missing from dataset")
+    if "DURATA" not in dataset.kept_features:
+        raise PredictError("target column 'DURATA' missing from dataset")
     table = dataset.records
-    y = np.array([float(v) for v in table.column(target_name)])
+    y = np.array([float(v) for v in table.column("DURATA")])
     if len(y) == 0:
         raise PredictError("empty dataset")
     if (y <= 0).any():
@@ -111,7 +109,7 @@ def encode_features(
 
     encoder = FeatureEncoder()
     for col in dataset.kept_features:
-        if col == target_name or col in EXCLUDED_FEATURE_COLUMNS:
+        if col == "DURATA" or col in EXCLUDED_FEATURE_COLUMNS:
             continue
         sample = next((v for v in table.column(col) if v is not None), None)
         if isinstance(sample, datetime):
@@ -244,19 +242,16 @@ def ape(y_true: float, y_pred: float) -> float:
     return abs(y_pred - y_true) / y_true * 100.0
 
 
-_LEVELS = tuple(ConfidenceLevel(level) for level in (1, 2, 3, 4))  # immutable, so shared
-
-
-def confidence_level(ape_percent: float) -> ConfidenceLevel:
-    """Bucket a percentage error: <10 High, [10,25) Moderate, [25,50) Low,
-    >=50 Very Low."""
+def confidence_level(ape_percent: float) -> int:
+    """Bucket a percentage error: <10 High (1), [10,25) Moderate (2),
+    [25,50) Low (3), >=50 Very Low (4)."""
     if ape_percent < 10.0:
-        return _LEVELS[0]
+        return 1
     if ape_percent < 25.0:
-        return _LEVELS[1]
+        return 2
     if ape_percent < 50.0:
-        return _LEVELS[2]
-    return _LEVELS[3]
+        return 3
+    return 4
 
 
 # ---------------------------------------------------------------------------
@@ -362,5 +357,5 @@ def write_predictions_csv(
     rows = []
     for rid, actual, pred in zip(ids, y, yhat):
         err = ape(float(actual), float(pred))
-        rows.append([rid, actual, f"{pred:.3f}", f"{err:.3f}", confidence_level(err).level])
+        rows.append([rid, actual, f"{pred:.3f}", f"{err:.3f}", confidence_level(err)])
     write_csv_rows(path, ["id", "y", "yhat", "ape", "confidence"], rows)

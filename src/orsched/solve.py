@@ -173,7 +173,7 @@ class _Model:
         # the index of the first registration of each priority p (5: the count)
         self.tier_start = [bisect_left(self.prio, p) for p in range(6)]
         self.conf = [
-            (r.confidence.level * confidence_scale) if r.confidence is not None else 0 for r in self.regs
+            (r.confidence * confidence_scale) if r.confidence is not None else 0 for r in self.regs
         ]
         self.conf_values = sorted(set(self.conf))
         # the cells of each specialty, in index order; registrations of one
@@ -268,7 +268,7 @@ class _HeurState:
     def active(self) -> tuple:
         """The tiers the search minimizes: the counts, and the confidence
         tiers when they are active."""
-        objective = self.objective().as_tuple()
+        objective = self.objective()
         return objective if self.conf_active else objective[:4]
 
     def occupants(self, ci: int) -> list[int]:
@@ -811,17 +811,14 @@ def solve_auto(
 # ---------------------------------------------------------------------------
 # file formats
 
-SCHEDULE_HEADER = ["registration_id", "priority", "or_id", "day", "shift_id"]
-
 
 def write_schedule_csv(schedule: Schedule, path: str | Path) -> None:
-    rows = ([a.registration_id, a.priority, a.or_id, a.day, a.shift_id] for a in schedule.assignments)
-    write_csv_rows(path, SCHEDULE_HEADER, rows)
+    write_csv_rows(path, Assignment._fields, schedule.assignments)
 
 
 def read_schedule_csv(path: str | Path) -> tuple[Assignment, ...]:
     """A file written by ``write_schedule_csv`` (``read_csv_table`` raises at a malformed one)."""
-    table = read_csv_table(path, SCHEDULE_HEADER, {"priority": int, "day": int})
+    table = read_csv_table(path, Assignment._fields, {"priority": int, "day": int})
     return tuple(itertools.starmap(Assignment, zip(*table.columns.values())))
 
 

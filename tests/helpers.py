@@ -1,21 +1,22 @@
-"""Shared builders for solver and evaluation tests, the method comparison
-loop the evaluation and acceptance tests run, a loader of a week's parts
-through its files, and a runner for commands that must leave no process
-behind."""
+"""Shared builders for solver and evaluation tests, a table of hand-written
+records, the method comparison loop the evaluation and acceptance tests run,
+a loader of a week's parts through its files, and a runner for commands that
+must leave no process behind."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import signal
 import subprocess
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from orsched.core import (
-    ConfidenceLevel,
     MssSlot,
     ProblemInstance,
+    RecordTable,
     Registration,
     Shift,
 )
@@ -44,8 +45,17 @@ def reg(
         specialty=specialty,
         duration_min=duration,
         actual_duration_min=actual,
-        confidence=ConfidenceLevel(confidence) if confidence is not None else None,
+        confidence=confidence,
     )
+
+
+def records_table(records: Sequence[Mapping[str, Any]]) -> RecordTable:
+    """Dicts as a table, with every key of any record as a column, in order
+    of first appearance; a record's absent keys read None. Row i gets line
+    i + 2, as if written below a header."""
+    names = dict.fromkeys(itertools.chain.from_iterable(records))
+    columns = {name: [rec.get(name) for rec in records] for name in names}
+    return RecordTable(columns, list(range(2, len(records) + 2)), [len(names)] * len(records))
 
 
 def instance(

@@ -1,7 +1,8 @@
 """Brute-force scheduling oracle, independent of the solvers under test.
 
-Enumerates every assignment function (registration -> cell or unassigned) as
-base-(cells+1) codes, filters the feasible ones with vectorized checks, and
+Enumerates every assignment function that gives each registration one of its
+allowed labels (a cell of its own specialty, or unassigned for priority 2-4)
+as mixed-radix codes, filters the feasible ones with vectorized checks, and
 reads off the lexicographically minimal objective. Exponential on purpose;
 only for small instances.
 
@@ -38,6 +39,7 @@ import calendar
 import csv
 import math
 from datetime import date, datetime, timedelta
+from typing import Any
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from orsched.ingest import (
     _PRIORITY_WEIGHTS,
     HOSPITAL_SHAPES,
     HospitalShape,
-    SurgicalRecord,
     SyntheticConfig,
     _duration_from_features,
     iqr_filter,
@@ -54,6 +55,8 @@ from orsched.ingest import (
 from orsched.solve import CellKey
 
 _CHUNK = 1 << 20
+
+SurgicalRecord = dict[str, Any]  # one row of a records file, by column name
 
 
 def _arrays(instance: ProblemInstance, confidence_scale: int):
@@ -68,7 +71,7 @@ def _arrays(instance: ProblemInstance, confidence_scale: int):
     dur = np.array([r.duration_min for r in regs], dtype=np.int64)
     prio = np.array([r.priority for r in regs], dtype=np.int64)
     conf = np.array(
-        [r.confidence.level * confidence_scale if r.confidence is not None else 0 for r in regs],
+        [r.confidence * confidence_scale if r.confidence is not None else 0 for r in regs],
         dtype=np.int64,
     )
     n, n_cells = len(regs), len(cells)
@@ -77,14 +80,18 @@ def _arrays(instance: ProblemInstance, confidence_scale: int):
         for c_idx, c in enumerate(cells):
             allowed[j, c_idx] = c.specialty == r.specialty
         allowed[j, n_cells] = r.priority > 1  # unassigned label
-    return regs, cells, cap, emergency, dur, prio, conf, allowed
+    labels = [np.flatnonzero(row) for row in allowed]  # each registration's allowed labels, ascending
+    return regs, cells, cap, emergency, dur, prio, conf, allowed, labels
 
 
-def _decode(codes: np.ndarray, n: int, base: int) -> np.ndarray:
-    assign = np.empty((codes.shape[0], n), dtype=np.int64)
+def _decode(codes: np.ndarray, labels: list[np.ndarray]) -> np.ndarray:
+    """Each code as one label per registration: digit j of the code, in the
+    mixed radix of the label counts, picks registration j's label."""
+    assign = np.empty((codes.shape[0], len(labels)), dtype=np.int64)
     tmp = codes
-    for j in range(n):
-        tmp, assign[:, j] = np.divmod(tmp, base)
+    for j, options in enumerate(labels):
+        tmp, digit = np.divmod(tmp, len(options))
+        assign[:, j] = options[digit]
     return assign
 
 
@@ -127,14 +134,13 @@ def _lex_min_rows(obj: np.ndarray) -> np.ndarray:
 def brute_force_best(instance: ProblemInstance, confidence_scale: int = 1):
     """Lexicographically minimal objective tuple over all feasible assignment
     functions, or None when no feasible one exists."""
-    regs, cells, cap, emergency, dur, prio, conf, allowed = _arrays(instance, confidence_scale)
-    n, n_cells = len(regs), len(cells)
-    base = n_cells + 1
-    total = base**n
+    regs, cells, cap, emergency, dur, prio, conf, allowed, labels = _arrays(instance, confidence_scale)
+    n_cells = len(cells)
+    total = math.prod(map(len, labels))  # 0 when a priority-1 registration has no cell
     best = None
     for lo in range(0, total, _CHUNK):
         codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        assign = _decode(codes, n, base)
+        assign = _decode(codes, labels)
         valid = _feasible_mask(assign, n_cells, cap, emergency, dur, allowed)
         if not valid.any():
             continue
@@ -149,11 +155,12 @@ def brute_force_optimal_patterns(instance: ProblemInstance, confidence_scale: in
     """All optimal assignment patterns as frozensets of (registration id,
     cell key) pairs; None when infeasible. Small instances only (materializes
     the full enumeration)."""
-    regs, cells, cap, emergency, dur, prio, conf, allowed = _arrays(instance, confidence_scale)
+    regs, cells, cap, emergency, dur, prio, conf, allowed, labels = _arrays(instance, confidence_scale)
     n, n_cells = len(regs), len(cells)
-    base = n_cells + 1
-    codes = np.arange(base**n, dtype=np.int64)
-    assign = _decode(codes, n, base)
+    total = math.prod(map(len, labels))
+    if not total:  # a priority-1 registration has no cell
+        return None
+    assign = _decode(np.arange(total, dtype=np.int64), labels)
     valid = _feasible_mask(assign, n_cells, cap, emergency, dur, allowed)
     if not valid.any():
         return None
@@ -176,7 +183,7 @@ def schedule_pattern(schedule) -> frozenset:
 
 def compare_lex(a: ObjectiveVector, b: ObjectiveVector) -> int:
     """Lexicographic comparison, highest tier first; -1 means ``a`` is better."""
-    ta, tb = a.as_tuple(), b.as_tuple()
+    ta, tb = tuple(a), tuple(b)
     return (ta > tb) - (ta < tb)
 
 
@@ -200,7 +207,7 @@ def objective_vector(schedule: Schedule, instance: ProblemInstance, confidence_s
         reg = regs.get(a.registration_id)
         key = CellKey(a.or_id, a.day, a.shift_id)
         if reg is not None and reg.confidence is not None and key in sums:
-            sums[key] += reg.confidence.level * confidence_scale
+            sums[key] += reg.confidence * confidence_scale
 
     if sums:
         max_sum = max(sums.values())
@@ -588,7 +595,7 @@ def reference_read_csv_rows(path, columns, integers, optional=()) -> list[dict]:
                 value = row.get(column)
                 if column in optional and not value:
                     value = None
-                elif value is None:
+                elif not value:  # an empty cell, or one past the row's end
                     raise InputFileError(path, reader.line_num, column, "value missing")
                 elif column in integers:
                     try:

@@ -12,14 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import load_week, random_instance, run_method_comparison
+from helpers import load_week, random_instance, records_table, run_method_comparison
 from oracle import brute_force_best, brute_force_optimal_patterns, compare_lex, schedule_pattern
 
 from orsched.core import ObjectiveVector
 from orsched.evaluate import EvaluateError
 from orsched.ingest import (
     HOSPITAL_SHAPES,
-    RecordTable,
     SyntheticConfig,
     generate_synthetic_dataset,
     generate_week,
@@ -63,7 +62,7 @@ def test_criterion_1_solver_oracle_equivalence():
                 solve_exact(inst, SolveLimits(time_budget_s=30.0))
             infeasible += 1
         else:
-            got = solve_exact(inst, SolveLimits(time_budget_s=30.0)).objective.as_tuple()
+            got = tuple(solve_exact(inst, SolveLimits(time_budget_s=30.0)).objective)
             assert got == expected, f"objective mismatch: {got} vs {expected}"
             agreements += 1
     elapsed = time.monotonic() - start
@@ -139,7 +138,7 @@ def test_criterion_4_metric_fixtures():
 def test_criterion_5_confidence_boundaries():
     inputs = [0, 9.999, 10, 24.999, 25, 49.999, 50, 400]
     expected = [1, 1, 2, 2, 3, 3, 4, 4]
-    got = [confidence_level(v).level for v in inputs]
+    got = [confidence_level(v) for v in inputs]
     assert got == expected
     passed(5, f"APE {inputs} -> levels {got}")
 
@@ -229,7 +228,7 @@ def test_criterion_8_preprocessing_fixtures_and_idempotence():
         row["f01"] = 3.0 * row["f00"]
         row["DURATA"] = int(rng.integers(10, 60))
         records.append(row)
-    clean, _ = preprocess(RecordTable.from_records(records), seed=0)
+    clean, _ = preprocess(records_table(records), seed=0)
     assert len(clean.kept_features) == 31 and "f01" not in clean.kept_features
 
     # well-separated singleton diagnoses split into two groups
@@ -239,7 +238,7 @@ def test_criterion_8_preprocessing_fixtures_and_idempotence():
         {"PROGRESSIVO": f"r{i}", "REPARTO": "ORTO", "DIAGNOSI1": f"DX{i}", "DURATA": d, "ETA": 50}
         for i, d in enumerate([10, 11, 12, 90, 91, 92])
     ]
-    ds = CleanDataset(RecordTable.from_records(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
+    ds = CleanDataset(records_table(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
     codes = group_rare_diagnoses(ds, max_clusters=2, seed=0).records.columns["DIAGNOSI1"]
     assert codes[0] == codes[1] == codes[2] != codes[3] and codes[3] == codes[4] == codes[5]
 

@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -312,6 +314,21 @@ def test_schedule_vba_small_instance_proven_optimal(workspace, tmp_path):
     assert objective["l6"] == 0
     head = (tmp_path / "schedule.csv").read_text().splitlines()[0]
     assert head == "registration_id,priority,or_id,day,shift_id"
+
+
+def test_week_file_headers_are_the_readme_file_formats(workspace, tmp_path):
+    """A week file's columns are its record's fields, so renaming a field
+    would change the file: the headers ``synth`` and ``schedule`` write are
+    the ones README's File formats give."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    formats = dict(re.findall(r"`(\w+\.csv)` — `([\w,]+)`", readme))
+    argv = ["schedule", "--method", "vba", *instance_flags(workspace), "--max-restarts", "1", "-o", str(tmp_path)]
+    assert orsched.cli.main(argv) == 0
+    paths = {name: workspace / name for name in ("registrations.csv", "mss.csv", "shifts.csv")}
+    paths["schedule.csv"] = tmp_path / "schedule.csv"
+    assert set(formats) == set(paths)
+    for name, path in paths.items():
+        assert path.read_text(encoding="utf-8").splitlines()[0] == formats[name], name
 
 
 def test_schedule_conf_without_model_is_usage_error(workspace, tmp_path):
@@ -838,6 +855,27 @@ def _records_with_short_first_record(ws, tmp, argv):
     return argv(str(path)), f"{path}: row 2, field {rows[0][5]!r}: cannot derive durations"
 
 
+def _emptied(ws, tmp, name, column, *flags):
+    """``schedule`` with ``flags`` and the workspace's instance file ``name``
+    with its first row's ``column`` cell emptied, and the error line's text."""
+
+    def empty(rows):
+        rows[1][rows[0].index(column)] = ""
+
+    path, _ = _rewritten(ws, tmp, name, empty)
+    argv = _schedule(ws, *flags)
+    argv[argv.index(str(ws / name))] = str(path)
+    return argv, f"{path}: row 2, field {column!r}: value missing"
+
+
+def _schedule_file_emptied(ws, tmp, column):
+    """``evaluate`` of a one-row schedule file with its ``column`` cell empty,
+    and the error line's text."""
+    row = {"registration_id": "W0000", "priority": "2", "or_id": "OR1", "day": "0", "shift_id": "MAIN", column: ""}
+    path = _written(tmp / "schedule.csv", f"{','.join(row)}\n{','.join(row.values())}\n".encode())
+    return ["evaluate", *instance_flags(ws), "--schedule", f"vba={path}"], f"{path}: row 2, field {column!r}: value missing"
+
+
 def _noise_overflow(argv, noise):
     return [*argv, "--noise", noise], f"--noise {float(noise)}: a drawn duration is out of range"
 
@@ -986,6 +1024,24 @@ MALFORMED_INPUT = {
     "week_without_id_column": lambda ws, tmp: _week(
         ws, tmp, _drop_column("PROGRESSIVO"), "row 1, field 'PROGRESSIVO': column missing from the header"
     ),
+    # an empty cell in a required column of an instance or schedule file
+    "registrations_empty_id_vba": lambda ws, tmp: _emptied(ws, tmp, "registrations.csv", "id", "--method", "vba"),
+    "registrations_empty_id_pred": lambda ws, tmp: _emptied(
+        ws, tmp, "registrations.csv", "id", "--method", "pred", "--model", str(ws / "model.json")
+    ),
+    "registrations_empty_specialty_vba": lambda ws, tmp: _emptied(ws, tmp, "registrations.csv", "specialty", "--method", "vba"),
+    "registrations_empty_specialty_pred": lambda ws, tmp: _emptied(
+        ws, tmp, "registrations.csv", "specialty", "--method", "pred", "--model", str(ws / "model.json")
+    ),
+    **{
+        f"{name[:-4]}_empty_{column}": lambda ws, tmp, name=name, column=column: _emptied(ws, tmp, name, column, "--method", "vba")
+        for name, columns in (("mss.csv", ("or_id", "specialty", "shift_id", "day")), ("shifts.csv", ("shift_id", "capacity_min")))
+        for column in columns
+    },
+    **{
+        f"schedule_file_empty_{column}": lambda ws, tmp, column=column: _schedule_file_emptied(ws, tmp, column)
+        for column in ("registration_id", "priority", "or_id", "day", "shift_id")
+    },
     "synth_out_is_a_file": lambda ws, tmp: _out_is_a_file(tmp, ["synth", "--rows", "50"]),
     "train_out_is_a_file": lambda ws, tmp: _out_is_a_file(tmp, ["train", "--records", str(ws / "records.csv"), "--grid", "fast"]),
 }

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from helpers import instance, load_week, reg
 
 from orsched.core import (
-    ConfidenceLevel,
     MssSlot,
     ProblemInstance,
     Registration,
@@ -66,7 +65,7 @@ def test_every_corruption_kind_detected():
         "priority_out_of_range": variant(registrations=(reg("a", 5),)),
         "non_positive_actual_duration": variant(registrations=(reg("a", 1, actual=0),)),
         "confidence_out_of_range": variant(
-            registrations=(Registration("a", 1, "GEN", 5, None, ConfidenceLevel(9)),)
+            registrations=(Registration("a", 1, "GEN", 5, None, 9),)
         ),
         "non_positive_capacity": variant(shifts=(Shift("S1", 0),)),
         "duplicate_mss_cell": variant(mss=base.mss + (MssSlot("R1", "ORT", "S1", 0),)),
@@ -106,7 +105,7 @@ def valid_instances(draw):
             specialty=draw(_SPECIALTY),
             duration_min=draw(st.integers(1, 300)),
             actual_duration_min=draw(st.one_of(st.none(), st.integers(1, 300))),
-            confidence=draw(st.one_of(st.none(), st.integers(1, 4).map(ConfidenceLevel))),
+            confidence=draw(st.one_of(st.none(), st.integers(1, 4))),
         )
         for rid in ids
     ]

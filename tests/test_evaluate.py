@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import instance, reg, run_method_comparison, single_cell_instance
 
-from orsched.core import Assignment, ConfidenceLevel, ObjectiveVector, Schedule
+from orsched.core import Assignment, ObjectiveVector, Schedule
 from orsched.evaluate import (
     CellOccupancy,
     EvaluateError,
@@ -164,7 +164,7 @@ def test_methods_without_predictions_keep_own_confidence():
     """Only Conf and Pred plan with predictions, so only they get the
     predictions' confidence; VBA, Dep and Surg keep the registration's."""
     base = week_instance()
-    regs = tuple(r._replace(confidence=ConfidenceLevel(3) if i % 2 else None) for i, r in enumerate(base.registrations))
+    regs = tuple(r._replace(confidence=3 if i % 2 else None) for i, r in enumerate(base.registrations))
     inst = replace(base, registrations=regs)
     est = full_estimates(inst, jitter=20)
     for method in ("VBA", "Dep", "Surg"):

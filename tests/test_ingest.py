@@ -11,9 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from helpers import load_week
+from helpers import load_week, records_table
 from orsched.cli import main
-from orsched.core import InputFileError, MssSlot, Shift, write_csv_rows
+from orsched.core import InputFileError, MssSlot, Registration, Shift, write_csv_rows
 from orsched.ingest import (
     RECORD_COLUMNS,
     CleanDataset,
@@ -176,14 +176,14 @@ def rec(progressivo, dept, diagnosis, duration, age=50):
 
 def test_no_singletons_is_a_no_op():
     rows = [rec("a", "CHIR", "D1", 20), rec("b", "CHIR", "D1", 25)]
-    ds = CleanDataset(RecordTable.from_records(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
+    ds = CleanDataset(records_table(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
     out = group_rare_diagnoses(ds, seed=0)
     assert out.records == ds.records
 
 
 def test_single_singleton_gets_cluster_zero():
     rows = [rec("a", "CHIR", "D1", 20), rec("b", "CHIR", "D1", 25), rec("c", "CHIR", "DX", 30)]
-    ds = CleanDataset(RecordTable.from_records(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
+    ds = CleanDataset(records_table(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
     out = group_rare_diagnoses(ds, seed=0)
     assert out.records.columns["DIAGNOSI1"][2] == "RARE_CHIR_0"
 
@@ -191,7 +191,7 @@ def test_single_singleton_gets_cluster_zero():
 def test_singletons_split_by_duration_scale():
     durations = [10, 11, 12, 90, 91, 92]
     rows = [rec(f"r{i}", "ORTO", f"DX{i}", d) for i, d in enumerate(durations)]
-    ds = CleanDataset(RecordTable.from_records(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
+    ds = CleanDataset(records_table(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
     out = group_rare_diagnoses(ds, max_clusters=2, seed=0)
     codes = out.records.columns["DIAGNOSI1"]
     assert codes[0] == codes[1] == codes[2]
@@ -207,7 +207,7 @@ def test_empty_age_clusters_as_zero():
     codes = []
     for age in (None, 0):
         rows = [rec(f"r{i}", "ORTO", f"DX{i}", d, age if i % 2 else 40) for i, d in enumerate(durations)]
-        out = group_rare_diagnoses(CleanDataset(RecordTable.from_records(rows), columns), max_clusters=2, seed=0)
+        out = group_rare_diagnoses(CleanDataset(records_table(rows), columns), max_clusters=2, seed=0)
         codes.append(out.records.columns["DIAGNOSI1"])
     assert codes[0] == codes[1]
 
@@ -218,7 +218,7 @@ def test_row_count_and_other_columns_preserved():
         rec(f"r{i}", rng.choice(["A", "B"]), f"D{rng.randint(0, 6)}", rng.randint(5, 60), rng.randint(20, 80))
         for i in range(40)
     ]
-    ds = CleanDataset(RecordTable.from_records(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
+    ds = CleanDataset(records_table(rows), ["PROGRESSIVO", "REPARTO", "DIAGNOSI1", "DURATA", "ETA"])
     out = group_rare_diagnoses(ds, seed=5)
     assert len(out.records) == 40
     for col in ("PROGRESSIVO", "REPARTO", "DURATA", "ETA"):
@@ -267,7 +267,7 @@ def test_preprocess_prunes_exact_duplicate_column():
         row["f01"] = 3.0 * row["f00"]
         row["DURATA"] = int(rng.integers(10, 60))
         records.append(row)
-    clean, log = preprocess(RecordTable.from_records(records), seed=0)
+    clean, log = preprocess(records_table(records), seed=0)
     assert len(clean.kept_features) == 31
     assert "f01" not in clean.kept_features
     assert log.stages[-1].features_out == 31
@@ -286,7 +286,7 @@ def test_preprocess_keeps_all_rows_when_no_outliers():
                 "ETA": 50,
             }
         )
-    clean, log = preprocess(RecordTable.from_records(records))
+    clean, log = preprocess(records_table(records))
     stage = {s.stage: s for s in log.stages}["iqr_filter"]
     assert stage.rows_in == stage.rows_out == 50
 
@@ -306,14 +306,14 @@ def test_preprocess_drops_nonpositive_and_outliers():
         }
         for i, minutes in enumerate([30, 35, 40, 45, 0, -15, 500])
     ]
-    clean, log = preprocess(RecordTable.from_records(records))
+    clean, log = preprocess(records_table(records))
     durations = sorted(clean.records.columns["DURATA"])
     assert durations == [30, 35, 40, 45]
 
 
 def test_preprocess_missing_duration_columns_is_error():
     with pytest.raises(IngestError, match="INGRESSOSALA"):
-        preprocess(RecordTable.from_records([{"REPARTO": "CHIR", "ETA": 4}]))
+        preprocess(records_table([{"REPARTO": "CHIR", "ETA": 4}]))
 
 
 def test_preprocess_idempotent_for_rows_and_features():
@@ -365,7 +365,7 @@ def test_all_schema_columns_populated():
 
 def _assert_same_rows(got, want):
     if isinstance(got, RecordTable):
-        want = RecordTable.from_records(want)
+        want = records_table(want)
         assert list(got.columns) == list(want.columns)
         for name, values in got.columns.items():
             assert values == want.columns[name], name
@@ -529,3 +529,21 @@ def test_synth_record_files_are_the_reference_records_text(tmp_path, capsys, row
 def test_registrations_csv_round_trip(tmp_path):
     _, regs, mss, shifts = generate_week(SyntheticConfig(), seed=8)
     assert load_week(tmp_path, regs, mss, shifts).registrations == tuple(regs)
+
+
+def test_every_confidence_level_and_empty_cell_round_trip(tmp_path):
+    """Confidence levels 1-4 are written as integers, and an absent actual
+    duration or confidence as an empty cell, which reads back as None."""
+    regs = [Registration(f"r{level}", 2, "GEN", 30, 40 if level % 2 else None, level) for level in (1, 2, 3, 4)]
+    regs.append(Registration("r5", 3, "GEN", 30))
+    inst = load_week(tmp_path, regs, [MssSlot("OR1", "GEN", "S1", 0)], [Shift("S1", 100)])
+    assert inst.registrations == tuple(regs)
+    assert [type(r.confidence) for r in inst.registrations] == [int] * 4 + [type(None)]
+    assert (tmp_path / "registrations.csv").read_text(encoding="utf-8").splitlines() == [
+        "id,priority,specialty,duration_min,actual_duration_min,confidence",
+        "r1,2,GEN,30,40,1",
+        "r2,2,GEN,30,,2",
+        "r3,2,GEN,30,40,3",
+        "r4,2,GEN,30,,4",
+        "r5,3,GEN,30,,",
+    ]

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orsched.ingest import RecordTable, SyntheticConfig, generate_synthetic_dataset, preprocess
+from helpers import records_table
+
+from orsched.ingest import SyntheticConfig, generate_synthetic_dataset, preprocess
 from orsched.predict import (
     ModelSpec,
     PredictError,
@@ -196,13 +198,13 @@ def test_ape_rejects_nonpositive_actual():
 def test_confidence_boundaries():
     cases = {0: 1, 9.999: 1, 10.0: 2, 24.999: 2, 25.0: 3, 49.999: 3, 50.0: 4, 400: 4}
     for value, level in cases.items():
-        assert confidence_level(value).level == level
+        assert confidence_level(value) == level
 
 
 @given(st.floats(0, 1000), st.floats(0, 1000))
 def test_confidence_is_monotone_step_function(a, b):
     lo, hi = sorted([a, b])
-    assert confidence_level(lo).level <= confidence_level(hi).level
+    assert confidence_level(lo) <= confidence_level(hi)
 
 
 # -- baselines ------------------------------------------------------------------------------
@@ -214,7 +216,7 @@ def test_department_mean_and_fallback():
         {"REPARTO": "A", "ICD1": "Y", "DURATA": 20},
         {"REPARTO": "B", "ICD1": "X", "DURATA": 40},
     ]
-    est = baseline_mean_estimator(RecordTable.from_records(records), "department")
+    est = baseline_mean_estimator(records_table(records), "department")
     assert est.estimate("A") == pytest.approx(15.0)
     assert est.estimate("B") == pytest.approx(40.0)
     assert est.estimate("UNSEEN") == pytest.approx(70 / 3)
@@ -222,13 +224,13 @@ def test_department_mean_and_fallback():
 
 def test_procedure_mean_single_record_key():
     records = [{"REPARTO": "A", "ICD1": "X", "DURATA": 33}]
-    est = baseline_mean_estimator(RecordTable.from_records(records), "procedure_type")
+    est = baseline_mean_estimator(records_table(records), "procedure_type")
     assert est.estimate("X") == 33.0
 
 
 def test_unknown_key_rejected():
     with pytest.raises(PredictError):
-        baseline_mean_estimator(RecordTable.from_records([{"DURATA": 1}]), "surgeon")
+        baseline_mean_estimator(records_table([{"DURATA": 1}]), "surgeon")
 
 
 # -- artifact round trip -------------------------------------------------------------------

@@ -11,6 +11,7 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from helpers import records_table
 from oracle import (
     reference_categories,
     reference_numeric_encoding,
@@ -23,7 +24,6 @@ from orsched.core import InputFileError, read_csv_table
 from orsched.ingest import (
     RECORD_COLUMNS,
     CleanDataset,
-    RecordTable,
     SyntheticConfig,
     _numeric_encoding,
     generate_synthetic_dataset,
@@ -163,7 +163,7 @@ def test_csv_rows_reader_matches_reference_on_generated_files(tmp_path):
     for case in range(260):
         path = tmp_path / f"rows_{case}.csv"
         pool = CSV_COLUMNS + ["extra", "note"]
-        header = _header(rng, pool) if case % 3 else rng.sample(pool, len(pool))
+        header = _header(rng, pool) if case % 2 else rng.sample(pool, len(pool))
         if case % 50 == 0:
             header = None
         rows = [
@@ -286,7 +286,7 @@ def test_numeric_encoding_matches_reference_on_mixed_columns():
     for case in range(60):
         records = _mixed_records(rng, rng.randint(0, 40))
         columns = rng.sample(list(MIXES), rng.randint(1, len(MIXES)))
-        got = _numeric_encoding(RecordTable.from_records(records), columns)
+        got = _numeric_encoding(records_table(records), columns)
         assert got.tobytes() == reference_numeric_encoding(records, columns).tobytes(), (case, columns)
 
 
@@ -340,14 +340,14 @@ def test_encoder_matches_reference_on_mixed_columns():
     kept = ["PROGRESSIVO", "ETA", "SCORE", "DATAINTERVENTO", "REPARTO", "FLAG", "MIXED", "DURATA"]
     for case in range(60):
         records = _dataset(rng, rng.randint(1, 40))
-        X, y, encoder = encode_features(CleanDataset(RecordTable.from_records(records), kept))
+        X, y, encoder = encode_features(CleanDataset(records_table(records), kept))
         for column in encoder.categorical_columns:
             want = reference_categories(records, column)
             assert list(encoder.categories[column].items()) == list(want.items()), (case, column)
         assert X.tobytes() == reference_transform(encoder, records).tobytes(), case
         assert y.tobytes() == np.array([float(r["DURATA"]) for r in records]).tobytes()
         unseen = _dataset(rng, rng.randint(0, 20))  # new categories map to the reserved code
-        table = RecordTable.from_records(unseen)
+        table = records_table(unseen)
         assert encoder.transform(table).tobytes() == reference_transform(encoder, unseen).tobytes(), case
         rows = [rng.randrange(len(unseen)) for _ in range(rng.randint(0, 25))] if unseen else []
         picked = [unseen[i] for i in rows]  # in any order, with repeats

@@ -95,7 +95,7 @@ def test_emergency_or_capped_at_one_patient():
 def test_empty_schedule_counts_unassigned_by_priority():
     inst = single_cell_instance([reg("a", 2), reg("b", 2), reg("c", 2)], capacity=30)
     vec = objective_vector(sched(), inst)
-    assert vec.as_tuple() == (0, 3, 0, 0, 0, 0)
+    assert tuple(vec) == (0, 3, 0, 0, 0, 0)
 
 
 def test_empty_cell_participates_in_spread():
@@ -175,7 +175,7 @@ def test_single_cell_priority_packing():
     )
     s = solve_exact(inst, FAST)
     assert "r1" in {a.registration_id for a in s.assignments}
-    assert s.objective.as_tuple()[:4] == (0, 1, 0, 0)
+    assert tuple(s.objective)[:4] == (0, 1, 0, 0)
     assert brute_force_best(inst)[:4] == (0, 1, 0, 0)
 
 
@@ -191,7 +191,7 @@ def test_confidence_steers_choice_of_companion():
     s = solve_exact(inst, FAST)
     assert {a.registration_id for a in s.assignments} == {"r1", "r2"}
     assert s.objective.max_cell_confidence == 3
-    assert brute_force_best(inst) == s.objective.as_tuple()
+    assert brute_force_best(inst) == tuple(s.objective)
 
 
 def test_oversized_p1_is_infeasible():
@@ -253,7 +253,7 @@ def test_exact_matches_oracle_on_random_batch():
             with pytest.raises(InfeasibleInstanceError):
                 solve_exact(inst, FAST)
         else:
-            assert solve_exact(inst, FAST).objective.as_tuple() == expected
+            assert tuple(solve_exact(inst, FAST).objective) == expected
 
 
 def test_schedule_objective_is_self_consistent():
@@ -358,7 +358,7 @@ def test_zero_registrations_give_empty_schedule():
     inst = instance([], [("R1", "GEN", "S1", 0)], {"S1": 10})
     s = solve_heuristic(inst, H_FAST)
     assert s.assignments == ()
-    assert s.objective.as_tuple() == (0, 0, 0, 0, 0, 0)
+    assert tuple(s.objective) == (0, 0, 0, 0, 0, 0)
 
 
 def test_perfect_packing_of_all_p1():
