@@ -12,11 +12,12 @@ subjects, with the digests that must match:
   model and its VBA schedule at ``--max-restarts 2``, the history read
   (``read_records_csv``), ``preprocess``, ``encode_features``, the week
   read, ``cli._build_estimates`` for Pred and for Dep as ``orsched
-  schedule`` calls it (each reads the week again), ``load_instance`` and
-  ``read_schedule_csv``; the sha256 of the feature matrix and target, of
-  the encoder, of the registrations each of Pred and Dep plans with
-  (``evaluate.apply_method_durations``), of the instance and of the
-  assignments, in every run. An instance's digest is of the three files
+  schedule`` calls it (each reads the week again), ``load_instance``,
+  ``read_schedule_csv`` and ``evaluate_schedule`` of that schedule on the
+  loaded instance; the sha256 of the feature matrix and target, of the
+  encoder, of the registrations each of Pred and Dep plans with
+  (``evaluate.apply_method_durations``), of the instance, of the
+  assignments and of the report, in every run. An instance's digest is of the three files
   ``ingest``'s writers make of it, its days and its emergency OR.
 - ``fit``: ``regressors.fit`` of boosted 400x5 and 80x3 on the split that
   ``orsched train --seed 1`` fits on the bordighera 2,000-row synth; each
@@ -160,7 +161,8 @@ def subject_solve(data: Path):
 
 def subject_data(data: Path):
     from orsched.cli import _build_estimates, build_parser
-    from orsched.evaluate import apply_method_durations
+    from orsched.core import ObjectiveVector, Schedule
+    from orsched.evaluate import apply_method_durations, evaluate_schedule
     from orsched.ingest import load_instance, preprocess, read_records_csv, write_mss_csv, write_registrations_csv, write_shifts_csv
     from orsched.predict import encode_features
     from orsched.solve import read_schedule_csv
@@ -199,6 +201,7 @@ def subject_data(data: Path):
         dep = step("Dep estimates", _build_estimates, flags, ["Dep"], instance)
         loaded = step("load instance", load_instance, *paths)
         assignments = step("read schedule", read_schedule_csv, data / "schedule.csv")
+        report = step("evaluate", evaluate_schedule, "VBA", Schedule(assignments, ObjectiveVector(0, 0, 0, 0, 0, 0)), loaded)
         return times, {
             "feature matrix": hashlib.sha256(X.tobytes()).hexdigest(),
             "target": hashlib.sha256(y.tobytes()).hexdigest(),
@@ -207,6 +210,7 @@ def subject_data(data: Path):
             "Dep planned": instance_sha256(apply_method_durations(instance, "Dep", dep)),
             "instance": instance_sha256(loaded),
             "assignments": sha256(repr(assignments)),
+            "report": sha256(repr(report)),
         }
 
     return f"imperia records, week, estimates, instance and VBA schedule, seed {SEED}", {}, {}, run

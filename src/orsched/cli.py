@@ -459,7 +459,7 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
     row_of = _week_rows(args.week, week)
     missing = [r.id for r in regs if r.id not in row_of]
     if missing:
-        raise UsageError(f"week records missing for registrations: {', '.join(missing[:5])}")
+        raise UsageError(f"{args.week}: field 'PROGRESSIVO': no record for registrations {', '.join(missing[:5])}")
     rows = [row_of[r.id] for r in regs]
 
     if "predicted" in sources and args.model is None:
@@ -562,6 +562,13 @@ def _parse_schedule_specs(pairs: list[str]) -> dict[str, str]:
     return out
 
 
+def _write_report(hospital: str, reports: Sequence[MethodReport], out: Path) -> None:
+    """``report.json`` and ``report.txt`` in ``out``, and the table printed."""
+    write_report_json(hospital, reports, out / "report.json")
+    write_report_txt(hospital, reports, out / "report.txt")
+    print((out / "report.txt").read_text(encoding="utf-8"))
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.schedule:
         raise UsageError("--schedule method=path required at least once")
@@ -584,9 +591,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         assigned = {a.registration_id for a in schedule.assignments}
         _require_actuals(args, [r for r in instance.registrations if r.id in assigned], f"the replay of {path} needs it")
         reports.append(evaluate_schedule(method, schedule, instance))
-    write_report_json(args.hospital, reports, out / "report.json")
-    write_report_txt(args.hospital, reports, out / "report.txt")
-    print((out / "report.txt").read_text(encoding="utf-8"))
+    _write_report(args.hospital, reports, out)
     return EXIT_OK
 
 
@@ -623,10 +628,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             out / f"objective_{method.lower()}.json",
         )
         reports.append(evaluate_schedule(method, schedule, method_instance))
-
-    write_report_json(args.hospital, reports, out / "report.json")
-    write_report_txt(args.hospital, reports, out / "report.txt")
-    print((out / "report.txt").read_text(encoding="utf-8"))
+    _write_report(args.hospital, reports, out)
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
 """Domain types shared across the toolkit, plus structural instance validation,
 the column table that the one CSV reader, which every input file goes through,
-returns, and the CSV writer that every output table goes through.
+returns, the reader of a week file as its records, and the CSV writer that
+every output table goes through.
 
 All types are immutable value objects. The row records (``Registration``,
 ``Assignment``, ``MssSlot``, ``Shift``), of which a week builds thousands,
@@ -15,12 +16,13 @@ than raising.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, get_args, get_type_hints
 
 PRIORITIES = (1, 2, 3, 4)
 
@@ -264,6 +266,24 @@ def read_csv_table(
         raise InputFileError(path, lines[i], columns[rank], problem)
     table = {name: table[name] if name in table else [None] * len(lines) for name in columns}  # in the order asked
     return RecordTable(table, lines, widths)
+
+
+@cache
+def _week_file_columns(row_type: type) -> tuple[dict[str, type], tuple[str, ...]]:
+    """The parsers (``int`` for each ``int`` field) and the optional columns
+    (the defaulted fields) of a week file of ``row_type``'s records."""
+    hints = get_type_hints(row_type)
+    parsers = {name: int for name in row_type._fields if hints[name] is int or int in get_args(hints[name])}
+    return parsers, tuple(row_type._field_defaults)
+
+
+def read_week_file(path: str | Path, row_type: type) -> tuple[tuple, list[int]]:
+    """A week file as ``row_type`` records, one per row, and each row's
+    line: its columns are the type's fields, its ``int`` fields parsed and
+    its defaulted ones optional (``read_csv_table`` raises at a malformed file)."""
+    parsers, optional = _week_file_columns(row_type)
+    table = read_csv_table(path, row_type._fields, parsers, optional)
+    return tuple(itertools.starmap(row_type, zip(*table.columns.values()))), table.lines
 
 
 def _parses(parse: Callable[[str], Any], text: str) -> bool:

@@ -1,5 +1,5 @@
 """Schedule quality evaluation: replay a schedule against the actual surgery
-durations, compute per-cell occupancy and booking counts, give each
+durations, report its per-cell occupancy and booking counts, give each
 scheduling method (VBA, Conf, Pred, Dep, Surg) its planned durations and
 solve with them, and write the per-method report.
 """
@@ -7,7 +7,7 @@ solve with them, and write the per-method report.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -55,14 +55,6 @@ class OccupancyTable:
 
 
 @dataclass(frozen=True)
-class OccupancyStats:
-    mean: float
-    std: float
-    min: float
-    max: float
-
-
-@dataclass(frozen=True)
 class MethodReport:
     method: str
     occ_mean: float
@@ -104,25 +96,6 @@ def replay(schedule: Schedule, instance: ProblemInstance) -> OccupancyTable:
     return OccupancyTable(cells)
 
 
-def booking_counts(
-    table: OccupancyTable, under_threshold: float = 80.0, over_threshold: float = 100.0
-) -> tuple[int, int]:
-    """(underbooked, overbooked) cell counts; boundary values count as neither."""
-    under = sum(1 for c in table.cells if c.occupancy_pct < under_threshold)
-    over = sum(1 for c in table.cells if c.occupancy_pct > over_threshold)
-    return under, over
-
-
-def occupancy_stats(table: OccupancyTable) -> OccupancyStats:
-    """Mean, population standard deviation, min and max of cell occupancy."""
-    if not table.cells:
-        raise EvaluateError("occupancy stats need at least one used cell")
-    values = [c.occupancy_pct for c in table.cells]
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / len(values)
-    return OccupancyStats(mean=mean, std=var**0.5, min=min(values), max=max(values))
-
-
 # ---------------------------------------------------------------------------
 # per-method durations and solves
 
@@ -153,27 +126,27 @@ def apply_method_durations(
         registrations.append(
             Registration(reg.id, reg.priority, reg.specialty, max(1, round(estimate)), actual, confidence)
         )
-    return ProblemInstance(
-        registrations=tuple(registrations),
-        mss=instance.mss,
-        shifts=instance.shifts,
-        planning_days=instance.planning_days,
-        emergency_or_id=instance.emergency_or_id,
-    )
+    return replace(instance, registrations=tuple(registrations))
 
 
 def evaluate_schedule(method: str, schedule: Schedule, instance: ProblemInstance) -> MethodReport:
-    table = replay(schedule, instance)
-    stats = occupancy_stats(table)
-    under, over = booking_counts(table)
+    """The method's report from the replay of its schedule: the mean,
+    population standard deviation, min and max of the used cells' occupancy,
+    and the cells above 100 % (overbooked) and below 80 % (underbooked); a
+    boundary value counts as neither."""
+    values = [c.occupancy_pct for c in replay(schedule, instance).cells]
+    if not values:
+        raise EvaluateError("occupancy stats need at least one used cell")
+    mean = sum(values) / len(values)
+    var = sum((v - mean) ** 2 for v in values) / len(values)
     return MethodReport(
         method=normalize_method(method),
-        occ_mean=stats.mean,
-        occ_std=stats.std,
-        occ_min=stats.min,
-        occ_max=stats.max,
-        overbooked=over,
-        underbooked=under,
+        occ_mean=mean,
+        occ_std=var**0.5,
+        occ_min=min(values),
+        occ_max=max(values),
+        overbooked=sum(v > 100.0 for v in values),
+        underbooked=sum(v < 80.0 for v in values),
     )
 
 

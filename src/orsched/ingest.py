@@ -27,6 +27,7 @@ from orsched.core import (
     Registration,
     Shift,
     read_csv_table,
+    read_week_file,
     validate_instance,
     write_csv_rows,
 )
@@ -734,14 +735,6 @@ def write_shifts_csv(shifts: Iterable[Shift], path: str | Path) -> None:
     write_csv_rows(path, Shift._fields, shifts)
 
 
-# each instance file's row type (its fields are the file's columns), integer
-# columns and optional columns, in ``load_instance``'s order
-_INSTANCE_FILES = (
-    (Registration, ("priority", "duration_min", "actual_duration_min", "confidence"), ("actual_duration_min", "confidence")),
-    (MssSlot, ("day",), ()),
-    (Shift, ("capacity_min",), ()),
-)
-
 # the input (0 registrations, 1 MSS, 2 shifts) and field of each violation found in a file
 _VIOLATION_AT = {
     "duplicate_registration_id": (0, "id"), "priority_out_of_range": (0, "priority"),
@@ -763,12 +756,7 @@ def load_instance(
     a file raises ``InputFileError`` at its row; one in no file, an
     emergency OR in no MSS cell, raises ``IngestError``."""
     paths = (registrations_path, mss_path, shifts_path)
-    parts, lines = [], []
-    for path, (row_type, integers, optional) in zip(paths, _INSTANCE_FILES):
-        table = read_csv_table(path, row_type._fields, dict.fromkeys(integers, int), optional)
-        parts.append(tuple(itertools.starmap(row_type, zip(*table.columns.values()))))
-        lines.append(table.lines)
-    registrations, mss, shifts = parts
+    (registrations, mss, shifts), lines = zip(*map(read_week_file, paths, (Registration, MssSlot, Shift)))
     days = planning_days if planning_days is not None else max((s.day for s in mss), default=0) + 1
     instance = ProblemInstance(registrations, mss, shifts, days, emergency_or_id)
     report = validate_instance(instance)

@@ -17,7 +17,6 @@ the confidence aggregates, empty cells with sum 0.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 import time
@@ -34,7 +33,7 @@ from orsched.core import (
     Registration,
     Schedule,
     Violation,
-    read_csv_table,
+    read_week_file,
     write_csv_rows,
 )
 
@@ -817,9 +816,8 @@ def write_schedule_csv(schedule: Schedule, path: str | Path) -> None:
 
 
 def read_schedule_csv(path: str | Path) -> tuple[Assignment, ...]:
-    """A file written by ``write_schedule_csv`` (``read_csv_table`` raises at a malformed one)."""
-    table = read_csv_table(path, Assignment._fields, {"priority": int, "day": int})
-    return tuple(itertools.starmap(Assignment, zip(*table.columns.values())))
+    """A file written by ``write_schedule_csv`` (``read_week_file`` raises at a malformed one)."""
+    return read_week_file(path, Assignment)[0]
 
 
 def write_objective_json(schedule: Schedule, proven_optimal: bool, wall_time_s: float, path: str | Path) -> None:

@@ -1024,6 +1024,9 @@ MALFORMED_INPUT = {
     "week_without_id_column": lambda ws, tmp: _week(
         ws, tmp, _drop_column("PROGRESSIVO"), "row 1, field 'PROGRESSIVO': column missing from the header"
     ),
+    "week_without_a_registrations_record": lambda ws, tmp: _week(
+        ws, tmp, lambda rows: rows.pop(1), "field 'PROGRESSIVO': no record for registrations W0000"
+    ),
     # an empty cell in a required column of an instance or schedule file
     "registrations_empty_id_vba": lambda ws, tmp: _emptied(ws, tmp, "registrations.csv", "id", "--method", "vba"),
     "registrations_empty_id_pred": lambda ws, tmp: _emptied(

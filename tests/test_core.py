@@ -1,15 +1,21 @@
 """Domain-type validation and serialization round-trip properties."""
 
+import csv
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import instance, load_week, reg
 
 from orsched.core import (
+    Assignment,
+    InputFileError,
     MssSlot,
     ProblemInstance,
     Registration,
     Shift,
+    read_week_file,
     validate_instance,
 )
 
@@ -133,3 +139,47 @@ def test_objective_vector_json_keys():
 
     vec = ObjectiveVector(0, 1, 2, 3, 9, 4)
     assert vec.to_json_dict() == {"l6": 0, "l5": 1, "l4": 2, "l3": 3, "l2": 9, "l1": 4}
+
+
+# each week file's record type, a well-formed row of it, its integer fields
+# and its optional (defaulted) fields
+WEEK_FILES = [
+    (
+        Registration,
+        ["W1", "2", "GEN", "60", "55", "1"],
+        ("priority", "duration_min", "actual_duration_min", "confidence"),
+        ("actual_duration_min", "confidence"),
+    ),
+    (MssSlot, ["OR1", "GEN", "MAIN", "0"], ("day",), ()),
+    (Shift, ["MAIN", "360"], ("capacity_min",), ()),
+    (Assignment, ["W1", "2", "OR1", "0", "MAIN"], ("priority", "day"), ()),
+]
+
+
+def _write_rows(path, header, *rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path
+
+
+@pytest.mark.parametrize("row_type, row, integers, optional", WEEK_FILES, ids=[t.__name__ for t, *_ in WEEK_FILES])
+def test_week_file_integer_and_optional_columns(tmp_path, row_type, row, integers, optional):
+    """A week file's integer fields parse, a non-integer in one is rejected
+    at its row and field, and a defaulted column may be left out of the
+    header and reads None; any other column may not."""
+    header = list(row_type._fields)
+    path = tmp_path / "week_file.csv"
+    records, lines = read_week_file(_write_rows(path, header, row), row_type)
+    assert records == (row_type(*(int(v) if f in integers else v for f, v in zip(header, row))),) and lines == [2]
+    for field in integers:
+        bad = [("x" if f == field else v) for f, v in zip(header, row)]
+        with pytest.raises(InputFileError, match=rf"row 3, field '{field}': 'x' is not an integer"):
+            read_week_file(_write_rows(path, header, row, bad), row_type)
+    for field in header:
+        kept = [f != field for f in header]
+        _write_rows(path, [f for f, k in zip(header, kept) if k], [v for v, k in zip(row, kept) if k])
+        if field in optional:
+            assert getattr(read_week_file(path, row_type)[0][0], field) is None
+        else:
+            with pytest.raises(InputFileError, match=rf"row 1, field '{field}': column missing from the header"):
+                read_week_file(path, row_type)

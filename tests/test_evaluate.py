@@ -4,36 +4,31 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from helpers import instance, reg, run_method_comparison, single_cell_instance
 
 from orsched.core import Assignment, ObjectiveVector, Schedule
 from orsched.evaluate import (
-    CellOccupancy,
     EvaluateError,
-    OccupancyTable,
     apply_method_durations,
-    booking_counts,
+    evaluate_schedule,
     format_report_table,
     normalize_method,
-    occupancy_stats,
     replay,
 )
-from orsched.solve import CellKey, SolveLimits, solve_heuristic
+from orsched.solve import SolveLimits, solve_heuristic
 
 
 def sched(*assignments):
     return Schedule(tuple(assignments), ObjectiveVector(0, 0, 0, 0, 0, 0))
 
 
-def table(*occupancies, capacity=360):
-    cells = tuple(
-        CellOccupancy(CellKey(f"R{i}", 0, "S1"), 0, round(o / 100 * capacity), capacity)
-        for i, o in enumerate(occupancies)
-    )
-    return OccupancyTable(cells)
+def report_at(*occupancies, capacity=360):
+    """The report of a schedule with one registration per cell, each cell
+    at the given occupancy percentage."""
+    regs = [reg(f"r{i}", duration=1, actual=round(o / 100 * capacity)) for i, o in enumerate(occupancies)]
+    inst = instance(regs, [(f"R{i}", "GEN", "S1", 0) for i in range(len(regs))], {"S1": capacity})
+    return evaluate_schedule("VBA", sched(*(Assignment(r.id, 2, f"R{i}", 0, "S1") for i, r in enumerate(regs))), inst)
 
 
 # -- replay ---------------------------------------------------------------------
@@ -70,46 +65,38 @@ def test_replay_missing_actuals_lists_ids():
         replay(s, inst)
 
 
-# -- booking_counts -----------------------------------------------------------------
+# -- report statistics ------------------------------------------------------------
 
 
 def test_booking_counts_fixture():
-    assert booking_counts(table(90, 111.1, 77.8)) == (1, 1)
+    report = report_at(90, 111.1, 77.8)
+    assert (report.underbooked, report.overbooked) == (1, 1)
 
 
 def test_exact_boundaries_count_as_neither():
-    assert booking_counts(table(100, 100, 80)) == (0, 0)
-
-
-@given(st.lists(st.floats(0, 200), min_size=0, max_size=20), st.floats(0, 100), st.floats(0, 100))
-def test_underbooked_monotone_in_threshold(occupancies, t1, t2):
-    lo, hi = sorted([t1, t2])
-    t = table(*occupancies) if occupancies else OccupancyTable(())
-    assert booking_counts(t, under_threshold=lo)[0] <= booking_counts(t, under_threshold=hi)[0]
-
-
-# -- occupancy_stats ------------------------------------------------------------------
+    report = report_at(100, 100, 80)
+    assert (report.underbooked, report.overbooked) == (0, 0)
 
 
 def test_single_cell_stats():
-    stats = occupancy_stats(table(90))
-    assert (stats.mean, stats.std, stats.min, stats.max) == (90, 0, 90, 90)
+    report = report_at(90)
+    assert (report.occ_mean, report.occ_std, report.occ_min, report.occ_max) == (90, 0, 90, 90)
 
 
 def test_two_cell_population_std():
-    stats = occupancy_stats(table(80, 120))
-    assert stats.mean == pytest.approx(100.0)
-    assert stats.std == pytest.approx(20.0)
-    assert (stats.min, stats.max) == (80, 120)
+    report = report_at(80, 120)
+    assert report.occ_mean == pytest.approx(100.0)
+    assert report.occ_std == pytest.approx(20.0)
+    assert (report.occ_min, report.occ_max) == (80, 120)
 
 
 def test_equal_cells_zero_std():
-    assert occupancy_stats(table(95, 95, 95)).std == 0
+    assert report_at(95, 95, 95).occ_std == 0
 
 
 def test_empty_table_is_error():
     with pytest.raises(EvaluateError):
-        occupancy_stats(OccupancyTable(()))
+        report_at()
 
 
 # -- method comparison -------------------------------------------------------------------

@@ -65,8 +65,8 @@ def test_ab_synth_against_this_checkout_is_identical():
 def test_ab_data_against_this_checkout_is_identical():
     code, out, err = run_ab("data", "--parent", str(ROOT), "--pairs", "2", timeout=120)
     assert code == 0, err
-    assert "digests identical: 0 at set-up, 7 per run in each of 2 pairs" in out
-    assert out.count("ratio") == 2 + 9  # two pairs; total and eight parts
+    assert "digests identical: 0 at set-up, 8 per run in each of 2 pairs" in out
+    assert out.count("ratio") == 2 + 10  # two pairs; total and nine parts
 
 
 def test_ab_without_package_is_one_usage_line(tmp_path):
