@@ -2,7 +2,8 @@
 """Print digests of one fixed-seed ``orsched pipeline`` run.
 
 Runs the pipeline for one hospital week at a fixed ``--seed`` and
-``--max-restarts`` in a temporary directory, then prints one
+``--max-restarts``, with the ``--emergency-or`` it is given, in a temporary
+directory, then prints one
 ``<sha256>  <file>`` line for every ``schedule_*.csv``, every
 ``objective_*.json`` with its ``wall_time_s`` dropped, and ``report.json``,
 then for the training outputs ``model.json``, ``metrics.json`` and
@@ -21,6 +22,7 @@ its deadline and the outputs do not depend on machine speed.
 
 Example:
     PYTHONPATH=src python scripts/digest_week.py --hospital imperia --seed 1 --max-restarts 4
+    PYTHONPATH=src python scripts/digest_week.py --hospital imperia --seed 1 --max-restarts 4 --emergency-or OR1
 """
 
 import argparse
@@ -61,7 +63,9 @@ def main() -> int:
     parser.add_argument("--hospital", choices=sorted(HOSPITAL_SHAPES), default="bordighera")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--max-restarts", type=int, default=4)
+    parser.add_argument("--emergency-or", help="the pipeline's emergency OR (default: none)")
     args = parser.parse_args()
+    emergency = [] if args.emergency_or is None else ["--emergency-or", args.emergency_or]
 
     with tempfile.TemporaryDirectory() as tmp:
         argv = [
@@ -71,6 +75,7 @@ def main() -> int:
             "--max-restarts", str(args.max_restarts),
             "--grid", GRID,
             "--time-limit", TIME_LIMIT_S,
+            *emergency,
             "-o", tmp,
         ]
         best = Path(tmp) / BEST_GRID

@@ -422,14 +422,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_week_instance(args: argparse.Namespace) -> ProblemInstance:
-    if args.planning_days is not None and args.planning_days < 1:
-        raise UsageError("--planning-days must be >= 1")
     try:
         return load_instance(
             _require(args.registrations, "--registrations"),
             _require(args.mss, "--mss"),
             _require(args.shifts, "--shifts"),
-            planning_days=args.planning_days,
             emergency_or_id=args.emergency_or,
         )
     except IngestError as exc:  # the violations in no file: an --emergency-or absent from the MSS
@@ -487,9 +484,15 @@ def _build_estimates(args: argparse.Namespace, methods: Sequence[str], instance:
         for source in sources:
             if source == "predicted":
                 model, encoder, _ = loaded
+                read = [*encoder.numeric_columns, *encoder.timestamp_columns, *encoder.categorical_columns]
                 estimates[source] = predict(model, encoder.transform(week, rows)).tolist()
             else:
+                read = [baselines[source].column]
                 estimates[source] = baselines[source].estimates(week, rows)
+            # an empty cell is a missing value the source handles, but an absent column reads as one in every row
+            missing = next((name for name in read if name not in week.columns), None)
+            if missing is not None:
+                raise InputFileError(args.week, 1, missing, "column missing from the header")
         for values in estimates.values():
             for reg, value in zip(regs, values):
                 if not math.isfinite(value):
@@ -667,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--registrations", help="registrations CSV")
         g.add_argument("--mss", help="master surgical schedule CSV")
         g.add_argument("--shifts", help="shifts CSV")
-        g.add_argument("--planning-days", type=int, help="days in the week (default: the MSS's last day + 1)")
 
     def solving(p: argparse.ArgumentParser) -> None:
         g = p.add_argument_group("solver")

@@ -299,15 +299,15 @@ def pearson_matrix(matrix: np.ndarray) -> np.ndarray:
     return corr
 
 
-def prune_correlated_features(matrix: np.ndarray, names: Sequence[str], threshold: float = 0.95) -> list[str]:
+def prune_correlated_features(matrix: np.ndarray, names: Sequence[str]) -> list[str]:
     """Greedy scan in column order: drop any feature whose absolute
-    correlation with an already-kept feature exceeds the threshold."""
+    correlation with an already-kept feature exceeds 0.95."""
     if matrix.shape[0] < 2:
         raise IngestError("correlation pruning needs at least two rows")
     corr = np.abs(pearson_matrix(matrix))
     kept: list[int] = []
     for j in range(matrix.shape[1]):
-        if all(corr[j, k] <= threshold for k in kept):
+        if all(corr[j, k] <= 0.95 for k in kept):
             kept.append(j)
     return [names[j] for j in kept]
 
@@ -748,16 +748,15 @@ def load_instance(
     registrations_path: str | Path,
     mss_path: str | Path,
     shifts_path: str | Path,
-    planning_days: int | None = None,
     emergency_or_id: str | None = None,
 ) -> ProblemInstance:
     """Read a week's instance and validate it, the one place it is validated
-    (the days run to the MSS's last day by default). The first violation in
-    a file raises ``InputFileError`` at its row; one in no file, an
-    emergency OR in no MSS cell, raises ``IngestError``."""
+    (the days run to the MSS's last day). The first violation in a file
+    raises ``InputFileError`` at its row; one in no file, an emergency OR
+    in no MSS cell, raises ``IngestError``."""
     paths = (registrations_path, mss_path, shifts_path)
     (registrations, mss, shifts), lines = zip(*map(read_week_file, paths, (Registration, MssSlot, Shift)))
-    days = planning_days if planning_days is not None else max((s.day for s in mss), default=0) + 1
+    days = max((s.day for s in mss), default=0) + 1
     instance = ProblemInstance(registrations, mss, shifts, days, emergency_or_id)
     report = validate_instance(instance)
     if report:

@@ -314,6 +314,8 @@ def _tree_values(trees: list[dict], X: np.ndarray):
         left = np.where(inner, len(roots) + 2 * (np.cumsum(inner) - inner), np.arange(len(nodes)))
         right = left + inner
         feature = np.array([node.get("feature", 0) for node in nodes])
+        if inner.any() and (feature[inner].min() < 0 or feature[inner].max() >= d):  # ``take`` would wrap, or read the next row
+            raise ValueError(f"a tree node's 'feature' is outside [0, {d})")
         threshold = np.array([node.get("threshold", 0.0) for node in nodes])
         at = np.repeat(np.arange(len(roots)), m).reshape(len(roots), m)
         for _ in range(depth):

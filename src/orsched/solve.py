@@ -148,7 +148,7 @@ class _Cell(NamedTuple):
 class _Model:
     """Instance unpacked into index-based arrays for search."""
 
-    def __init__(self, instance: ProblemInstance, confidence_scale: int):
+    def __init__(self, instance: ProblemInstance):
         capacity = {s.shift_id: s.capacity_min for s in instance.shifts}
         cells = [
             _Cell(
@@ -171,9 +171,7 @@ class _Model:
         self.prio = [r.priority for r in self.regs]
         # the index of the first registration of each priority p (5: the count)
         self.tier_start = [bisect_left(self.prio, p) for p in range(6)]
-        self.conf = [
-            (r.confidence * confidence_scale) if r.confidence is not None else 0 for r in self.regs
-        ]
+        self.conf = [r.confidence if r.confidence is not None else 0 for r in self.regs]
         self.conf_values = sorted(set(self.conf))
         # the cells of each specialty, in index order; registrations of one
         # specialty share its list and set, which nothing mutates
@@ -381,7 +379,6 @@ def solve_exact(
     limits: SolveLimits = SolveLimits(),
     *,
     confidence_objective: bool = True,
-    confidence_scale: int = 1,
 ) -> Schedule:
     """Find the lexicographically minimal feasible schedule, with proof.
 
@@ -393,7 +390,7 @@ def solve_exact(
     sequence, so the result does not depend on registration order.
     The instance must be valid (``validate_instance``); it is not checked again.
     """
-    model = _Model(instance, confidence_scale)
+    model = _Model(instance)
     return _ExactSearch(model, limits, confidence_objective).run()
 
 
@@ -741,7 +738,6 @@ def solve_heuristic(
     limits: SolveLimits = SolveLimits(),
     *,
     confidence_objective: bool = True,
-    confidence_scale: int = 1,
 ) -> Schedule:
     """Anytime solver: greedy best-fit-decreasing construction followed by
     first-improvement local search with seeded restarts until the budget.
@@ -774,7 +770,7 @@ def solve_heuristic(
     deterministic only in the number of restarts that complete).
     The instance must be valid (``validate_instance``); it is not checked again.
     """
-    model = _Model(instance, confidence_scale)
+    model = _Model(instance)
     return _Heuristic(model, limits, confidence_objective).run()
 
 

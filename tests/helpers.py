@@ -5,6 +5,7 @@ must leave no process behind."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import random
@@ -77,6 +78,13 @@ def instance(
         planning_days=days,
         emergency_or_id=emergency_or_id,
     )
+
+
+def scaled_confidences(inst: ProblemInstance, scale: int) -> ProblemInstance:
+    """``inst`` with every confidence level multiplied by ``scale``; the
+    solvers take an instance as given, so they accept levels above 4."""
+    regs = tuple(r._replace(confidence=None if r.confidence is None else r.confidence * scale) for r in inst.registrations)
+    return dataclasses.replace(inst, registrations=regs)
 
 
 def load_week(directory: Path, registrations, mss, shifts, **options) -> ProblemInstance:

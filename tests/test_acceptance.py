@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import load_week, random_instance, records_table, run_method_comparison
+from helpers import load_week, random_instance, records_table, run_method_comparison, scaled_confidences
 from oracle import brute_force_best, brute_force_optimal_patterns, compare_lex, schedule_pattern
 
 from orsched.core import ObjectiveVector
@@ -281,7 +281,7 @@ def test_criterion_9_lexicographic_invariants():
         assert base_patterns == scaled_patterns, "optimal pattern set changed under scaling"
 
         s1 = solve_exact(inst, SolveLimits(time_budget_s=30.0))
-        s3 = solve_exact(inst, SolveLimits(time_budget_s=30.0), confidence_scale=scale)
+        s3 = solve_exact(scaled_confidences(inst, scale), SolveLimits(time_budget_s=30.0))
         assert schedule_pattern(s1) in base_patterns
         assert schedule_pattern(s1) == schedule_pattern(s3)
         assert s3.objective.max_cell_confidence == scale * s1.objective.max_cell_confidence

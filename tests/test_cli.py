@@ -17,8 +17,10 @@ from helpers import run_in_own_session
 
 import orsched.cli
 import orsched.evaluate
-from orsched.ingest import preprocess, read_records_csv
+from orsched.core import ObjectiveVector, Schedule
+from orsched.ingest import load_instance, preprocess, read_records_csv
 from orsched.predict import baseline_mean_estimator, load_model
+from orsched.solve import is_feasible, read_schedule_csv
 
 
 def run_cli(*argv, cwd=None):
@@ -588,6 +590,31 @@ def test_pipeline_end_to_end(tmp_path):
     assert len([l for l in lines if l and not l.startswith("==") and "method" not in l]) == 3
 
 
+@pytest.mark.parametrize("seed", [
+    1,
+    # its CHIR priority-1 minutes need the emergency OR's one place, which the
+    # greedy construction gives another specialty first; the repair does not
+    # move that occupant, so the feasible week is reported infeasible (exit 1)
+    pytest.param(0, marks=pytest.mark.xfail(strict=True, reason="priority-1 repair never frees the emergency OR")),
+])
+def test_pipeline_with_an_emergency_or_keeps_its_rules(tmp_path, seed):
+    """Each method's schedule of a week with an emergency OR, checked against
+    the instance reloaded with it: no violation but capacity, which the
+    methods that plan with estimates may exceed at the actual durations,
+    and at most one registration in the emergency OR."""
+    argv = ["pipeline", "--rows", "300", "--grid", "fast", "--max-restarts", "2", "--emergency-or", "OR1", "--seed", str(seed)]
+    argv += ["-o", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert orsched.cli.main(argv) == 0
+    paths = [tmp_path / name for name in ("registrations.csv", "mss.csv", "shifts.csv")]
+    instance = load_instance(*paths, emergency_or_id="OR1")
+    for method in orsched.evaluate.METHODS:
+        assignments = read_schedule_csv(tmp_path / f"schedule_{method.lower()}.csv")
+        violations = is_feasible(Schedule(assignments, ObjectiveVector(0, 0, 0, 0, 0, 0)), instance)
+        assert {v.code for v in violations} <= {"capacity_exceeded"}, (method, violations)
+        assert sum(a.or_id == "OR1" for a in assignments) <= 1, method
+
+
 def test_pipeline_is_deterministic(tmp_path):
     """Two runs at one seed and a restart cap write the same schedules,
     objectives (but for the wall time) and report."""
@@ -755,6 +782,17 @@ def _first_tree(data, tree):
     data["structure"]["trees"][0] = tree
 
 
+def _first_root_feature(ws, tmp, feature):
+    """``schedule --method pred`` with the workspace model's first tree
+    splitting its root on ``feature(n_features)``, and the error line's text."""
+
+    def change(data):
+        data["structure"]["trees"][0]["feature"] = feature(data["structure"]["n_features"])
+
+    argv, model = _model_values(ws, tmp, "pred", change)
+    return argv, f"{model}: malformed model values: a tree node's 'feature' is outside [0, "
+
+
 def _schedule(ws, *flags):
     return ["schedule", *instance_flags(ws), "--week", str(ws / "week.csv"), "--max-restarts", "1", *flags]
 
@@ -770,12 +808,12 @@ def _rewritten(ws, tmp, name, change):
     return tmp / name, rows
 
 
-def _week(ws, tmp, change, problem):
-    """``schedule --method dep`` with the workspace's week.csv, its rows
-    (header first) changed by ``change``, and the error line's text: the
-    file's path, then ``problem``."""
+def _week(ws, tmp, change, problem, method="dep"):
+    """``schedule --method`` with the workspace's week.csv, its rows (header
+    first) changed by ``change``, and the error line's text: the file's
+    path, then ``problem``."""
     path, _ = _rewritten(ws, tmp, "week.csv", change)
-    argv = ["schedule", *instance_flags(ws), "--week", str(path), "--model", str(ws / "model.json"), "--method", "dep"]
+    argv = ["schedule", *instance_flags(ws), "--week", str(path), "--model", str(ws / "model.json"), "--method", method]
     return argv, f"{path}: {problem}"
 
 
@@ -958,6 +996,8 @@ MALFORMED_INPUT = {
     # values well formed as JSON but not as the model or baselines read them
     "model_n_features_text": lambda ws, tmp: _model_values(ws, tmp, "pred", lambda d: d["structure"].update(n_features="x")),
     "model_first_tree_empty": lambda ws, tmp: _model_values(ws, tmp, "conf", lambda d: _first_tree(d, {})),
+    "model_tree_feature_negative": lambda ws, tmp: _first_root_feature(ws, tmp, lambda n_features: -1),
+    "model_tree_feature_past_the_last": lambda ws, tmp: _first_root_feature(ws, tmp, lambda n_features: n_features),
     "model_learning_rate_text": lambda ws, tmp: _model_values(ws, tmp, "pred", lambda d: d["hyperparameters"].update(learning_rate="a")),
     "model_categories_list": lambda ws, tmp: _model_values(ws, tmp, "conf", lambda d: d["encoder"].update(categories=[])),
     "model_department_means_list": lambda ws, tmp: _model_values(
@@ -1012,11 +1052,6 @@ MALFORMED_INPUT = {
     "train_records_with_short_first_record": lambda ws, tmp: _records_with_short_first_record(
         ws, tmp, lambda path: ["train", "--records", path, "--grid", "fast"]
     ),
-    "schedule_zero_planning_days": lambda ws, tmp: (_schedule(ws, "--planning-days", "0"), "--planning-days must be >= 1"),
-    "evaluate_negative_planning_days": lambda ws, tmp: (
-        ["evaluate", *instance_flags(ws), "--schedule", f"vba={tmp / 'x.csv'}", "--planning-days", "-3"],
-        "--planning-days must be >= 1",
-    ),
     "evaluate_schedule_without_assignments": lambda ws, tmp: _evaluate_empty_schedule(tmp),
     "week_repeated_id": lambda ws, tmp: _week(
         ws, tmp, _repeat_first_record, "row 3, field 'PROGRESSIVO': id 'W0000' repeats row 2"
@@ -1026,6 +1061,13 @@ MALFORMED_INPUT = {
     ),
     "week_without_a_registrations_record": lambda ws, tmp: _week(
         ws, tmp, lambda rows: rows.pop(1), "field 'PROGRESSIVO': no record for registrations W0000"
+    ),
+    # a column the method's source reads: the model's encoder for Pred, REPARTO for Dep
+    "week_without_a_feature_column_pred": lambda ws, tmp: _week(
+        ws, tmp, _drop_column("ETA"), "row 1, field 'ETA': column missing from the header", "pred"
+    ),
+    "week_without_the_department_column_dep": lambda ws, tmp: _week(
+        ws, tmp, _drop_column("REPARTO"), "row 1, field 'REPARTO': column missing from the header"
     ),
     # an empty cell in a required column of an instance or schedule file
     "registrations_empty_id_vba": lambda ws, tmp: _emptied(ws, tmp, "registrations.csv", "id", "--method", "vba"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import instance, random_instance, reg, single_cell_instance
+from helpers import instance, random_instance, reg, scaled_confidences, single_cell_instance
 from oracle import (
     brute_force_best,
     compare_lex,
@@ -332,7 +332,7 @@ def test_confidence_scaling_preserves_optimal_pattern():
             s1 = solve_exact(inst, FAST)
         except InfeasibleInstanceError:
             continue
-        s3 = solve_exact(inst, FAST, confidence_scale=3)
+        s3 = solve_exact(scaled_confidences(inst, 3), FAST)
         assert schedule_pattern(s1) == schedule_pattern(s3)
         assert s3.objective.max_cell_confidence == 3 * s1.objective.max_cell_confidence
         assert s3.objective.confidence_spread == 3 * s1.objective.confidence_spread
@@ -458,7 +458,7 @@ def test_local_search_moves_match_trial_and_undo_reference():
         emergency_or = base.mss[rng.randrange(len(base.mss))].or_id
         for emergency in (None, emergency_or):
             inst = dataclasses.replace(base, emergency_or_id=emergency)
-            model = _Model(inst, 1)
+            model = _Model(inst)
             for confidence_active in (True, False):
                 heuristic = _Heuristic(model, H_FAST, confidence_active)
                 starts = [_random_fill(model, confidence_active, rng)]
@@ -497,7 +497,7 @@ def test_greedy_matches_can_place_reference():
         base = dataclasses.replace(base, registrations=base.registrations + tuple(absent))
         emergency_or = base.mss[rng.randrange(len(base.mss))].or_id
         for emergency in (None, emergency_or):
-            model = _Model(dataclasses.replace(base, emergency_or_id=emergency), 1)
+            model = _Model(dataclasses.replace(base, emergency_or_id=emergency))
             scan = reference_compat(model)
             assert model.compat == scan
             assert model.compat_sets == [set(cells) for cells in scan]
@@ -528,7 +528,7 @@ def test_heuristic_returns_least_restart_in_index_order():
     for case in range(500):
         inst = random_instance(rng, max_regs=rng.choice((6, 12, 20)), max_cells=rng.choice((2, 4, 6)))
         for confidence_active in (True, False):
-            model = _Model(inst, 1)
+            model = _Model(inst)
             limits = SolveLimits(time_budget_s=60.0, seed=case)
             heuristic = _Heuristic(model, limits, confidence_active)
             seed_rng, restarts = random.Random(case), []
